@@ -171,18 +171,31 @@ class QuatElem:
         return f"({self.x}, {self.y}, {self.z}, {self.w}) in Q({self.algebra.s},{self.algebra.t}) mod {self.algebra.p}"
 
 
-def _algebra_for(params: SeqParams) -> AlgebraParams:
-    m = params.modulus
-    if m is None:
-        raise ValueError("quaternion construction requires params with a modulus")
-    return AlgebraParams.standard(m)
+def family_stream(params: SeqParams, family: str, count: int) -> list[int]:
+    """t_0 .. t_{count-1} mod p, the coefficient stream of a quaternion family.
+
+    Quaternion n of the family is t_n + t_{n+1} i + t_{n+2} j + t_{n+3} k.
+    QP takes t_i = P_i.  QR takes t_i = R_i(a, b) at even i and R_i(b, a)
+    at odd i, which is the parity-dependent coefficient-order swap.
+    """
+    if family == "QP":
+        return padovan_mod(params, count)
+    if family == "QR":
+        terms = perrin_mod(params, count)
+        terms[1::2] = perrin_mod(params.swapped(), count)[1::2]
+        return terms
+    raise ValueError(f"family must be 'QP' or 'QR', got {family!r}")
+
+
+def _elements(params: SeqParams, family: str, count: int) -> list[QuatElem]:
+    alg = AlgebraParams.standard(params._require_modulus())
+    t = family_stream(params, family, count + 3)
+    return [alg.element(*t[n : n + 4]) for n in range(count)]
 
 
 def qp_elements(params: SeqParams, count: int) -> list[QuatElem]:
     """The first `count` Padovan quaternions P_n + P_{n+1} i + P_{n+2} j + P_{n+3} k."""
-    alg = _algebra_for(params)
-    terms = padovan_mod(params, count + 3)
-    return [alg.element(*terms[n : n + 4]) for n in range(count)]
+    return _elements(params, "QP", count)
 
 
 def qp_quaternion(n: int, params: SeqParams) -> QuatElem:
@@ -191,20 +204,10 @@ def qp_quaternion(n: int, params: SeqParams) -> QuatElem:
     return qp_elements(params, n + 1)[n]
 
 
-def _qr_coefficients(n: int, ab: list[int], ba: list[int]) -> tuple[int, int, int, int]:
-    # even n takes (a,b) coefficients at even offsets, (b,a) at odd; odd n swaps
-    if n % 2 == 0:
-        return (ab[n], ba[n + 1], ab[n + 2], ba[n + 3])
-    return (ba[n], ab[n + 1], ba[n + 2], ab[n + 3])
-
-
 def qr_elements(params: SeqParams, count: int) -> list[QuatElem]:
     """The first `count` Perrin quaternions, with the parity-dependent
     coefficient-order swap applied per component."""
-    alg = _algebra_for(params)
-    ab = perrin_mod(params, count + 3)
-    ba = perrin_mod(params.swapped(), count + 3)
-    return [alg.element(*_qr_coefficients(n, ab, ba)) for n in range(count)]
+    return _elements(params, "QR", count)
 
 
 def qr_quaternion(n: int, params: SeqParams) -> QuatElem:
@@ -239,9 +242,8 @@ class SymQuat:
 
     def evaluate_mod(self, params: SeqParams) -> QuatElem:
         """Specialize at integer (a, b) mod p in the standard algebra."""
-        alg = _algebra_for(params)
-        m = params.modulus
-        return alg.element(
+        m = params._require_modulus()
+        return AlgebraParams.standard(m).element(
             *(c.evaluate_mod(params.a, params.b, m) for c in self.components)
         )
 
@@ -262,15 +264,8 @@ def qr_symbolic(n: int) -> SymQuat:
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     terms = perrin_sym_terms(n + 4)
-    # even n: (ab, ba, ab, ba); odd n: (ba, ab, ba, ab)
-    swap_first = n % 2 == 1
-    out = []
-    for offset in range(4):
-        c = terms[n + offset]
-        if (offset % 2 == 0) == swap_first:
-            c = c.swap()
-        out.append(c)
-    return SymQuat(*out)
+    # components are t_n .. t_{n+3} of the QR stream of family_stream
+    return SymQuat(*(t.swap() if i % 2 else t for i, t in enumerate(terms[n:], n)))
 
 
 def qp_gf_numerators() -> tuple[list[BiPoly], list[BiPoly], list[BiPoly], list[BiPoly]]:

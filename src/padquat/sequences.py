@@ -113,9 +113,6 @@ class BiPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def total_degree(self) -> int:
-        return max((i + j for i, j in self.coeffs), default=0)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BiPoly):
             return self.coeffs == other.coeffs
@@ -157,24 +154,25 @@ _PADOVAN_INIT_SYM = (BiPoly.one(), BiPoly.zero(), BiPoly.a())
 _PERRIN_INIT_SYM = (BiPoly.const(3), BiPoly.zero(), BiPoly.const(2))
 
 
-def _sym_terms(init: tuple[BiPoly, BiPoly, BiPoly], count: int) -> list[BiPoly]:
-    terms = list(init[:count])
-    a, b = BiPoly.a(), BiPoly.b()
+def _extend(terms: list, a, b, count: int, m: int | None = None) -> list:
+    """Extend `terms` in place to `count` terms of the bi-periodic step
+    t_n = a t_{n-2} + t_{n-3} (even n), b t_{n-2} + t_{n-3} (odd n), over
+    BiPoly (m None) or over ints reduced mod m."""
     while len(terms) < count:
         n = len(terms)
-        coeff = a if n % 2 == 0 else b
-        terms.append(coeff * terms[n - 2] + terms[n - 3])
+        t = (a if n % 2 == 0 else b) * terms[n - 2] + terms[n - 3]
+        terms.append(t if m is None else t % m)
     return terms
 
 
 def padovan_sym_terms(count: int) -> list[BiPoly]:
     """P_0 .. P_{count-1} as exact polynomials in a, b."""
-    return _sym_terms(_PADOVAN_INIT_SYM, count)
+    return _extend(list(_PADOVAN_INIT_SYM[:count]), BiPoly.a(), BiPoly.b(), count)
 
 
 def perrin_sym_terms(count: int) -> list[BiPoly]:
     """R_0 .. R_{count-1} as exact polynomials in a, b."""
-    return _sym_terms(_PERRIN_INIT_SYM, count)
+    return _extend(list(_PERRIN_INIT_SYM[:count]), BiPoly.a(), BiPoly.b(), count)
 
 
 def padovan_sym(n: int) -> BiPoly:
@@ -242,25 +240,16 @@ class SeqParams:
         return self.modulus
 
 
-def _mod_terms(init: tuple[int, int, int], params: SeqParams, count: int) -> list[int]:
-    m = params._require_modulus()
-    a, b = params.a, params.b
-    terms = [x % m for x in init][:count]
-    while len(terms) < count:
-        n = len(terms)
-        coeff = a if n % 2 == 0 else b
-        terms.append((coeff * terms[n - 2] + terms[n - 3]) % m)
-    return terms
-
-
 def padovan_mod(params: SeqParams, count: int) -> list[int]:
     """P_0 .. P_{count-1} mod m."""
-    return _mod_terms((1, 0, params.a), params, count)
+    m = params._require_modulus()
+    return _extend([1, 0, params.a][:count], params.a, params.b, count, m)
 
 
 def perrin_mod(params: SeqParams, count: int) -> list[int]:
     """R_0 .. R_{count-1} mod m."""
-    return _mod_terms((3, 0, 2), params, count)
+    m = params._require_modulus()
+    return _extend([3 % m, 0, 2 % m][:count], params.a, params.b, count, m)
 
 
 def seq_period(params: SeqParams, kind: str) -> int:
@@ -277,26 +266,18 @@ def seq_period(params: SeqParams, kind: str) -> int:
         raise ValueError(f"kind must be 'padovan' or 'perrin', got {kind!r}")
     m = params._require_modulus()
     gen = padovan_mod(params, 8) if kind == "padovan" else perrin_mod(params, 8)
-    a, b = params.a, params.b
-
-    def extend(upto: int) -> None:
-        while len(gen) < upto:
-            n = len(gen)
-            coeff = a if n % 2 == 0 else b
-            gen.append((coeff * gen[n - 2] + gen[n - 3]) % m)
-
     init = tuple(gen[:3])
     limit = 2 * m**3 + 4  # parity-tagged state space bound
     n = 2
     while n <= limit:
-        extend(n + 3)
+        _extend(gen, params.a, params.b, n + 3, m)
         if tuple(gen[n : n + 3]) == init:
             break
         n += 2
     else:
         raise AssertionError("period scan exceeded the state-space bound")
     aligned = n
-    extend(2 * aligned)
+    _extend(gen, params.a, params.b, 2 * aligned, m)
     for d in sorted(d for d in range(1, aligned + 1) if aligned % d == 0):
         if all(gen[i + d] == gen[i] for i in range(aligned)):
             return d
@@ -324,36 +305,22 @@ def gf_expand(
         raise ValueError(f"count must be nonnegative, got {count}")
 
     if params is None:
+        a, b, m, zero = BiPoly.a(), BiPoly.b(), None, BiPoly.zero()
         nums = [n if isinstance(n, BiPoly) else BiPoly.const(n) for n in numerator]
-        apb = BiPoly.a() + BiPoly.b()
-        ab = BiPoly.a() * BiPoly.b()
-        out_sym: list[BiPoly] = []
-        for n in range(count):
-            c = nums[n] if n < len(nums) else BiPoly.zero()
-            if n >= 2:
-                c = c + apb * out_sym[n - 2]
-            if n >= 4:
-                c = c - ab * out_sym[n - 4]
-            if n >= 6:
-                c = c + out_sym[n - 6]
-            out_sym.append(c)
-        return out_sym
-
-    a, b = params.a, params.b
-    m = params.modulus
-    nums_int = [
-        n.evaluate(a, b) if isinstance(n, BiPoly) else int(n) for n in numerator
-    ]
-    out: list[int] = []
+    else:
+        a, b, m, zero = params.a, params.b, params.modulus, 0
+        nums = [n.evaluate(a, b) if isinstance(n, BiPoly) else int(n) for n in numerator]
+    apb, ab = a + b, a * b
+    out: list = []
     for n in range(count):
-        c = nums_int[n] if n < len(nums_int) else 0
+        c = nums[n] if n < len(nums) else zero
         if n >= 2:
-            c += (a + b) * out[n - 2]
+            c = c + apb * out[n - 2]
         if n >= 4:
-            c -= a * b * out[n - 4]
+            c = c - ab * out[n - 4]
         if n >= 6:
-            c += out[n - 6]
-        out.append(c % m if m is not None else c)
+            c = c + out[n - 6]
+        out.append(c if m is None else c % m)
     return out
 
 

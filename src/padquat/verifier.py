@@ -2,26 +2,28 @@
 
 Each claim predicts, for indices m satisfying the hypothesis congruence
 (m/2 or (m-1)/2 congruent to -3 mod z(p)), exactly which quaternions
-QP_m or QR_m are zero divisors in Q(-1,-1) over Z_p.  The engine encodes
-every claim as a predicate over indices, runs an exhaustive brute-force
-norm scan over a window that covers the combined period of both sides,
-and classifies the claim as HOLDS, HOLDS_VACUOUSLY, or FAILS with the
-full counterexample list.
+QP_m or QR_m are zero divisors in Q(-1,-1) over Z_p.  Every claim is one
+row of the `CLAIMS` table; the engine runs an exhaustive brute-force norm
+scan over a window that covers the combined period of both sides, and
+classifies the claim as HOLDS, HOLDS_VACUOUSLY, or FAILS with the full
+counterexample list.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import lru_cache
+from typing import Callable
 
 from .fibonacci import FibProfile, fib_mod
 from .modular import PrimeModulus, is_prime, jacobi, legendre
-from .quaternion import qp_elements, qr_elements
+from .quaternion import family_stream
 from .sequences import NotTwinPrime, SeqParams, seq_period
 
 
 class HypothesisViolated(ValueError):
-    """Raised when an index breaks a predicate's hypothesis congruence."""
+    """Raised when an index breaks a claim's hypothesis congruence."""
 
 
 class ExcludedPrime(ValueError):
@@ -32,26 +34,52 @@ HOLDS = "HOLDS"
 HOLDS_VACUOUSLY = "HOLDS_VACUOUSLY"
 FAILS = "FAILS"
 
-CASE_IDS = (
-    "thm-padovan-even",
-    "thm-padovan-odd",
-    "thm-perrin-even",
-    "thm-perrin-odd",
-    "cor-7",
-    "cor-13",
-    "cor-181",
-)
 
-# claim id -> (family, parity of m, fixed prime or None)
-_CASE_SHAPE = {
-    "thm-padovan-even": ("QP", 0, None),
-    "thm-padovan-odd": ("QP", 1, None),
-    "thm-perrin-even": ("QR", 0, None),
-    "thm-perrin-odd": ("QR", 1, None),
-    "cor-7": ("QR", 1, 7),
-    "cor-13": ("QR", 1, 13),
-    "cor-181": ("QR", 0, 181),
+def perrin_even_side_condition(p: int) -> bool:
+    """The split condition of the even-index Perrin claim: either
+    p = 1,3 (mod 8) with p a residue mod 181, or p = 5,7 (mod 8) with p a
+    non-residue mod 181.  Equivalent to legendre(-8*181, p) = +1."""
+    sym = legendre(p, 181)
+    if p % 8 in (1, 3):
+        return sym == 1
+    return sym == -1
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One zero-divisor claim: which quaternions it is about, at which
+    primes it applies and which k classes mod pi(p) it predicts.
+
+    A theorem (classes None) predicts the candidate classes of
+    `_index_classes` at primes where its side condition holds and nothing
+    elsewhere; a corollary about one prime predicts its fixed `classes`.
+    A corollary predicting no class claims invertibility.
+    """
+
+    family: str  # "QP" or "QR"
+    parity: int  # parity of the quaternion index m
+    prime: int | None = None  # the only prime a corollary applies to
+    excluded: tuple[int, ...] = ()
+    side_condition: Callable[[int], bool] | None = None
+    classes: tuple[int, ...] | None = None
+
+
+CLAIMS = {
+    "thm-padovan-even": Claim("QP", 0, side_condition=lambda p: p % 4 == 1),
+    "thm-padovan-odd": Claim("QP", 1, side_condition=lambda p: p % 3 == 1),
+    "thm-perrin-even": Claim(
+        "QR", 0, excluded=(181,), side_condition=perrin_even_side_condition
+    ),
+    # (p / 13*239) is the Jacobi symbol
+    "thm-perrin-odd": Claim(
+        "QR", 1, excluded=(7, 13, 239), side_condition=lambda p: jacobi(p, 13 * 239) == 1
+    ),
+    "cor-7": Claim("QR", 1, prime=7, classes=(4, 10)),  # pi(7) = 16
+    "cor-13": Claim("QR", 1, prime=13, classes=()),
+    "cor-181": Claim("QR", 0, prime=181, classes=(47,)),  # pi(181) = 90
 }
+
+CASE_IDS = tuple(CLAIMS)
 
 
 @dataclass(frozen=True)
@@ -112,6 +140,13 @@ def reduced_norm_value(kind: str, k: int, p: "PrimeModulus | int") -> int:
     return red.value(f, pv)
 
 
+def _index_classes(profile: FibProfile) -> tuple[int, ...]:
+    """The candidate k classes mod pi(p): (j*z - 3) mod pi for j = 1..4,
+    deduplicated and kept below pi(p)."""
+    z, pi = profile.entry_point, profile.pisano_period
+    return tuple(sorted({(j * z - 3) % pi for j in range(1, 5)}))
+
+
 @dataclass(frozen=True)
 class TheoremCase:
     """One claim instantiated at one twin prime."""
@@ -122,182 +157,93 @@ class TheoremCase:
     parity: int  # parity of the quaternion index m
     hypothesis_class: int  # k must be in this class mod z(p)
     family: str  # "QP" or "QR"
+    predicted_classes: tuple[int, ...]  # k classes mod pi(p) claimed zero divisors
     claims_invertibility: bool = False
 
     @classmethod
     def build(cls, claim_id: str, p: int) -> "TheoremCase":
-        if claim_id not in _CASE_SHAPE:
+        claim = CLAIMS.get(claim_id)
+        if claim is None:
             raise ValueError(f"unknown claim id {claim_id!r}")
-        family, parity, fixed_p = _CASE_SHAPE[claim_id]
         if not (p >= 5 and is_prime(p) and is_prime(p - 2)):
             raise NotTwinPrime(f"{p} does not head a twin prime pair")
-        if fixed_p is not None and p != fixed_p:
-            raise ExcludedPrime(f"{claim_id} applies only to p = {fixed_p}")
-        if claim_id == "thm-perrin-even" and p == 181:
-            raise ExcludedPrime("thm-perrin-even excludes p = 181")
-        if claim_id == "thm-perrin-odd" and p in (7, 13, 239):
-            raise ExcludedPrime(f"thm-perrin-odd excludes p = {p}")
+        if claim.prime is not None and p != claim.prime:
+            raise ExcludedPrime(f"{claim_id} applies only to p = {claim.prime}")
+        if p in claim.excluded:
+            raise ExcludedPrime(f"{claim_id} excludes p = {p}")
         profile = FibProfile.of(p)
         z = profile.entry_point
+        classes = claim.classes
+        if classes is None:
+            classes = _index_classes(profile) if claim.side_condition(p) else ()
         return cls(
             claim_id=claim_id,
             p=p,
             profile=profile,
-            parity=parity,
+            parity=claim.parity,
             hypothesis_class=(z - 3) % z,
-            family=family,
-            claims_invertibility=(claim_id == "cor-13"),
+            family=claim.family,
+            predicted_classes=classes,
+            claims_invertibility=claim.classes == (),
         )
 
     def satisfies_hypothesis(self, m: int) -> bool:
         if m % 2 != self.parity:
             return False
-        k = (m - self.parity) // 2
-        return k % self.profile.entry_point == self.hypothesis_class
+        return self.k_of(m) % self.profile.entry_point == self.hypothesis_class
 
     def k_of(self, m: int) -> int:
         return (m - self.parity) // 2
 
+    def predicts(self, m: int) -> bool:
+        """Whether the claim says quaternion m is a zero divisor.
+
+        Rejects indices of the wrong parity.  The z(p)-hypothesis
+        congruence on k is a caller obligation: the verdict engine only
+        asks at hypothesis-compatible indices, while direct callers may
+        probe the class condition at any k.
+        """
+        if m % 2 != self.parity:
+            raise HypothesisViolated(f"index {m} has the wrong parity for this claim")
+        return self.k_of(m) % self.profile.pisano_period in self.predicted_classes
+
 
 def applicable_case_ids(p: int) -> list[str]:
     """Claim ids that apply to twin prime p, in canonical (sorted) order."""
-    ids = ["thm-padovan-even", "thm-padovan-odd"]
-    if p != 181:
-        ids.append("thm-perrin-even")
-    if p not in (7, 13):
-        ids.append("thm-perrin-odd")
-    if p == 7:
-        ids.append("cor-7")
-    if p == 13:
-        ids.append("cor-13")
-    if p == 181:
-        ids.append("cor-181")
-    return sorted(ids)
+    return sorted(
+        cid
+        for cid, claim in CLAIMS.items()
+        if claim.prime in (None, p) and p not in claim.excluded
+    )
 
 
-def applicable_cases(p: int) -> list[TheoremCase]:
-    return [TheoremCase.build(cid, p) for cid in applicable_case_ids(p)]
+def norm_oracle(
+    params: SeqParams, family: str, scan_limit: int
+) -> tuple[list[int], set[int]]:
+    """Norms and zero divisors of the quaternions m < scan_limit, in one pass.
 
-
-def _index_classes(profile: FibProfile) -> tuple[int, ...]:
-    """The candidate k classes mod pi(p): (j*z - 3) mod pi for j = 1..4,
-    deduplicated and kept below pi(p)."""
-    z, pi = profile.entry_point, profile.pisano_period
-    return tuple(sorted({(j * z - 3) % pi for j in range(1, 5)}))
-
-
-def _require(case_parity: int, m: int) -> int:
-    """Reject indices of the wrong parity; return k.
-
-    The z(p)-hypothesis congruence on k is a caller obligation: the
-    verdict engine only evaluates predicates at hypothesis-compatible
-    indices, while direct callers may probe the class condition at any k.
+    In Q(-1,-1) the norm of t_m + t_{m+1} i + t_{m+2} j + t_{m+3} k is the
+    sum of the four squares; it is computed on the plain int coefficient
+    stream.  A zero divisor is a nonzero quaternion of norm 0 (mod p).
+    This is the oracle side of every claim check and is deliberately
+    independent of the claim table.
     """
-    if m % 2 != case_parity:
-        raise HypothesisViolated(f"index {m} has the wrong parity for this claim")
-    return (m - case_parity) // 2
-
-
-def predicate_padovan_even(p: int, m: int) -> bool:
-    """Even-index Padovan claim: zero divisor iff p = 1 (mod 4) and m/2
-    falls in one of the candidate classes mod pi(p)."""
-    profile = FibProfile.of(p)
-    k = _require(0, m)
-    if p % 4 != 1:
-        return False
-    return k % profile.pisano_period in _index_classes(profile)
-
-
-def predicate_padovan_odd(p: int, m: int) -> bool:
-    """Odd-index Padovan claim: zero divisor iff p = 1 (mod 3) and (m-1)/2
-    falls in one of the candidate classes mod pi(p)."""
-    profile = FibProfile.of(p)
-    k = _require(1, m)
-    if p % 3 != 1:
-        return False
-    return k % profile.pisano_period in _index_classes(profile)
-
-
-def perrin_even_side_condition(p: int) -> bool:
-    """The split condition of the even-index Perrin claim: either
-    p = 1,3 (mod 8) with p a residue mod 181, or p = 5,7 (mod 8) with p a
-    non-residue mod 181.  Equivalent to legendre(-8*181, p) = +1."""
-    sym = legendre(p, 181)
-    if p % 8 in (1, 3):
-        return sym == 1
-    return sym == -1
-
-
-def predicate_perrin_even(p: int, m: int) -> bool:
-    """Even-index Perrin claim (p != 181)."""
-    if p == 181:
-        raise ExcludedPrime("the even-index Perrin claim excludes p = 181")
-    profile = FibProfile.of(p)
-    k = _require(0, m)
-    if not perrin_even_side_condition(p):
-        return False
-    return k % profile.pisano_period in _index_classes(profile)
-
-
-def predicate_perrin_odd(p: int, m: int) -> bool:
-    """Odd-index Perrin claim (p not in {7, 13, 239}): zero divisor iff the
-    Jacobi symbol (p / 13*239) is +1 and the index class matches."""
-    if p in (7, 13, 239):
-        raise ExcludedPrime(f"the odd-index Perrin claim excludes p = {p}")
-    profile = FibProfile.of(p)
-    k = _require(1, m)
-    if jacobi(p, 13 * 239) != 1:
-        return False
-    return k % profile.pisano_period in _index_classes(profile)
-
-
-def predicate_cor_181(m: int) -> bool:
-    """p = 181, even m: zero divisor iff m/2 = 47 (mod 90)."""
-    k = _require(0, m)
-    return k % 90 == 47
-
-
-def predicate_cor_7(m: int) -> bool:
-    """p = 7, odd m: zero divisor iff (m-1)/2 = 4 or 10 (mod 16)."""
-    k = _require(1, m)
-    return k % 16 in (4, 10)
-
-
-def predicate_cor_13(m: int) -> bool:
-    """p = 13, odd m: no hypothesis-compatible quaternion is a zero divisor."""
-    _require(1, m)
-    return False
-
-
-_PREDICATES = {
-    "thm-padovan-even": lambda case, m: predicate_padovan_even(case.p, m),
-    "thm-padovan-odd": lambda case, m: predicate_padovan_odd(case.p, m),
-    "thm-perrin-even": lambda case, m: predicate_perrin_even(case.p, m),
-    "thm-perrin-odd": lambda case, m: predicate_perrin_odd(case.p, m),
-    "cor-7": lambda case, m: predicate_cor_7(m),
-    "cor-13": lambda case, m: predicate_cor_13(m),
-    "cor-181": lambda case, m: predicate_cor_181(m),
-}
+    p = params.modulus
+    t = family_stream(params, family, max(scan_limit, 0) + 3)
+    sq = [x * x for x in t]
+    norms = [(w + x + y + z) % p for w, x, y, z in zip(sq, sq[1:], sq[2:], sq[3:])]
+    zero_divisors = {m for m, n in enumerate(norms) if n == 0 and any(t[m : m + 4])}
+    return norms, zero_divisors
 
 
 def brute_force_zero_divisors(
     params: SeqParams, family: str, scan_limit: int
 ) -> set[int]:
-    """Indices m < scan_limit whose quaternion is a zero divisor.
-
-    Applies the norm criterion directly to every element of the stream:
-    nonzero coefficients and N = 0 (mod p).  This is the oracle side of
-    every claim check and is deliberately independent of the predicates.
-    """
-    if family not in ("QP", "QR"):
-        raise ValueError(f"family must be 'QP' or 'QR', got {family!r}")
-    if scan_limit <= 0:
-        return set()
-    build = qp_elements if family == "QP" else qr_elements
-    elems = build(params, scan_limit)
-    return {m for m, u in enumerate(elems) if u.is_zero_divisor()}
+    """Indices m < scan_limit whose quaternion is a zero divisor."""
+    return norm_oracle(params, family, scan_limit)[1]
 
 
+@lru_cache(maxsize=None)
 def family_period(params: SeqParams, family: str) -> int:
     """A period of the full quaternion coefficient stream."""
     if family == "QP":
@@ -319,14 +265,7 @@ class Counterexample:
     observed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "k": self.k,
-            "norm": self.norm,
-            "reduced": self.reduced,
-            "predicted": self.predicted,
-            "observed": self.observed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -377,7 +316,7 @@ def _reduction_kind(case: TheoremCase) -> str:
 
 
 def verify_case(case: TheoremCase, scan_multiplier: int = 2) -> TheoremVerdict:
-    """Compare a claim's predicate against the brute-force oracle.
+    """Compare a claim's predicted zero divisors against the brute-force oracle.
 
     The scan window is scan_multiplier * lcm(sequence period, 2*pi(p)),
     which covers every congruence class of both sides at least twice.
@@ -395,11 +334,11 @@ def verify_case(case: TheoremCase, scan_multiplier: int = 2) -> TheoremVerdict:
     window = math.lcm(period, 2 * case.profile.pisano_period)
     scan_limit = scan_multiplier * window
 
-    hypothesis = [m for m in range(scan_limit) if case.satisfies_hypothesis(m)]
-    oracle = brute_force_zero_divisors(params, case.family, scan_limit)
-    observed = [m for m in hypothesis if m in oracle]
-    predicate = _PREDICATES[case.claim_id]
-    predicted = [m for m in hypothesis if predicate(case, m)]
+    z = case.profile.entry_point
+    hypothesis = range(2 * case.hypothesis_class + case.parity, scan_limit, 2 * z)
+    norms, zero_divisors = norm_oracle(params, case.family, scan_limit)
+    observed = [m for m in hypothesis if m in zero_divisors]
+    predicted = [m for m in hypothesis if case.predicts(m)]
 
     if not hypothesis:
         classification = HOLDS_VACUOUSLY
@@ -414,9 +353,6 @@ def verify_case(case: TheoremCase, scan_multiplier: int = 2) -> TheoremVerdict:
     counterexamples: list[Counterexample] = []
     if classification == FAILS:
         pred_set, obs_set = set(predicted), set(observed)
-        elems = (qp_elements if case.family == "QP" else qr_elements)(
-            params, scan_limit
-        )
         kind = _reduction_kind(case)
         for m in sorted(pred_set ^ obs_set):
             k = case.k_of(m)
@@ -424,7 +360,7 @@ def verify_case(case: TheoremCase, scan_multiplier: int = 2) -> TheoremVerdict:
                 Counterexample(
                     index=m,
                     k=k,
-                    norm=elems[m].norm().value,
+                    norm=norms[m],
                     reduced=reduced_norm_value(kind, k, case.p),
                     predicted=m in pred_set,
                     observed=m in obs_set,

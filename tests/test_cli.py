@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -173,6 +174,22 @@ class TestScan:
         content = target.read_bytes()
         assert content.startswith(b"prime,case_id")
         assert b"\r" not in content
+
+
+class TestGoldenBytes:
+    # sha256 of stdout (not --out: the JSON config records the output path)
+    @pytest.mark.parametrize("argv, digest, expected_status", [
+        (("scan", "--upto", "200", "--format", "csv"),
+         "5ab83d3a69163f13436f51c3d28780e7a4475af3b5fc7c646dc18f8c33942fce", 2),
+        (("verify", "--p", "5", "--format", "json"),
+         "138d590c108c4f43d23a9af5de48a25d3e50da843b622dafadf9a6982f8ad285", 2),
+        (("verify", "--p", "13", "--format", "json"),
+         "04c39bea215a5fa8a69db3684b3e875dcc52ec44b26042ab9a410152e48e5deb", 2),
+    ])
+    def test_stdout_digest(self, capsys, argv, digest, expected_status):
+        status, out, _ = run_cli(capsys, *argv)
+        assert status == expected_status
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestParser:

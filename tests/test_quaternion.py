@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 
-from padquat.modular import PrimeModulus
+from padquat.fibonacci import pisano_period
+from padquat.modular import PrimeModulus, twin_primes_upto
 from padquat.quaternion import (
     AlgebraMismatch,
     AlgebraParams,
@@ -18,7 +20,7 @@ from padquat.quaternion import (
     qr_symbolic,
 )
 from padquat.sequences import BiPoly, SeqParams, gf_expand, padovan_mod
-from padquat.verifier import brute_force_zero_divisors
+from padquat.verifier import brute_force_zero_divisors, family_period, norm_oracle
 
 ALGEBRAS_13 = [
     AlgebraParams(-1, -1, PrimeModulus(13)),
@@ -322,11 +324,18 @@ class TestOracleSmoke:
         # N(QP_0) = 1 + 0 + 9 + 1 = 11 = 1 (mod 5): not a zero divisor
         assert brute_force_zero_divisors(params, "QP", 1) == set()
 
-    def test_brute_force_matches_pointwise_check(self):
-        params = SeqParams.twin_prime(7)
-        found = brute_force_zero_divisors(params, "QR", 120)
-        for m in range(120):
-            assert (m in found) == qr_quaternion(m, params).is_zero_divisor()
+    @pytest.mark.parametrize("family", ["QP", "QR"])
+    @pytest.mark.parametrize("p", [p for _, p in twin_primes_upto(200)])
+    def test_brute_force_matches_pointwise_check(self, p, family):
+        # the one-pass int oracle against the QuatElem algebra, over the
+        # scan window verify_case uses
+        params = SeqParams.twin_prime(p)
+        limit = 2 * math.lcm(family_period(params, family), 2 * pisano_period(p))
+        elems = (qp_elements if family == "QP" else qr_elements)(params, limit)
+        norms, found = norm_oracle(params, family, limit)
+        assert norms == [e.norm().value for e in elems]
+        assert found == {m for m, e in enumerate(elems) if e.is_zero_divisor()}
+        assert brute_force_zero_divisors(params, family, limit) == found
 
     def test_family_validated(self):
         with pytest.raises(ValueError):

@@ -25,17 +25,9 @@ from padquat.verifier import (
     HypothesisViolated,
     TheoremCase,
     applicable_case_ids,
-    applicable_cases,
     brute_force_zero_divisors,
     family_period,
     perrin_even_side_condition,
-    predicate_cor_7,
-    predicate_cor_13,
-    predicate_cor_181,
-    predicate_padovan_even,
-    predicate_padovan_odd,
-    predicate_perrin_even,
-    predicate_perrin_odd,
     reduced_norm_value,
     verify_case,
 )
@@ -63,6 +55,8 @@ class TestCaseConstruction:
         assert "thm-perrin-odd" not in applicable_case_ids(13)
         assert "cor-181" in applicable_case_ids(181)
         assert "thm-perrin-even" not in applicable_case_ids(181)
+        # 239 heads no twin pair, so only the applicability list shows its exclusion
+        assert "thm-perrin-odd" not in applicable_case_ids(239)
 
     def test_build_validates_twin_prime(self):
         with pytest.raises(NotTwinPrime):
@@ -90,67 +84,69 @@ class TestCaseConstruction:
         assert not case.satisfies_hypothesis(10)  # k=5
 
 
+def predicts(claim_id, p, m):
+    return TheoremCase.build(claim_id, p).predicts(m)
+
+
 class TestPredicates:
     def test_padovan_even_side_condition(self):
         # p = 3 (mod 4) predicts nothing
         case7 = TheoremCase.build("thm-padovan-even", 7)
         m = next(m for m in range(0, 200, 2) if case7.satisfies_hypothesis(m))
-        assert predicate_padovan_even(7, m) is False
+        assert case7.predicts(m) is False
         # p = 1 (mod 4) predicts every candidate class
         case13 = TheoremCase.build("thm-padovan-even", 13)
         for m in range(0, 120, 2):
             if case13.satisfies_hypothesis(m):
-                assert predicate_padovan_even(13, m) is True
+                assert case13.predicts(m) is True
 
     def test_padovan_odd_side_condition(self):
-        assert predicate_padovan_odd(5, 2 * 2 + 1) is False  # 5 = 2 (mod 3), k=2 = -3 mod 5
+        assert predicts("thm-padovan-odd", 5, 2 * 2 + 1) is False  # 5 = 2 (mod 3), k=2 = -3 mod 5
         case7 = TheoremCase.build("thm-padovan-odd", 7)
         m = next(m for m in range(1, 200, 2) if case7.satisfies_hypothesis(m))
-        assert predicate_padovan_odd(7, m) is True
+        assert case7.predicts(m) is True
 
     def test_parity_rejected(self):
-        with pytest.raises(HypothesisViolated):
-            predicate_padovan_even(13, 9)
-        with pytest.raises(HypothesisViolated):
-            predicate_padovan_odd(13, 8)
-        with pytest.raises(HypothesisViolated):
-            predicate_cor_7(8)
-        with pytest.raises(HypothesisViolated):
-            predicate_cor_13(8)
-        with pytest.raises(HypothesisViolated):
-            predicate_cor_181(9)
-
-    def test_perrin_excluded_primes(self):
-        with pytest.raises(ExcludedPrime):
-            predicate_perrin_even(181, 174)
-        with pytest.raises(ExcludedPrime):
-            predicate_perrin_odd(7, 11)
-        with pytest.raises(ExcludedPrime):
-            predicate_perrin_odd(13, 9)
+        for claim_id, p, m in (
+            ("thm-padovan-even", 13, 9),
+            ("thm-padovan-odd", 13, 8),
+            ("cor-7", 7, 8),
+            ("cor-13", 13, 8),
+            ("cor-181", 181, 9),
+        ):
+            with pytest.raises(HypothesisViolated):
+                predicts(claim_id, p, m)
 
     def test_cor_examples(self):
-        assert predicate_cor_181(2 * 47) is True
-        assert predicate_cor_181(2 * 137) is True
-        assert predicate_cor_181(2 * 46) is False
-        assert predicate_cor_7(2 * 4 + 1) is True
-        assert predicate_cor_7(2 * 20 + 1) is True
-        assert predicate_cor_7(2 * 5 + 1) is False
+        assert predicts("cor-181", 181, 2 * 47) is True
+        assert predicts("cor-181", 181, 2 * 137) is True
+        assert predicts("cor-181", 181, 2 * 46) is False
+        assert predicts("cor-7", 7, 2 * 4 + 1) is True
+        assert predicts("cor-7", 7, 2 * 20 + 1) is True
+        assert predicts("cor-7", 7, 2 * 5 + 1) is False
         case = TheoremCase.build("cor-13", 13)
         for m in range(1, 300, 2):
             if case.satisfies_hypothesis(m):
-                assert predicate_cor_13(m) is False
+                assert case.predicts(m) is False
 
     def test_perrin_even_condition_equals_discriminant_symbol(self):
         for p in primes_upto(500):
             if p < 5 or p == 181:
                 continue
             assert perrin_even_side_condition(p) == (legendre(-8 * 181, p) == 1), p
+        for _, p in twin_primes_upto(500):
+            if p != 181:
+                case = TheoremCase.build("thm-perrin-even", p)
+                assert bool(case.predicted_classes) == (legendre(-8 * 181, p) == 1), p
 
     def test_perrin_odd_jacobi_equals_discriminant_symbol(self):
         for _, p in twin_primes_upto(500):
             if p in (7, 13):
                 continue
             assert (jacobi(p, 3107) == 1) == (legendre(-4 * 13 * 239, p) == 1), p
+            # the claim table predicts classes exactly when the symbol is +1
+            case = TheoremCase.build("thm-perrin-odd", p)
+            assert bool(case.predicted_classes) == (jacobi(p, 3107) == 1), p
 
     def test_side_condition_congruence_equivalences(self):
         for _, p in twin_primes_upto(500):
@@ -389,8 +385,8 @@ class TestVerifyCase:
 
     def test_full_scan_emits_verdict_for_every_case(self):
         for p in (5, 7, 13):
-            for case in applicable_cases(p):
-                verdict = verify_case(case)
+            for cid in applicable_case_ids(p):
+                verdict = verify_case(TheoremCase.build(cid, p))
                 assert verdict.classification in (HOLDS, HOLDS_VACUOUSLY, FAILS)
 
     def test_to_dict_shape(self):
