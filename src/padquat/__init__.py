@@ -2,104 +2,3 @@
 with an exhaustive zero-divisor verification harness."""
 
 __version__ = "0.1.0"
-
-from .fibonacci import FibProfile, entry_point, fib_mod, fib_residue_indices, pisano_period
-from .modular import (
-    LeadingCoefficientNotInvertible,
-    PrimeModulus,
-    QuadCongruence,
-    ResidueClass,
-    ZeroNotInvertible,
-    is_prime,
-    jacobi,
-    legendre,
-    mod_inverse,
-    mod_pow,
-    solve_quadratic,
-    sqrt_mod,
-    twin_primes_upto,
-)
-from .quaternion import (
-    AlgebraMismatch,
-    AlgebraParams,
-    NotInvertible,
-    QuatElem,
-    SymQuat,
-    qp_quaternion,
-    qp_symbolic,
-    qr_quaternion,
-    qr_symbolic,
-)
-from .sequences import (
-    BiPoly,
-    NotTwinPrime,
-    SeqParams,
-    gf_expand,
-    padovan_mod,
-    padovan_sym,
-    perrin_mod,
-    perrin_sym,
-    seq_period,
-)
-from .verifier import (
-    FAILS,
-    HOLDS,
-    HOLDS_VACUOUSLY,
-    ExcludedPrime,
-    HypothesisViolated,
-    TheoremCase,
-    TheoremVerdict,
-    brute_force_zero_divisors,
-    reduced_norm_value,
-    verify_case,
-)
-
-__all__ = [
-    "__version__",
-    "AlgebraMismatch",
-    "AlgebraParams",
-    "BiPoly",
-    "ExcludedPrime",
-    "FAILS",
-    "FibProfile",
-    "HOLDS",
-    "HOLDS_VACUOUSLY",
-    "HypothesisViolated",
-    "LeadingCoefficientNotInvertible",
-    "NotInvertible",
-    "NotTwinPrime",
-    "PrimeModulus",
-    "QuadCongruence",
-    "QuatElem",
-    "ResidueClass",
-    "SeqParams",
-    "SymQuat",
-    "TheoremCase",
-    "TheoremVerdict",
-    "ZeroNotInvertible",
-    "brute_force_zero_divisors",
-    "entry_point",
-    "fib_mod",
-    "fib_residue_indices",
-    "gf_expand",
-    "is_prime",
-    "jacobi",
-    "legendre",
-    "mod_inverse",
-    "mod_pow",
-    "padovan_mod",
-    "padovan_sym",
-    "perrin_mod",
-    "perrin_sym",
-    "pisano_period",
-    "qp_quaternion",
-    "qp_symbolic",
-    "qr_quaternion",
-    "qr_symbolic",
-    "reduced_norm_value",
-    "seq_period",
-    "solve_quadratic",
-    "sqrt_mod",
-    "twin_primes_upto",
-    "verify_case",
-]

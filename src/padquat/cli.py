@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass
 
 from . import __version__
 from .fibonacci import FibProfile
@@ -44,22 +43,6 @@ class CliError(Exception):
     """Input validation failure; reported on stderr with exit status 1."""
 
 
-@dataclass
-class RunConfig:
-    command: str
-    p: int | None = None
-    upto: int | None = None
-    kind: str | None = None
-    symbolic: bool = False
-    case: str | None = None
-    format: str = "table"
-    out: str | None = None
-    scan_multiplier: int = 2
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse default exits 2; we reserve 2 for FAILS
         self.print_usage(sys.stderr)
@@ -69,6 +52,8 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="padquat", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
+    # every command's JSON config records these two, whether it takes them or not
+    parser.set_defaults(symbolic=False, scan_multiplier=2)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_seq = sub.add_parser("seq", help="print sequence terms")
@@ -101,22 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        p=getattr(args, "p", None),
-        upto=getattr(args, "upto", None),
-        kind=getattr(args, "kind", None),
-        symbolic=getattr(args, "symbolic", False),
-        case=getattr(args, "case", None),
-        format=args.format,
-        out=args.out,
-        scan_multiplier=getattr(args, "scan_multiplier", 2),
-    )
-
-
-def _json_document(config: RunConfig, payload: dict) -> str:
-    doc = {"tool_version": __version__, "config": config.to_dict(), **payload}
+def _json_document(args: argparse.Namespace, payload: dict) -> str:
+    config = {k: v for k, v in vars(args).items() if v is not None}
+    doc = {"tool_version": __version__, "config": config, **payload}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -136,22 +108,22 @@ def _table_text(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_seq(config: RunConfig) -> tuple[str, int]:
-    n = config.upto or 0
+def cmd_seq(args: argparse.Namespace) -> tuple[str, int]:
+    n = args.upto
     if n < 0:
         raise CliError("--upto must be nonnegative")
-    kinds = [config.kind] if config.kind else ["padovan", "perrin"]
+    kinds = [args.kind] if args.kind else ["padovan", "perrin"]
     columns: dict[str, list] = {}
-    if config.symbolic:
+    if args.symbolic:
         if "padovan" in kinds:
             columns["padovan"] = [str(t) for t in padovan_sym_terms(n)]
         if "perrin" in kinds:
             columns["perrin"] = [str(t) for t in perrin_sym_terms(n)]
     else:
-        if config.p is None:
+        if args.p is None:
             raise CliError("seq needs --symbolic or a twin prime --p")
         try:
-            params = SeqParams.twin_prime(config.p)
+            params = SeqParams.twin_prime(args.p)
         except NotTwinPrime as exc:
             raise CliError(str(exc)) from exc
         if "padovan" in kinds:
@@ -161,17 +133,17 @@ def cmd_seq(config: RunConfig) -> tuple[str, int]:
 
     header = ["n"] + kinds
     rows = [[i] + [columns[k][i] for k in kinds] for i in range(n)]
-    if config.format == "json":
+    if args.format == "json":
         terms = [dict(zip(header, row)) for row in rows]
-        return _json_document(config, {"terms": terms}), 0
-    if config.format == "csv":
+        return _json_document(args, {"terms": terms}), 0
+    if args.format == "csv":
         return _csv_text(header, rows), 0
     return _table_text(header, rows), 0
 
 
-def cmd_fib(config: RunConfig) -> tuple[str, int]:
-    p = config.p
-    if p is None or p < 3 or p % 2 == 0 or not is_prime(p):
+def cmd_fib(args: argparse.Namespace) -> tuple[str, int]:
+    p = args.p
+    if p < 3 or p % 2 == 0 or not is_prime(p):
         raise CliError(f"--p must be an odd prime >= 3, got {p}")
     profile = FibProfile.of(p)
     payload = {
@@ -180,10 +152,10 @@ def cmd_fib(config: RunConfig) -> tuple[str, int]:
         "pisano_period": profile.pisano_period,
         "relation": profile.relation(),
     }
-    if config.format == "json":
-        return _json_document(config, {"profile": payload}), 0
+    if args.format == "json":
+        return _json_document(args, {"profile": payload}), 0
     header = list(payload.keys())
-    if config.format == "csv":
+    if args.format == "csv":
         return _csv_text(header, [list(payload.values())]), 0
     lines = [f"{k}: {v}" for k, v in payload.items()]
     return "\n".join(lines) + "\n", 0
@@ -215,44 +187,43 @@ _ROW_HEADER = [
 ]
 
 
-def cmd_verify(config: RunConfig) -> tuple[str, int]:
-    p = config.p
-    if config.scan_multiplier < 2:
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    p = args.p
+    if args.scan_multiplier < 2:
         raise CliError("--scan-multiplier must be at least 2")
     try:
-        if config.case is not None:
-            cases = [TheoremCase.build(config.case, p)]
+        if args.case is not None:
+            cases = [TheoremCase.build(args.case, p)]
         else:
             cases = [TheoremCase.build(cid, p) for cid in applicable_case_ids(p)]
     except (NotTwinPrime, ExcludedPrime) as exc:
         raise CliError(str(exc)) from exc
-    verdicts = [verify_case(c, config.scan_multiplier) for c in cases]
+    verdicts = [verify_case(c, args.scan_multiplier) for c in cases]
     status = 2 if any(v.classification == FAILS for v in verdicts) else 0
-    if config.format == "json":
+    if args.format == "json":
         payload = {"verdicts": [v.to_dict() for v in verdicts]}
-        return _json_document(config, payload), status
+        return _json_document(args, payload), status
     rows = [_verdict_row(v) for v in verdicts]
-    if config.format == "csv":
+    if args.format == "csv":
         return _csv_text(_ROW_HEADER, rows), status
     return _table_text(_ROW_HEADER, rows), status
 
 
-def cmd_scan(config: RunConfig) -> tuple[str, int]:
-    bound = config.upto if config.upto is not None else 0
-    if config.scan_multiplier < 2:
+def cmd_scan(args: argparse.Namespace) -> tuple[str, int]:
+    if args.scan_multiplier < 2:
         raise CliError("--scan-multiplier must be at least 2")
     verdicts = []  # bounds below 5 yield a header-only report
-    for _, p in twin_primes_upto(bound):
+    for _, p in twin_primes_upto(args.upto):
         for cid in applicable_case_ids(p):
             case = TheoremCase.build(cid, p)
-            verdicts.append(verify_case(case, config.scan_multiplier))
+            verdicts.append(verify_case(case, args.scan_multiplier))
     verdicts.sort(key=lambda v: (v.case.p, v.case.claim_id))
     status = 2 if any(v.classification == FAILS for v in verdicts) else 0
     rows = [_verdict_row(v) for v in verdicts]
-    if config.format == "json":
+    if args.format == "json":
         payload = {"verdicts": [dict(zip(_ROW_HEADER, row)) for row in rows]}
-        return _json_document(config, payload), status
-    if config.format == "csv":
+        return _json_document(args, payload), status
+    if args.format == "csv":
         return _csv_text(_ROW_HEADER, rows), status
     return _table_text(_ROW_HEADER, rows), status
 
@@ -268,14 +239,13 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from(args)
     try:
-        text, status = _COMMANDS[config.command](config)
+        text, status = _COMMANDS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .modular import PrimeModulus, _pval
+from .modular import PrimeModulus
 
 
 def fib_pair(n: int, m: int) -> tuple[int, int]:
@@ -39,6 +39,7 @@ def fib_mod(n: int, m: int) -> int:
 
 @lru_cache(maxsize=None)
 def _entry_point(p: int) -> int:
+    PrimeModulus(p)  # validates p once; every other function goes through here
     a, b = 0, 1
     z = 0
     while True:
@@ -48,9 +49,9 @@ def _entry_point(p: int) -> int:
             return z
 
 
-def entry_point(p: "PrimeModulus | int") -> int:
+def entry_point(p: int) -> int:
     """Least z > 0 with F_z = 0 (mod p), for an odd prime p >= 3."""
-    return _entry_point(_pval(p))
+    return _entry_point(p)
 
 
 @lru_cache(maxsize=None)
@@ -64,9 +65,9 @@ def _pisano_period(p: int) -> int:
     raise AssertionError(f"no Pisano period among z, 2z, 4z for p={p}")
 
 
-def pisano_period(p: "PrimeModulus | int") -> int:
+def pisano_period(p: int) -> int:
     """Pisano period pi(p) for an odd prime p >= 3."""
-    return _pisano_period(_pval(p))
+    return _pisano_period(p)
 
 
 @dataclass(frozen=True)
@@ -78,9 +79,8 @@ class FibProfile:
     pisano_period: int
 
     @classmethod
-    def of(cls, p: "PrimeModulus | int") -> "FibProfile":
-        pv = _pval(p)
-        return cls(pv, _entry_point(pv), _pisano_period(pv))
+    def of(cls, p: int) -> "FibProfile":
+        return cls(p, _entry_point(p), _pisano_period(p))
 
     @property
     def ratio(self) -> int:
@@ -97,19 +97,18 @@ class FibProfile:
         return "pi(p) = z(p) (z = 2 mod 4)"
 
 
-def fib_residue_indices(p: "PrimeModulus | int", c: int) -> tuple[int, ...]:
+def fib_residue_indices(p: int, c: int) -> tuple[int, ...]:
     """All i in [0, pi(p)) with F_i = c (mod p), ascending.
 
     By periodicity these classes mod pi(p) describe every index n with
     F_n = c (mod p).
     """
-    pv = _pval(p)
-    c %= pv
-    period = _pisano_period(pv)
+    period = _pisano_period(p)
+    c %= p
     out = []
     a, b = 0, 1
     for i in range(period):
         if a == c:
             out.append(i)
-        a, b = b, (a + b) % pv
+        a, b = b, (a + b) % p
     return tuple(out)

@@ -1,8 +1,9 @@
 """Exact modular arithmetic over odd prime moduli.
 
-Primality testing, twin-prime enumeration, residue-class arithmetic,
+Primality testing, twin-prime enumeration, modular inverses,
 Legendre/Jacobi symbols, Tonelli-Shanks square roots, and quadratic
-congruence solving.  Everything is deterministic and exact; no floats.
+congruence solving.  Residues and moduli are plain ints; everything is
+deterministic and exact, no floats.
 """
 
 from __future__ import annotations
@@ -72,27 +73,11 @@ def twin_primes_upto(bound: int) -> list[tuple[int, int]]:
     return [(p - 2, p) for p in sorted(prime) if p >= 5 and p - 2 in prime]
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, x, y) with a*x + b*y = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def _invmod(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
+def mod_inverse(a: int, p: int) -> int:
+    """Multiplicative inverse of a mod p; raises ZeroNotInvertible when p | a."""
+    if a % p == 0:
         raise ZeroNotInvertible(f"0 is not invertible mod {p}")
-    g, x, _ = _egcd(a, p)
-    if g != 1:
-        raise ZeroNotInvertible(f"{a} is not invertible mod {p}")
-    return x % p
+    return pow(a, -1, p)
 
 
 @dataclass(frozen=True)
@@ -107,131 +92,25 @@ class PrimeModulus:
         if not is_prime(self.p):
             raise ValueError(f"modulus must be prime, got {self.p}")
 
-    def residue(self, value: int) -> "ResidueClass":
-        return ResidueClass(value, self)
-
-    def __int__(self) -> int:
-        return self.p
-
-    def __str__(self) -> str:
-        return str(self.p)
-
-
-def _pval(p: "PrimeModulus | int") -> int:
-    """Accept a PrimeModulus or a plain odd prime int; return the int."""
-    if isinstance(p, PrimeModulus):
-        return p.p
-    PrimeModulus(p)  # validate
-    return p
-
 
 @dataclass(frozen=True)
 class ResidueClass:
-    """An integer residue in [0, p) paired with its prime modulus.
-
-    Arithmetic operators accept another ResidueClass with the same modulus
-    or a plain int (reduced automatically).  Mixing moduli raises ValueError.
-    """
+    """An integer residue in [0, p) paired with its modulus."""
 
     value: int
-    modulus: PrimeModulus
+    p: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.modulus.p)
-
-    @property
-    def p(self) -> int:
-        return self.modulus.p
-
-    def _coerce(self, other: "ResidueClass | int") -> int:
-        if isinstance(other, ResidueClass):
-            if other.modulus != self.modulus:
-                raise ValueError(
-                    f"mixed moduli: {self.p} vs {other.p}"
-                )
-            return other.value
-        if isinstance(other, int):
-            return other % self.p
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: "ResidueClass | int") -> "ResidueClass":
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return ResidueClass(self.value + v, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "ResidueClass | int") -> "ResidueClass":
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return ResidueClass(self.value - v, self.modulus)
-
-    def __rsub__(self, other: int) -> "ResidueClass":
-        return ResidueClass(other - self.value, self.modulus)
-
-    def __mul__(self, other: "ResidueClass | int") -> "ResidueClass":
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return ResidueClass(self.value * v, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ResidueClass":
-        return ResidueClass(-self.value, self.modulus)
-
-    def __pow__(self, exp: int) -> "ResidueClass":
-        return mod_pow(self, exp)
-
-    def inverse(self) -> "ResidueClass":
-        return ResidueClass(_invmod(self.value, self.p), self.modulus)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ResidueClass):
-            return self.modulus == other.modulus and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.p))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __str__(self) -> str:
-        return f"{self.value} (mod {self.p})"
+        object.__setattr__(self, "value", self.value % self.p)
 
 
-def mod_pow(base: ResidueClass, exp: int) -> ResidueClass:
-    """base**exp reduced mod p; exp must be nonnegative (exp 0 gives 1)."""
-    if exp < 0:
-        raise ValueError("exponent must be nonnegative; use inverse() for negatives")
-    return ResidueClass(pow(base.value, exp, base.p), base.modulus)
-
-
-def mod_inverse(x: "ResidueClass | int", p: "PrimeModulus | int | None" = None):
-    """Multiplicative inverse mod p via extended gcd.
-
-    Either mod_inverse(residue) -> ResidueClass, or mod_inverse(x, p) -> int.
-    Raises ZeroNotInvertible when x is 0 mod p.
-    """
-    if isinstance(x, ResidueClass):
-        return x.inverse()
-    if p is None:
-        raise TypeError("mod_inverse(int) requires the modulus as second argument")
-    return _invmod(x, _pval(p))
-
-
-def legendre(a: int, p: "PrimeModulus | int") -> int:
-    """Legendre symbol (a/p) in {-1, 0, +1}; a is reduced mod p first."""
-    pv = _pval(p)
-    a %= pv
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a/p) in {-1, 0, +1} for an odd prime p; a is
+    reduced mod p first."""
+    a %= p
     if a == 0:
         return 0
-    r = pow(a, (pv - 1) // 2, pv)
+    r = pow(a, (p - 1) // 2, p)
     return 1 if r == 1 else -1
 
 
@@ -253,24 +132,23 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def sqrt_mod(a: ResidueClass) -> tuple[ResidueClass, ResidueClass] | None:
-    """Square roots of a mod p, or None when a is a non-residue.
+def sqrt_mod(a: int, p: int) -> tuple[int, int] | None:
+    """Square roots of a mod the odd prime p, or None when a is a non-residue.
 
-    Returns the unordered pair {r, p-r} with r <= p-r; a == 0 gives (0, 0).
+    Returns the unordered pair {r, p-r} with r <= p-r; a = 0 gives (0, 0).
     Tonelli-Shanks, with the p = 3 (mod 4) shortcut.
     """
-    p = a.p
-    if a.value == 0:
-        zero = ResidueClass(0, a.modulus)
-        return (zero, zero)
-    if legendre(a.value, a.modulus) == -1:
+    a %= p
+    if a == 0:
+        return (0, 0)
+    if legendre(a, p) == -1:
         return None
     if p % 4 == 3:
-        r = pow(a.value, (p + 1) // 4, p)
+        r = pow(a, (p + 1) // 4, p)
     else:
-        r = _tonelli_shanks(a.value, p)
+        r = _tonelli_shanks(a, p)
     r = min(r, p - r)
-    return (ResidueClass(r, a.modulus), ResidueClass(p - r, a.modulus))
+    return (r, p - r)
 
 
 def _tonelli_shanks(n: int, p: int) -> int:
@@ -279,7 +157,7 @@ def _tonelli_shanks(n: int, p: int) -> int:
         q //= 2
         s += 1
     z = 2
-    while legendre(z, PrimeModulus(p)) != -1:
+    while legendre(z, p) != -1:
         z += 1
     c = pow(z, q, p)
     r = pow(n, (q + 1) // 2, p)
@@ -347,11 +225,11 @@ def solve_quadratic(q: QuadCongruence) -> QuadSolution:
         raise LeadingCoefficientNotInvertible(
             f"leading coefficient {q.c2} is 0 mod {p}; not a quadratic congruence"
         )
-    symbol = legendre(q.discriminant, q.modulus)
+    symbol = legendre(q.discriminant, p)
     if symbol == -1:
         return QuadSolution((), -1)
-    pair = sqrt_mod(ResidueClass(q.discriminant, q.modulus))
+    pair = sqrt_mod(q.discriminant, p)
     assert pair is not None
-    inv = _invmod(2 * q.c2, p)
-    roots = sorted({(y.value - q.c1) * inv % p for y in pair})
+    inv = mod_inverse(2 * q.c2, p)
+    roots = sorted({(y - q.c1) * inv % p for y in pair})
     return QuadSolution(tuple(roots), symbol)

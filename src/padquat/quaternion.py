@@ -1,10 +1,10 @@
-"""The generalized quaternion algebra Q(s, t) over Z_p.
+"""The quaternion algebra Q(-1,-1) over Z_p.
 
-Basis 1, i, j, k with i^2 = s, j^2 = t, ij = -ji = k; the derived products
-are k^2 = -st, ik = sj, ki = -sj, jk = -ti, kj = ti.  The norm form is
-N(x + yi + zj + wk) = x^2 - s y^2 - t z^2 + s t w^2 and is multiplicative.
-Over Z_p the algebra splits: a nonzero element is a zero divisor exactly
-when its norm vanishes, and invertible otherwise.
+Basis 1, i, j, k with i^2 = j^2 = k^2 = -1, ij = -ji = k, jk = -kj = i
+and ki = -ik = j.  The norm form is N(x + yi + zj + wk) = x^2 + y^2 +
+z^2 + w^2 and is multiplicative.  Over Z_p the algebra splits: a nonzero
+element is a zero divisor exactly when its norm vanishes, and invertible
+otherwise.
 
 Also provides the quaternion extensions of the bi-periodic Padovan and
 Perrin sequences, in modular and exact symbolic (polynomial coefficient)
@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modular import PrimeModulus, ResidueClass, _invmod
+from .modular import PrimeModulus, ResidueClass, mod_inverse
 from .sequences import BiPoly, SeqParams, padovan_mod, padovan_sym_terms, perrin_mod, perrin_sym_terms
 
 
 class AlgebraMismatch(ValueError):
-    """Raised when combining elements of different algebras."""
+    """Raised when combining elements over different primes."""
 
 
 class NotInvertible(ZeroDivisionError):
@@ -28,55 +28,17 @@ class NotInvertible(ZeroDivisionError):
 
 
 @dataclass(frozen=True)
-class AlgebraParams:
-    """The algebra Q(s, t) over Z_p; s and t must be nonzero mod p."""
-
-    s: int
-    t: int
-    modulus: PrimeModulus
-
-    def __post_init__(self) -> None:
-        p = self.modulus.p
-        object.__setattr__(self, "s", self.s % p)
-        object.__setattr__(self, "t", self.t % p)
-        if self.s == 0 or self.t == 0:
-            raise ValueError("algebra parameters s, t must be nonzero mod p")
-
-    @classmethod
-    def standard(cls, p: "PrimeModulus | int") -> "AlgebraParams":
-        """The default algebra Q(-1, -1) over Z_p."""
-        mod = p if isinstance(p, PrimeModulus) else PrimeModulus(p)
-        return cls(-1, -1, mod)
-
-    @property
-    def p(self) -> int:
-        return self.modulus.p
-
-    def element(self, x: int, y: int = 0, z: int = 0, w: int = 0) -> "QuatElem":
-        return QuatElem(self, x, y, z, w)
-
-    def basis(self) -> tuple["QuatElem", "QuatElem", "QuatElem", "QuatElem"]:
-        """(1, i, j, k)."""
-        return (
-            self.element(1),
-            self.element(0, 1),
-            self.element(0, 0, 1),
-            self.element(0, 0, 0, 1),
-        )
-
-
-@dataclass(frozen=True)
 class QuatElem:
-    """x + y*i + z*j + w*k with coefficients reduced mod p."""
+    """x + y*i + z*j + w*k in Q(-1,-1) over Z_p, coefficients reduced mod p."""
 
-    algebra: AlgebraParams
+    modulus: PrimeModulus
     x: int
     y: int
     z: int
     w: int
 
     def __post_init__(self) -> None:
-        p = self.algebra.p
+        p = self.modulus.p
         for name in ("x", "y", "z", "w"):
             object.__setattr__(self, name, getattr(self, name) % p)
 
@@ -85,15 +47,15 @@ class QuatElem:
         return (self.x, self.y, self.z, self.w)
 
     def _check(self, other: "QuatElem") -> None:
-        if other.algebra != self.algebra:
+        if other.modulus != self.modulus:
             raise AlgebraMismatch(
-                f"algebras differ: {self.algebra} vs {other.algebra}"
+                f"primes differ: {self.modulus.p} vs {other.modulus.p}"
             )
 
     def __add__(self, other: "QuatElem") -> "QuatElem":
         self._check(other)
         return QuatElem(
-            self.algebra,
+            self.modulus,
             self.x + other.x,
             self.y + other.y,
             self.z + other.z,
@@ -103,7 +65,7 @@ class QuatElem:
     def __sub__(self, other: "QuatElem") -> "QuatElem":
         self._check(other)
         return QuatElem(
-            self.algebra,
+            self.modulus,
             self.x - other.x,
             self.y - other.y,
             self.z - other.z,
@@ -111,26 +73,25 @@ class QuatElem:
         )
 
     def __neg__(self) -> "QuatElem":
-        return QuatElem(self.algebra, -self.x, -self.y, -self.z, -self.w)
+        return QuatElem(self.modulus, -self.x, -self.y, -self.z, -self.w)
 
     def __mul__(self, other: "QuatElem | int") -> "QuatElem":
         if isinstance(other, int):
             return QuatElem(
-                self.algebra,
+                self.modulus,
                 self.x * other,
                 self.y * other,
                 self.z * other,
                 self.w * other,
             )
         self._check(other)
-        s, t = self.algebra.s, self.algebra.t
         x1, y1, z1, w1 = self.coefficients
         x2, y2, z2, w2 = other.coefficients
         return QuatElem(
-            self.algebra,
-            x1 * x2 + s * y1 * y2 + t * z1 * z2 - s * t * w1 * w2,
-            x1 * y2 + y1 * x2 - t * z1 * w2 + t * w1 * z2,
-            x1 * z2 + z1 * x2 + s * y1 * w2 - s * w1 * y2,
+            self.modulus,
+            x1 * x2 - y1 * y2 - z1 * z2 - w1 * w2,
+            x1 * y2 + y1 * x2 + z1 * w2 - w1 * z2,
+            x1 * z2 + z1 * x2 - y1 * w2 + w1 * y2,
             x1 * w2 + w1 * x2 + y1 * z2 - z1 * y2,
         )
 
@@ -139,18 +100,11 @@ class QuatElem:
 
     def conj(self) -> "QuatElem":
         """(x, -y, -z, -w); satisfies u * conj(u) = N(u) * 1."""
-        return QuatElem(self.algebra, self.x, -self.y, -self.z, -self.w)
+        return QuatElem(self.modulus, self.x, -self.y, -self.z, -self.w)
 
     def norm(self) -> ResidueClass:
-        """N(u) = x^2 - s y^2 - t z^2 + s t w^2 mod p."""
-        s, t = self.algebra.s, self.algebra.t
-        value = (
-            self.x * self.x
-            - s * self.y * self.y
-            - t * self.z * self.z
-            + s * t * self.w * self.w
-        )
-        return ResidueClass(value, self.algebra.modulus)
+        """N(u) = x^2 + y^2 + z^2 + w^2 mod p."""
+        return ResidueClass(sum(c * c for c in self.coefficients), self.modulus.p)
 
     @property
     def is_zero(self) -> bool:
@@ -165,10 +119,10 @@ class QuatElem:
         n = self.norm().value
         if n == 0:
             raise NotInvertible("element has zero norm")
-        return self.conj() * _invmod(n, self.algebra.p)
+        return self.conj() * mod_inverse(n, self.modulus.p)
 
     def __str__(self) -> str:
-        return f"({self.x}, {self.y}, {self.z}, {self.w}) in Q({self.algebra.s},{self.algebra.t}) mod {self.algebra.p}"
+        return f"({self.x}, {self.y}, {self.z}, {self.w}) in Q(-1,-1) mod {self.modulus.p}"
 
 
 def family_stream(params: SeqParams, family: str, count: int) -> list[int]:
@@ -188,9 +142,9 @@ def family_stream(params: SeqParams, family: str, count: int) -> list[int]:
 
 
 def _elements(params: SeqParams, family: str, count: int) -> list[QuatElem]:
-    alg = AlgebraParams.standard(params._require_modulus())
+    mod = PrimeModulus(params._require_modulus())
     t = family_stream(params, family, count + 3)
-    return [alg.element(*t[n : n + 4]) for n in range(count)]
+    return [QuatElem(mod, *t[n : n + 4]) for n in range(count)]
 
 
 def qp_elements(params: SeqParams, count: int) -> list[QuatElem]:
@@ -198,22 +152,10 @@ def qp_elements(params: SeqParams, count: int) -> list[QuatElem]:
     return _elements(params, "QP", count)
 
 
-def qp_quaternion(n: int, params: SeqParams) -> QuatElem:
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    return qp_elements(params, n + 1)[n]
-
-
 def qr_elements(params: SeqParams, count: int) -> list[QuatElem]:
     """The first `count` Perrin quaternions, with the parity-dependent
     coefficient-order swap applied per component."""
     return _elements(params, "QR", count)
-
-
-def qr_quaternion(n: int, params: SeqParams) -> QuatElem:
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    return qr_elements(params, n + 1)[n]
 
 
 @dataclass(frozen=True)
@@ -241,10 +183,11 @@ class SymQuat:
     __rmul__ = __mul__
 
     def evaluate_mod(self, params: SeqParams) -> QuatElem:
-        """Specialize at integer (a, b) mod p in the standard algebra."""
+        """Specialize at integer (a, b) mod p in Q(-1,-1)."""
         m = params._require_modulus()
-        return AlgebraParams.standard(m).element(
-            *(c.evaluate_mod(params.a, params.b, m) for c in self.components)
+        return QuatElem(
+            PrimeModulus(m),
+            *(c.evaluate_mod(params.a, params.b, m) for c in self.components),
         )
 
     def __str__(self) -> str:

@@ -9,7 +9,7 @@ modular terms are plain ints in [0, m).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .modular import is_prime
@@ -175,51 +175,24 @@ def perrin_sym_terms(count: int) -> list[BiPoly]:
     return _extend(list(_PERRIN_INIT_SYM[:count]), BiPoly.a(), BiPoly.b(), count)
 
 
-def padovan_sym(n: int) -> BiPoly:
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    return padovan_sym_terms(n + 1)[n]
-
-
-def perrin_sym(n: int) -> BiPoly:
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    return perrin_sym_terms(n + 1)[n]
-
-
 @dataclass(frozen=True)
 class SeqParams:
     """The coefficient pair (a, b), optionally with a modulus.
 
     With a modulus m >= 2 the coefficients are stored reduced mod m (a
     twin-prime pair (p-2, p) keeps a = p-2 literally; b = p reduces to 0).
-    The twin-prime flag is decided from the values as given, before
-    reduction: (a, b) = (p-2, p) with p the modulus and both entries prime.
     """
 
     a: int
     b: int
     modulus: int | None = None
-    is_twin_prime: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         m = self.modulus
         if m is None:
-            object.__setattr__(self, "is_twin_prime", False)
             return
-        if not isinstance(m, int):
-            m = int(m)  # accepts PrimeModulus
-            object.__setattr__(self, "modulus", m)
         if m < 2:
             raise ValueError(f"modulus must be >= 2, got {m}")
-        twin = (
-            m >= 5
-            and self.b == m
-            and self.a == m - 2
-            and is_prime(m)
-            and is_prime(m - 2)
-        )
-        object.__setattr__(self, "is_twin_prime", twin)
         object.__setattr__(self, "a", self.a % m)
         object.__setattr__(self, "b", self.b % m)
 
@@ -324,7 +297,7 @@ def gf_expand(
     return out
 
 
-def padovan_even_binomial(k: int, p: "int") -> int:
+def padovan_even_binomial(k: int, p: int) -> int:
     """Closed binomial form for P_{2k} mod p under twin-prime coefficients.
 
     (-1)^k * sum_{i=0..k//3} (-1)^i C(k-2i, i) 2^(k-3i), computed with exact
@@ -332,15 +305,14 @@ def padovan_even_binomial(k: int, p: "int") -> int:
     """
     if k < 0:
         raise ValueError(f"index must be nonnegative, got {k}")
-    pv = int(p)
     total = sum(
         (-1) ** i * math.comb(k - 2 * i, i) * 2 ** (k - 3 * i)
         for i in range(k // 3 + 1)
     )
-    return (-1) ** k * total % pv
+    return (-1) ** k * total % p
 
 
-def padovan_fib_form(m: int, p: "int") -> int:
+def padovan_fib_form(m: int, p: int) -> int:
     """P_m mod p through Fibonacci numbers, under twin-prime coefficients.
 
     (-1)^k (F_{k+3} - 1) for m = 2k and (-1)^(k-1) (F_{k+2} - 1) for
@@ -350,11 +322,10 @@ def padovan_fib_form(m: int, p: "int") -> int:
 
     if m < 0:
         raise ValueError(f"index must be nonnegative, got {m}")
-    pv = int(p)
     k, odd = divmod(m, 2)
     if odd:
-        return (-1) ** (k - 1) * (fib_mod(k + 2, pv) - 1) % pv
-    return (-1) ** k * (fib_mod(k + 3, pv) - 1) % pv
+        return (-1) ** (k - 1) * (fib_mod(k + 2, p) - 1) % p
+    return (-1) ** k * (fib_mod(k + 3, p) - 1) % p
 
 
 def perrin_padovan_identity(n: int) -> bool:
@@ -366,7 +337,7 @@ def perrin_padovan_identity(n: int) -> bool:
     if n < 3:
         raise ValueError(f"the relation needs n >= 3, got {n}")
     pad = padovan_sym_terms(n)
-    lhs = perrin_sym(n)
+    lhs = perrin_sym_terms(n + 1)[n]
     rhs = 3 * pad[n - 3] + 2 * pad[n - 2]
     if n % 2 == 1:
         rhs = rhs.swap()

@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .fibonacci import FibProfile, fib_mod
-from .modular import PrimeModulus, is_prime, jacobi, legendre
+from .fibonacci import FibProfile, entry_point, fib_mod
+from .modular import is_prime, jacobi, legendre
 from .quaternion import family_stream
 from .sequences import NotTwinPrime, SeqParams, seq_period
 
@@ -118,7 +118,7 @@ _REDUCTIONS_BY_KIND = dict(NORM_REDUCTIONS)
 _REDUCTIONS_BY_KIND["perrin-even-adjusted"] = PERRIN_EVEN_ADJUSTED
 
 
-def reduced_norm_value(kind: str, k: int, p: "PrimeModulus | int") -> int:
+def reduced_norm_value(kind: str, k: int, p: int) -> int:
     """The Fibonacci-expressed norm quadratic at k, reduced mod p.
 
     Requires the hypothesis z(p) | (k+3); raises HypothesisViolated
@@ -127,17 +127,14 @@ def reduced_norm_value(kind: str, k: int, p: "PrimeModulus | int") -> int:
     red = _REDUCTIONS_BY_KIND.get(kind)
     if red is None:
         raise ValueError(f"unknown reduction kind {kind!r}")
-    pv = int(p)
-    profile = FibProfile.of(pv)
-    if (k + 3) % profile.entry_point != 0:
-        raise HypothesisViolated(
-            f"k={k} violates z({pv}) | k+3 (z = {profile.entry_point})"
-        )
+    z = entry_point(p)
+    if (k + 3) % z != 0:
+        raise HypothesisViolated(f"k={k} violates z({p}) | k+3 (z = {z})")
     if red.kind.startswith("padovan"):
-        f = (fib_mod(k + 2, pv) - 1) % pv
+        f = (fib_mod(k + 2, p) - 1) % p
     else:
-        f = fib_mod(k + 1, pv)
-    return red.value(f, pv)
+        f = fib_mod(k + 1, p)
+    return red.value(f, p)
 
 
 def _index_classes(profile: FibProfile) -> tuple[int, ...]:

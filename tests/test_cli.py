@@ -185,6 +185,12 @@ class TestGoldenBytes:
          "138d590c108c4f43d23a9af5de48a25d3e50da843b622dafadf9a6982f8ad285", 2),
         (("verify", "--p", "13", "--format", "json"),
          "04c39bea215a5fa8a69db3684b3e875dcc52ec44b26042ab9a410152e48e5deb", 2),
+        (("fib", "--p", "181", "--format", "json"),
+         "7403e6ef09c3ca65c2ced5c9b756d67a2ef4c3199083dc100d3c119df7325e4a", 0),
+        (("seq", "--p", "5", "--upto", "6", "--format", "json"),
+         "7c3e9db86884d50140db4e32db45b73e2ee8af61558c9b581a5b7b7e5b3ff784", 0),
+        (("seq", "--symbolic", "--upto", "4", "--format", "json"),
+         "f8a379042bb20bc682fcfec37dd2e02c9ec31027f572cf6fa666f5728bb15337", 0),
     ])
     def test_stdout_digest(self, capsys, argv, digest, expected_status):
         status, out, _ = run_cli(capsys, *argv)

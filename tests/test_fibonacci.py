@@ -8,7 +8,7 @@ from padquat.fibonacci import (
     fib_residue_indices,
     pisano_period,
 )
-from padquat.modular import PrimeModulus, primes_upto
+from padquat.modular import primes_upto
 
 ODD_PRIMES = [p for p in primes_upto(1000) if p > 2]
 
@@ -81,7 +81,15 @@ class TestEntryPoint:
         assert entry_point(5) == 5
         assert entry_point(7) == 8
         assert entry_point(13) == 7
-        assert entry_point(PrimeModulus(181)) == 90
+        assert entry_point(181) == 90
+
+    def test_rejects_non_prime(self):
+        for fn in (entry_point, pisano_period, FibProfile.of):
+            for bad in (1, 9, 15):
+                with pytest.raises(ValueError):
+                    fn(bad)
+        with pytest.raises(ValueError):
+            fib_residue_indices(9, 1)
 
     def test_matches_scan(self):
         for p in ODD_PRIMES:

@@ -12,7 +12,6 @@ from padquat.modular import (
     jacobi,
     legendre,
     mod_inverse,
-    mod_pow,
     primes_upto,
     solve_quadratic,
     sqrt_mod,
@@ -82,65 +81,27 @@ class TestPrimeModulus:
             with pytest.raises(ValueError):
                 PrimeModulus(bad)
 
-    def test_residue_constructor(self):
-        p = PrimeModulus(7)
-        assert p.residue(10).value == 3
-        assert p.residue(-1).value == 6
-
 
 class TestResidueClass:
-    def test_arithmetic(self):
-        p = PrimeModulus(13)
-        x = p.residue(7)
-        assert (x + 8).value == 2
-        assert (x - 9).value == 11
-        assert (3 * x).value == 8
-        assert (-x).value == 6
-        assert (x * p.residue(2)).value == 1
-        assert x == 7 and x == p.residue(20)
-
-    def test_mixed_moduli_rejected(self):
-        x = PrimeModulus(7).residue(3)
-        y = PrimeModulus(11).residue(3)
-        with pytest.raises(ValueError):
-            x + y
-
-    def test_pow_and_inverse(self):
-        p = PrimeModulus(13)
-        assert (p.residue(2) ** 6).value == 12
-        assert p.residue(2).inverse().value == 7
-        with pytest.raises(ValueError):
-            p.residue(2) ** -1
-
-
-class TestModPow:
-    def test_small(self):
-        p = PrimeModulus(7)
-        assert mod_pow(p.residue(2), 3).value == 1
-        x = p.residue(5)
-        assert mod_pow(x, 1) == x
-        assert mod_pow(x, 0).value == 1
-
-    def test_inverse_of_27_mod_181(self):
-        # 27^(p-1) = 1, so the inverse is 27^(p-2) = 114, and 4*114 = 94
-        p = PrimeModulus(181)
-        assert mod_pow(p.residue(27), 180).value == 1
-        assert mod_pow(p.residue(27), 179).value == 114
-        assert (4 * 114) % 181 == 94
+    def test_reduces_on_construction(self):
+        assert ResidueClass(10, 7) == ResidueClass(3, 7)
+        assert ResidueClass(-1, 7).value == 6
+        assert ResidueClass(3, 7) != ResidueClass(3, 11)
 
 
 class TestModInverse:
     def test_anchor_values(self):
         assert mod_inverse(27, 181) == 114
         assert mod_inverse(5, 7) == 3
-        p = PrimeModulus(101)
-        assert mod_inverse(p.residue(1)).value == 1
+        assert mod_inverse(2, 13) == 7
+        assert mod_inverse(1, 101) == 1
+        assert mod_inverse(-1, 13) == 12
 
     def test_zero_not_invertible(self):
         with pytest.raises(ZeroNotInvertible):
             mod_inverse(0, 7)
         with pytest.raises(ZeroNotInvertible):
-            PrimeModulus(7).residue(14).inverse()
+            mod_inverse(14, 7)
 
     def test_exhaustive_all_primes_upto_1000(self):
         for p in ODD_PRIMES_1000:
@@ -220,38 +181,30 @@ class TestJacobi:
 
 class TestSqrtMod:
     def test_examples(self):
-        p13 = PrimeModulus(13)
-        pair = sqrt_mod(p13.residue(-1))
-        assert pair is not None
-        assert {r.value for r in pair} == {5, 8}
-
-        p7 = PrimeModulus(7)
-        assert sqrt_mod(p7.residue(3)) is None  # 3 is a non-residue mod 7
-        zero_pair = sqrt_mod(p7.residue(0))
-        assert zero_pair is not None
-        assert {r.value for r in zero_pair} == {0}
+        assert sqrt_mod(-1, 13) == (5, 8)
+        assert sqrt_mod(3, 7) is None  # 3 is a non-residue mod 7
+        assert sqrt_mod(0, 7) == (0, 0)
+        assert sqrt_mod(7, 7) == (0, 0)
 
     def test_roundtrip_all_small_primes(self):
         for p in ODD_PRIMES_1000[:25]:
-            mod = PrimeModulus(p)
             for a in range(p):
-                pair = sqrt_mod(mod.residue(a))
+                pair = sqrt_mod(a, p)
                 if legendre(a, p) == -1:
                     assert pair is None
                 else:
                     assert pair is not None
                     for r in pair:
-                        assert r.value * r.value % p == a
-                    assert pair[0].value <= pair[1].value
+                        assert r * r % p == a
+                    assert pair[0] <= pair[1]
 
     def test_tonelli_shanks_branch(self):
         # primes with p = 1 (mod 4) exercise the full algorithm
         for p in (13, 17, 29, 97, 101, 109, 181, 193):
-            mod = PrimeModulus(p)
             sq = squares_mod(p)
             for a in sorted(sq):
-                pair = sqrt_mod(mod.residue(a))
-                assert pair is not None and pair[0].value ** 2 % p == a
+                pair = sqrt_mod(a, p)
+                assert pair is not None and pair[0] ** 2 % p == a
 
 
 class TestSolveQuadratic:

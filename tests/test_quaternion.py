@@ -7,90 +7,69 @@ from padquat.fibonacci import pisano_period
 from padquat.modular import PrimeModulus, twin_primes_upto
 from padquat.quaternion import (
     AlgebraMismatch,
-    AlgebraParams,
     NotInvertible,
     QuatElem,
     qp_elements,
     qp_gf_numerators,
-    qp_quaternion,
     qp_symbolic,
     qr_elements,
     qr_gf_numerators,
-    qr_quaternion,
     qr_symbolic,
 )
 from padquat.sequences import BiPoly, SeqParams, gf_expand, padovan_mod
 from padquat.verifier import brute_force_zero_divisors, family_period, norm_oracle
 
-ALGEBRAS_13 = [
-    AlgebraParams(-1, -1, PrimeModulus(13)),
-    AlgebraParams(1, -1, PrimeModulus(13)),
-    AlgebraParams(2, 3, PrimeModulus(13)),
-]
+
+def element(p, x, y=0, z=0, w=0):
+    return QuatElem(PrimeModulus(p), x, y, z, w)
 
 
-def random_elem(alg, rng):
-    p = alg.p
-    return alg.element(*(rng.randrange(p) for _ in range(4)))
+def basis(p):
+    """(1, i, j, k) of Q(-1,-1) over Z_p."""
+    return element(p, 1), element(p, 0, 1), element(p, 0, 0, 1), element(p, 0, 0, 0, 1)
 
 
-class TestAlgebraParams:
-    def test_standard_is_minus_one_minus_one(self):
-        alg = AlgebraParams.standard(7)
-        assert (alg.s, alg.t) == (6, 6)
-
-    def test_nonzero_parameters_required(self):
-        with pytest.raises(ValueError):
-            AlgebraParams(0, 1, PrimeModulus(7))
-        with pytest.raises(ValueError):
-            AlgebraParams(3, 14, PrimeModulus(7))
+def random_elem(p, rng):
+    return element(p, *(rng.randrange(p) for _ in range(4)))
 
 
 class TestBasisTable:
     def test_generator_relations(self):
-        for alg in ALGEBRAS_13:
-            one, i, j, k = alg.basis()
-            s, t = alg.s, alg.t
-            assert i * j == k and j * i == -k
-            assert i * i == alg.element(s)
-            assert j * j == alg.element(t)
-            assert k * k == alg.element(-s * t)
-            assert i * k == s * j and k * i == -(s * j)
-            assert j * k == -(t * i) and k * j == t * i
+        one, i, j, k = basis(13)
+        assert i * i == -one and j * j == -one and k * k == -one
+        assert i * j == k and j * i == -k
+        assert j * k == i and k * j == -i
+        assert k * i == j and i * k == -j
 
     def test_unit_element(self):
         rng = random.Random(7)
-        for alg in ALGEBRAS_13:
-            one = alg.element(1)
-            for _ in range(20):
-                u = random_elem(alg, rng)
-                assert u * one == u and one * u == u
+        one = element(13, 1)
+        for _ in range(20):
+            u = random_elem(13, rng)
+            assert u * one == u and one * u == u
 
     def test_hamilton_specialization(self):
-        # (s, t) = (-1, -1) gives the familiar i*j*k = -1
-        alg = AlgebraParams.standard(13)
-        one, i, j, k = alg.basis()
+        one, i, j, k = basis(13)
         assert i * j * k == -one
 
 
 class TestRingAxioms:
     def test_associativity_random_triples(self):
         rng = random.Random(20250810)
-        for alg in ALGEBRAS_13:
+        for p in (3, 7, 13):
             for _ in range(200):
-                u, v, w = (random_elem(alg, rng) for _ in range(3))
-                assert (u * v) * w == u * (v * w)
+                u, v, w = (random_elem(p, rng) for _ in range(3))
+                assert ((u * v) * w).coefficients == (u * (v * w)).coefficients
 
     def test_distributivity_random(self):
         rng = random.Random(99)
-        alg = AlgebraParams.standard(13)
         for _ in range(200):
-            u, v, w = (random_elem(alg, rng) for _ in range(3))
-            assert u * (v + w) == u * v + u * w
+            u, v, w = (random_elem(13, rng) for _ in range(3))
+            assert (u * (v + w)).coefficients == (u * v + u * w).coefficients
 
     def test_algebra_mismatch_rejected(self):
-        u = AlgebraParams.standard(7).element(1, 2, 3, 4)
-        v = AlgebraParams.standard(11).element(1, 2, 3, 4)
+        u = element(7, 1, 2, 3, 4)
+        v = element(11, 1, 2, 3, 4)
         with pytest.raises(AlgebraMismatch):
             u * v
         with pytest.raises(AlgebraMismatch):
@@ -99,26 +78,21 @@ class TestRingAxioms:
 
 class TestNorm:
     def test_examples(self):
-        alg7 = AlgebraParams.standard(7)
-        assert alg7.element(2, 1, 1, 1).norm().value == 0
-        assert alg7.element(1).norm().value == 1
-
-    def test_norm_form_with_general_parameters(self):
-        alg = AlgebraParams(2, 3, PrimeModulus(13))
-        u = alg.element(1, 1, 1, 1)
-        assert u.norm().value == (1 - 2 - 3 + 6) % 13  # x^2 - s y^2 - t z^2 + s t w^2
+        assert element(7, 2, 1, 1, 1).norm().value == 0
+        assert element(7, 1).norm().value == 1
+        assert element(13, 1, 2, 3, 4).norm().value == (1 + 4 + 9 + 16) % 13
+        assert element(13, 1, 2, 3, 4).norm().p == 13
 
     def test_multiplicative_random_pairs(self):
         rng = random.Random(13)
-        for alg in ALGEBRAS_13:
+        for p in (3, 7, 13):
             for _ in range(1000):
-                u, v = random_elem(alg, rng), random_elem(alg, rng)
-                assert (u * v).norm() == u.norm() * v.norm()
+                u, v = random_elem(p, rng), random_elem(p, rng)
+                assert (u * v).norm().value == u.norm().value * v.norm().value % p
 
     def test_multiplicative_exhaustive_mod_3(self):
-        alg = AlgebraParams.standard(3)
         elems = [
-            alg.element(x, y, z, w)
+            element(3, x, y, z, w)
             for x in range(3)
             for y in range(3)
             for z in range(3)
@@ -126,50 +100,44 @@ class TestNorm:
         ]
         for u in elems:
             for v in elems:
-                assert (u * v).norm() == u.norm() * v.norm()
+                assert (u * v).norm().value == u.norm().value * v.norm().value % 3
 
 
 class TestConjugation:
     def test_examples(self):
-        alg = AlgebraParams.standard(13)
-        one, i, _, _ = alg.basis()
+        one, i, _, _ = basis(13)
         assert one.conj() == one
         assert i.conj() == -i
 
     def test_conj_product_gives_norm(self):
         rng = random.Random(5)
         for _ in range(100):
-            u = random_elem(AlgebraParams.standard(13), rng)
-            n = u.norm().value
-            assert u * u.conj() == u.algebra.element(n)
+            u = random_elem(13, rng)
+            assert u * u.conj() == element(13, u.norm().value)
 
 
 class TestZeroDivisorsAndInverses:
     def test_examples(self):
-        alg5 = AlgebraParams.standard(5)
-        u = alg5.element(1, 2, 0, 0)
-        v = alg5.element(1, -2, 0, 0)
+        u = element(5, 1, 2, 0, 0)
+        v = element(5, 1, -2, 0, 0)
         assert (u * v).is_zero  # norms vanish: 1 + 4 = 5
         assert u.is_zero_divisor() and v.is_zero_divisor()
 
-        alg7 = AlgebraParams.standard(7)
-        assert alg7.element(2, 1, 1, 1).is_zero_divisor()
-        assert not alg7.element(0, 0, 0, 0).is_zero_divisor()
-        assert not alg7.element(1).is_zero_divisor()
+        assert element(7, 2, 1, 1, 1).is_zero_divisor()
+        assert not element(7, 0, 0, 0, 0).is_zero_divisor()
+        assert not element(7, 1).is_zero_divisor()
 
     def test_inverse_examples(self):
-        alg5 = AlgebraParams.standard(5)
-        one, i, _, _ = alg5.basis()
+        one, i, _, _ = basis(5)
         assert one.inverse() == one
-        assert i.inverse() == alg5.element(0, 4, 0, 0)
+        assert i.inverse() == element(5, 0, 4, 0, 0)
 
     def test_inverse_random(self):
         rng = random.Random(42)
-        alg = AlgebraParams.standard(13)
-        one = alg.element(1)
+        one = element(13, 1)
         done = 0
         while done < 1000:
-            u = random_elem(alg, rng)
+            u = random_elem(13, rng)
             if u.norm().value == 0:
                 continue
             inv = u.inverse()
@@ -177,32 +145,29 @@ class TestZeroDivisorsAndInverses:
             done += 1
 
     def test_zero_norm_not_invertible(self):
-        alg = AlgebraParams.standard(7)
         with pytest.raises(NotInvertible):
-            alg.element(2, 1, 1, 1).inverse()
+            element(7, 2, 1, 1, 1).inverse()
 
     def test_dichotomy_exhaustive(self):
         # every nonzero element is a zero divisor xor invertible
         for p in (3, 5):
-            alg = AlgebraParams.standard(p)
             for x in range(p):
                 for y in range(p):
                     for z in range(p):
                         for w in range(p):
-                            u = alg.element(x, y, z, w)
+                            u = element(p, x, y, z, w)
                             if u.is_zero:
                                 continue
                             if u.is_zero_divisor():
                                 with pytest.raises(NotInvertible):
                                     u.inverse()
                             else:
-                                assert u * u.inverse() == alg.element(1)
+                                assert u * u.inverse() == element(p, 1)
 
     def test_split_witness_every_small_prime(self):
         for p in (3, 5, 7, 11, 13):
-            alg = AlgebraParams.standard(p)
             found = any(
-                alg.element(x, y, 1, 0).norm().value == 0
+                element(p, x, y, 1, 0).norm().value == 0
                 for x in range(p)
                 for y in range(p)
             )
@@ -210,8 +175,7 @@ class TestZeroDivisorsAndInverses:
 
     def test_zero_divisor_annihilates(self):
         # a zero-norm element times its conjugate is the zero element
-        alg = AlgebraParams.standard(7)
-        u = alg.element(2, 1, 1, 1)
+        u = element(7, 2, 1, 1, 1)
         assert (u * u.conj()).is_zero
 
 
@@ -239,13 +203,13 @@ class TestSequenceQuaternions:
     def test_modular_matches_symbolic(self):
         params = SeqParams(3, 5, modulus=5)
         for n in range(25):
-            assert qp_symbolic(n).evaluate_mod(params) == qp_quaternion(n, params)
-            assert qr_symbolic(n).evaluate_mod(params) == qr_quaternion(n, params)
+            assert qp_symbolic(n).evaluate_mod(params) == qp_elements(params, n + 1)[n]
+            assert qr_symbolic(n).evaluate_mod(params) == qr_elements(params, n + 1)[n]
 
     def test_qp_coefficients_come_from_sequence(self):
         params = SeqParams(3, 5, modulus=5)
         terms = padovan_mod(params, 10)
-        q4 = qp_quaternion(4, params)
+        q4 = qp_elements(params, 5)[4]
         assert q4.coefficients == tuple(terms[4:8])
 
     def test_qr_from_qp_symbolically(self):
@@ -256,10 +220,10 @@ class TestSequenceQuaternions:
 
     def test_qr_from_qp_modular(self):
         params = SeqParams.twin_prime(13)
+        qp = qp_elements(params, 60)
+        qr = qr_elements(params, 60)
         for n in range(3, 60):
-            lhs = qr_quaternion(n, params)
-            rhs = 3 * qp_quaternion(n - 3, params) + 2 * qp_quaternion(n - 2, params)
-            assert lhs == rhs
+            assert qr[n] == 3 * qp[n - 3] + 2 * qp[n - 2]
 
     def test_order_six_recurrence_symbolic(self):
         a, b = BiPoly.a(), BiPoly.b()
@@ -282,8 +246,8 @@ class TestSequenceQuaternions:
 
     def test_batch_matches_single(self):
         params = SeqParams.twin_prime(5)
-        assert qp_elements(params, 12) == [qp_quaternion(n, params) for n in range(12)]
-        assert qr_elements(params, 12) == [qr_quaternion(n, params) for n in range(12)]
+        assert qp_elements(params, 12) == [qp_elements(params, n + 1)[n] for n in range(12)]
+        assert qr_elements(params, 12) == [qr_elements(params, n + 1)[n] for n in range(12)]
 
 
 class TestGeneratingFunctions:

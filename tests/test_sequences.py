@@ -13,11 +13,9 @@ from padquat.sequences import (
     padovan_fib_form,
     padovan_gf_numerator,
     padovan_mod,
-    padovan_sym,
     padovan_sym_terms,
     perrin_mod,
     perrin_padovan_identity,
-    perrin_sym,
     perrin_sym_terms,
     seq_period,
 )
@@ -110,12 +108,13 @@ class TestSymbolicTerms:
             assert per[n] == BiPoly(TABLE_R[n]), f"R_{n}"
 
     def test_single_term_accessors(self):
-        assert padovan_sym(8) == BiPoly(TABLE_P[8])
-        assert padovan_sym(0) == 1
-        assert padovan_sym(10) == BiPoly(TABLE_P[10])
-        assert perrin_sym(9) == BiPoly(TABLE_R[9])
-        assert perrin_sym(1) == 0
-        assert perrin_sym(10) == BiPoly(TABLE_R[10])
+        assert padovan_sym_terms(9)[8] == BiPoly(TABLE_P[8])
+        assert padovan_sym_terms(1)[0] == 1
+        assert padovan_sym_terms(11)[10] == BiPoly(TABLE_P[10])
+        assert perrin_sym_terms(10)[9] == BiPoly(TABLE_R[9])
+        assert perrin_sym_terms(2)[1] == 0
+        assert perrin_sym_terms(11)[10] == BiPoly(TABLE_R[10])
+        assert padovan_sym_terms(0) == perrin_sym_terms(0) == []
 
     def test_order_six_recurrence(self):
         # t_n = (a+b) t_{n-2} - ab t_{n-4} + t_{n-6}, exactly, for both kinds
@@ -131,22 +130,21 @@ class TestSymbolicTerms:
             assert pad[2 * k + 1].swap() == pad[2 * k + 1], k
 
     def test_even_terms_not_symmetric_in_general(self):
-        assert padovan_sym(8).swap() != padovan_sym(8)
+        p8 = padovan_sym_terms(9)[8]
+        assert p8.swap() != p8
 
 
 class TestSeqParams:
     def test_reduction_and_twin_flag(self):
         params = SeqParams.twin_prime(5)
         assert (params.a, params.b, params.modulus) == (3, 0, 5)
-        assert params.is_twin_prime
 
-        plain = SeqParams(3, 5, modulus=5)
+        plain = SeqParams(3, 5, modulus=5)  # literally (p-2, p)
         assert (plain.a, plain.b) == (3, 0)
-        assert plain.is_twin_prime  # (3, 5) is literally (p-2, p)
+        assert plain == params
 
-        assert not SeqParams(1, 1, modulus=11).is_twin_prime
-        assert not SeqParams(9, 11, modulus=13).is_twin_prime
-        assert not SeqParams(3, 5).is_twin_prime  # no modulus
+        assert (SeqParams(9, 11, modulus=13).a, SeqParams(9, 11, modulus=13).b) == (9, 11)
+        assert (SeqParams(3, 5).a, SeqParams(3, 5).b) == (3, 5)  # no modulus, no reduction
 
     def test_twin_prime_rejects(self):
         for bad in (9, 11, 4, 23):
