@@ -39,6 +39,11 @@ from .verifier import (
 )
 
 
+# Largest --p that fib, verify and seq accept: z(p) comes from trial division
+# of p - (5/p), whose cost grows with sqrt(p).
+MAX_PRIME = 10**12
+
+
 class CliError(Exception):
     """Input validation failure; reported on stderr with exit status 1."""
 
@@ -240,6 +245,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        p = getattr(args, "p", None)  # scan has no --p
+        if p is not None and p > MAX_PRIME:
+            raise CliError(f"--p must be at most {MAX_PRIME}, got {p}")
         text, status = _COMMANDS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,11 @@
 """Fibonacci numbers modulo m: fast doubling, entry point, Pisano period.
 
 The entry point z(p) is the least positive index with p | F_z; the Pisano
-period pi(p) is the period of the Fibonacci sequence mod p.  For odd primes
-pi(p) is one of z(p), 2*z(p), 4*z(p), decided by z(p) mod 4, which gives a
-three-candidate shortcut for computing it.
+period pi(p) is the period of the Fibonacci sequence mod p.  z(p) divides
+p - (5/p) (Wall 1960, Vinson 1963), so it is found by order reduction over
+the prime factors of that number.  For odd primes pi(p) is one of z(p),
+2*z(p), 4*z(p), decided by z(p) mod 4, which gives a three-candidate
+shortcut for computing it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .modular import PrimeModulus
+from .modular import PrimeModulus, legendre
 
 
 def fib_pair(n: int, m: int) -> tuple[int, int]:
@@ -37,16 +39,32 @@ def fib_mod(n: int, m: int) -> int:
     return fib_pair(n, m)[0]
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, by trial division."""
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1 if q == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _entry_point(p: int) -> int:
     PrimeModulus(p)  # validates p once; every other function goes through here
-    a, b = 0, 1
-    z = 0
-    while True:
-        a, b = b, (a + b) % p
-        z += 1
-        if a == 0:
-            return z
+    # the indices n with p | F_n are the multiples of z(p), and z(p) divides
+    # p - (5/p) (which is p itself for p = 5): divide out each prime factor
+    # while the quotient still indexes a zero
+    z = p - legendre(5, p)
+    for q in _prime_factors(z):
+        while z % q == 0 and fib_pair(z // q, p)[0] == 0:
+            z //= q
+    return z
 
 
 def entry_point(p: int) -> int:
@@ -96,19 +114,3 @@ class FibProfile:
             return "pi(p) = 2*z(p) (z = 0 mod 4)"
         return "pi(p) = z(p) (z = 2 mod 4)"
 
-
-def fib_residue_indices(p: int, c: int) -> tuple[int, ...]:
-    """All i in [0, pi(p)) with F_i = c (mod p), ascending.
-
-    By periodicity these classes mod pi(p) describe every index n with
-    F_n = c (mod p).
-    """
-    period = _pisano_period(p)
-    c %= p
-    out = []
-    a, b = 0, 1
-    for i in range(period):
-        if a == c:
-            out.append(i)
-        a, b = b, (a + b) % p
-    return tuple(out)

@@ -3,10 +3,12 @@
 Each claim predicts, for indices m satisfying the hypothesis congruence
 (m/2 or (m-1)/2 congruent to -3 mod z(p)), exactly which quaternions
 QP_m or QR_m are zero divisors in Q(-1,-1) over Z_p.  Every claim is one
-row of the `CLAIMS` table; the engine runs an exhaustive brute-force norm
-scan over a window that covers the combined period of both sides, and
-classifies the claim as HOLDS, HOLDS_VACUOUSLY, or FAILS with the full
-counterexample list.
+row of the `CLAIMS` table.  The engine jumps straight to the hypothesis
+indices of a window that covers the combined period of both sides, computes
+the quaternion norms there, and classifies the claim as HOLDS,
+HOLDS_VACUOUSLY, or FAILS with the full counterexample list.  The linear
+brute-force norm scan (`norm_oracle`) is kept as the reference it is tested
+against.
 """
 
 from __future__ import annotations
@@ -19,7 +21,17 @@ from typing import Callable
 from .fibonacci import FibProfile, entry_point, fib_mod
 from .modular import is_prime, jacobi, legendre
 from .quaternion import family_stream
-from .sequences import NotTwinPrime, SeqParams, seq_period
+from .sequences import (
+    NotTwinPrime,
+    SeqParams,
+    mat_mul,
+    mat_pow,
+    mat_vec,
+    padovan_mod,
+    pair_map,
+    perrin_mod,
+    seq_period,
+)
 
 
 class HypothesisViolated(ValueError):
@@ -214,6 +226,54 @@ def applicable_case_ids(p: int) -> list[str]:
     )
 
 
+def jump_oracle(
+    params: SeqParams, family: str, profile: FibProfile, indices: range
+) -> tuple[dict[int, int], set[int]]:
+    """Norms and zero divisors of the quaternions m in `indices`, without
+    building the coefficient stream.
+
+    `indices` starts below 2 z(p) and steps by 2 z(p), as the hypothesis
+    indices of a claim do.  Each recurrence stream of the family (Padovan
+    for QP; Perrin at (a, b) and at (b, a) for QR) is carried as its state
+    (t_n, t_{n+1}, t_{n+2}) at n = m - parity: it starts at M^{k0} s0,
+    k0 = n/2 for the first index, and advances by M^{z(p)}, where M is
+    `pair_map`; t_n .. t_{n+4} hold quaternion m.  Raises AssertionError
+    unless M^{pi(p)} fixes every stream's initial state s0, that is unless
+    2 pi(p) is a period of the family's stream and hence equals
+    lcm(family_period, 2 pi(p)).
+    """
+    p = params.modulus
+    z, pi = profile.entry_point, profile.pisano_period
+    k0, parity = divmod(indices.start, 2)
+    if indices.step != 2 * z or k0 >= z:
+        raise ValueError("indices must start below 2 z(p) and step by 2 z(p)")
+    if family == "QP":
+        streams = [(params, padovan_mod(params, 3))]
+    else:
+        streams = [(s, perrin_mod(s, 3)) for s in (params, params.swapped())]
+    windows = []  # per stream and index m, the terms t_n .. t_{n+4}, n = m - parity
+    for s, init in streams:
+        mat = pair_map(s.a, s.b)
+        start = mat_pow(mat, k0, p)
+        step = mat_mul(start, mat_pow(mat, z - k0, p), p)  # M^z; z - k0 = 3 for claims
+        states = [mat_vec(start, init, p)]
+        while len(states) < max(len(indices), pi // z + 1):
+            states.append(mat_vec(step, states[-1], p))
+        # M is invertible, so M^{k0 + pi} s0 = M^{k0} s0 iff M^{pi} s0 = s0
+        if states[pi // z] != states[0]:
+            raise AssertionError(f"2*pi({p}) is not a period of the {family} stream")
+        windows.append([v + mat_vec(mat, v, p)[1:] for v in states])
+    norms: dict[int, int] = {}
+    zero_divisors: set[int] = set()
+    for i, m in enumerate(indices):
+        # QR reads Perrin(a, b) at even stream positions and Perrin(b, a) at odd ones
+        t = [windows[j % len(windows)][i][j] for j in range(parity, parity + 4)]
+        norms[m] = sum(x * x for x in t) % p
+        if norms[m] == 0 and any(t):
+            zero_divisors.add(m)
+    return norms, zero_divisors
+
+
 def norm_oracle(
     params: SeqParams, family: str, scan_limit: int
 ) -> tuple[list[int], set[int]]:
@@ -222,8 +282,8 @@ def norm_oracle(
     In Q(-1,-1) the norm of t_m + t_{m+1} i + t_{m+2} j + t_{m+3} k is the
     sum of the four squares; it is computed on the plain int coefficient
     stream.  A zero divisor is a nonzero quaternion of norm 0 (mod p).
-    This is the oracle side of every claim check and is deliberately
-    independent of the claim table.
+    This linear scan is the reference `jump_oracle` is tested against and
+    is deliberately independent of the claim table.
     """
     p = params.modulus
     t = family_stream(params, family, max(scan_limit, 0) + 3)
@@ -242,7 +302,8 @@ def brute_force_zero_divisors(
 
 @lru_cache(maxsize=None)
 def family_period(params: SeqParams, family: str) -> int:
-    """A period of the full quaternion coefficient stream."""
+    """A period of the full quaternion coefficient stream, by linear scan;
+    the reference for the window `jump_oracle` certifies."""
     if family == "QP":
         return seq_period(params, "padovan")
     return math.lcm(
@@ -271,7 +332,7 @@ class TheoremVerdict:
 
     case: TheoremCase
     scan_multiplier: int
-    window_modulus: int  # lcm(sequence period, 2*pi(p)); sets are canonical mod this
+    window_modulus: int  # lcm(sequence period, 2*pi(p)), certified to be 2*pi(p)
     scan_limit: int
     predicted: tuple[int, ...]  # canonical residues mod window_modulus
     observed: tuple[int, ...]
@@ -313,10 +374,12 @@ def _reduction_kind(case: TheoremCase) -> str:
 
 
 def verify_case(case: TheoremCase, scan_multiplier: int = 2) -> TheoremVerdict:
-    """Compare a claim's predicted zero divisors against the brute-force oracle.
+    """Compare a claim's predicted zero divisors against the quaternion norms.
 
-    The scan window is scan_multiplier * lcm(sequence period, 2*pi(p)),
-    which covers every congruence class of both sides at least twice.
+    The window is lcm(sequence period, 2*pi(p)), which `jump_oracle`
+    certifies to be 2*pi(p); the scan covers scan_multiplier windows, so
+    every congruence class of both sides at least twice, and reads only
+    the hypothesis indices in it.
     Classification: HOLDS when the sets agree and the comparison has
     content (nonempty sets, or an invertibility claim over a nonempty
     hypothesis class); HOLDS_VACUOUSLY when the hypothesis class has no
@@ -326,14 +389,14 @@ def verify_case(case: TheoremCase, scan_multiplier: int = 2) -> TheoremVerdict:
     """
     if scan_multiplier < 2:
         raise ValueError("scan multiplier must be >= 2")
-    params = SeqParams.twin_prime(case.p)
-    period = family_period(params, case.family)
-    window = math.lcm(period, 2 * case.profile.pisano_period)
+    # (p-2, p) mod p; TheoremCase.build has checked that p heads a twin pair
+    params = SeqParams(case.p - 2, 0, modulus=case.p)
+    window = 2 * case.profile.pisano_period
     scan_limit = scan_multiplier * window
 
     z = case.profile.entry_point
     hypothesis = range(2 * case.hypothesis_class + case.parity, scan_limit, 2 * z)
-    norms, zero_divisors = norm_oracle(params, case.family, scan_limit)
+    norms, zero_divisors = jump_oracle(params, case.family, case.profile, hypothesis)
     observed = [m for m in hypothesis if m in zero_divisors]
     predicted = [m for m in hypothesis if case.predicts(m)]
 

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from padquat import __version__
-from padquat.cli import main
+from padquat import __version__, cli, sequences, verifier
+from padquat.cli import MAX_PRIME, main
+from padquat.sequences import padovan_fib_form
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +134,55 @@ class TestVerify:
         assert doc["verdicts"][0]["scan"]["multiplier"] == 3
 
 
+    def test_large_prime_qp_norms_match_fib_form(self, capsys):
+        # above 10^6 the jump oracle's QP norms at every hypothesis index of
+        # the scan agree with P_m recomputed through Fibonacci numbers
+        p = 1_000_213  # p = 1 (mod 4), so both QP claims predict classes
+        status, out, _ = run_cli(capsys, "verify", "--p", str(p), "--format", "json")
+        assert status == 2
+        qp = [v for v in json.loads(out)["verdicts"] if v["case"]["family"] == "QP"]
+        assert len(qp) == 2 and all(v["counterexamples"] for v in qp)
+        for v in qp:
+            case, scan = v["case"], v["scan"]
+            assert scan["window_modulus"] == 2 * case["pisano_period"]
+            start = 2 * case["hypothesis_class"] + (case["parity"] == "odd")
+            zero = set()
+            norms = {}
+            for m in range(start, scan["scan_limit"], 2 * case["entry_point"]):
+                t = [padovan_fib_form(m + i, p) for i in range(4)]
+                norms[m] = sum(x * x for x in t) % p
+                if norms[m] == 0 and any(t):
+                    zero.add(m % scan["window_modulus"])
+            assert v["observed_classes"] == sorted(zero)
+            for m in v["observed_classes"]:
+                assert norms[m] == 0
+            for c in v["counterexamples"]:
+                assert c["norm"] == norms[c["index"]]
+
+
+class TestInputBound:
+    # a twin prime above the bound, so only the bound can reject it
+    P = 1_000_000_000_063
+
+    @pytest.mark.parametrize("argv", [
+        ("fib", "--p"),
+        ("verify", "--p"),
+        ("seq", "--upto", "4", "--p"),
+    ])
+    def test_rejects_p_above_bound_before_any_work(self, capsys, monkeypatch, argv):
+        assert self.P > MAX_PRIME
+
+        def refuse(n):
+            raise AssertionError("validation work ran")
+
+        # every command checks primality before it does anything else
+        for module in (cli, sequences, verifier):
+            monkeypatch.setattr(module, "is_prime", refuse)
+        status, out, err = run_cli(capsys, *argv, str(self.P))
+        assert status == 1 and out == ""
+        assert err == f"error: --p must be at most {MAX_PRIME}, got {self.P}\n"
+
+
 class TestScan:
     def test_small_bound_rows(self, capsys):
         status, out, _ = run_cli(capsys, "scan", "--upto", "7", "--format", "csv")
@@ -174,6 +224,27 @@ class TestScan:
         content = target.read_bytes()
         assert content.startswith(b"prime,case_id")
         assert b"\r" not in content
+
+    def test_scan_needs_no_linear_stream(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("linear oracle used")
+
+        for name in ("norm_oracle", "family_period", "family_stream", "seq_period"):
+            monkeypatch.setattr(verifier, name, refuse)
+        monkeypatch.setattr(sequences, "seq_period", refuse)
+        extend = sequences._extend
+
+        def short_extend(terms, a, b, count, m=None):
+            assert count <= 3, f"a stream of {count} terms"
+            return extend(terms, a, b, count, m)
+
+        monkeypatch.setattr(sequences, "_extend", short_extend)
+        status, out, _ = run_cli(capsys, "scan", "--upto", "2000", "--format", "csv")
+        assert status == 2
+        # digest measured with the linear oracle before the jump oracle replaced it
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"
+        )
 
 
 class TestGoldenBytes:

@@ -5,10 +5,9 @@ from padquat.fibonacci import (
     entry_point,
     fib_mod,
     fib_pair,
-    fib_residue_indices,
     pisano_period,
 )
-from padquat.modular import primes_upto
+from padquat.modular import legendre, primes_upto
 
 ODD_PRIMES = [p for p in primes_upto(1000) if p > 2]
 
@@ -24,6 +23,7 @@ def fib_list(count, m):
 
 
 def entry_point_scan(p):
+    """Linear reference: the first index of a zero, by stepping the sequence."""
     a, b = 0, 1
     z = 0
     while True:
@@ -88,14 +88,15 @@ class TestEntryPoint:
             for bad in (1, 9, 15):
                 with pytest.raises(ValueError):
                     fn(bad)
-        with pytest.raises(ValueError):
-            fib_residue_indices(9, 1)
 
     def test_matches_scan(self):
+        for p in primes_upto(20_000)[1:]:
+            assert entry_point(p) == entry_point_scan(p), p
+
+    def test_divides_p_minus_legendre_5(self):
+        # Wall-Vinson: z(p) | p - (5/p); p = 5 is the ramified case z(5) = 5
         for p in ODD_PRIMES:
-            if p > 300:
-                break
-            assert entry_point(p) == entry_point_scan(p)
+            assert (p - legendre(5, p)) % entry_point(p) == 0, p
 
     def test_minimality_and_zero(self):
         for p in (5, 7, 13, 181, 199):
@@ -149,27 +150,8 @@ class TestProfile:
                 assert (fib_mod(m, p) == 0) == (m % z == 0), (p, m)
 
 
-class TestResidueIndices:
-    def test_anchor_values(self):
-        assert 48 in fib_residue_indices(181, 94)
-        assert fib_residue_indices(7, 5) == (5, 11)
-        assert fib_residue_indices(7, 0) == (0, 8)
-
+class TestAnchorIndex:
     def test_unique_index_for_94_mod_181(self):
-        assert fib_residue_indices(181, 94) == (48,)
-
-    def test_matches_brute_scan_all_residues(self):
-        for p in ODD_PRIMES:
-            if p > 200:
-                break
-            pi = pisano_period(p)
-            seq = fib_list(pi, p)
-            by_residue = {}
-            for i, v in enumerate(seq):
-                by_residue.setdefault(v, []).append(i)
-            for c in range(p):
-                assert fib_residue_indices(p, c) == tuple(by_residue.get(c, []))
-
-    def test_reduces_target(self):
-        assert fib_residue_indices(7, 12) == fib_residue_indices(7, 5)
-        assert fib_residue_indices(7, -2) == fib_residue_indices(7, 5)
+        # the k = 48 anchor of cor-181: the only index in one period with F = 94
+        seq = fib_list(pisano_period(181), 181)
+        assert [i for i, v in enumerate(seq) if v == 94] == [48]

@@ -24,15 +24,19 @@ from padquat.verifier import (
     ExcludedPrime,
     HypothesisViolated,
     TheoremCase,
+    TheoremVerdict,
     applicable_case_ids,
     brute_force_zero_divisors,
     family_period,
+    jump_oracle,
+    norm_oracle,
     perrin_even_side_condition,
     reduced_norm_value,
     verify_case,
 )
 
 TWINS_200 = [p for _, p in twin_primes_upto(200)]
+TWINS_2000 = [p for _, p in twin_primes_upto(2000)]
 
 
 def hypothesis_ks(p, periods=2):
@@ -396,3 +400,105 @@ class TestVerifyCase:
         assert d["classification"] == HOLDS
         assert d["predicted_count"] == 0
         assert isinstance(d["counterexamples"], list)
+
+
+def linear_verdict(case, scan_multiplier, linear):
+    """The verdict the linear reference gives: `linear` holds the window
+    lcm(family_period, 2 pi(p)) and the `norm_oracle` norms and zero
+    divisors over at least scan_multiplier such windows."""
+    window, norms, zero_divisors = linear
+    scan_limit = scan_multiplier * window
+    z = case.profile.entry_point
+    hypothesis = range(2 * case.hypothesis_class + case.parity, scan_limit, 2 * z)
+    observed = [m for m in hypothesis if m in zero_divisors]
+    predicted = [m for m in hypothesis if case.predicts(m)]
+    if not hypothesis:
+        classification = HOLDS_VACUOUSLY
+    elif predicted == observed:
+        has_content = predicted or case.claims_invertibility
+        classification = HOLDS if has_content else HOLDS_VACUOUSLY
+    else:
+        classification = FAILS
+    counterexamples = ()
+    if classification == FAILS:
+        kind = ("padovan" if case.family == "QP" else "perrin") + (
+            "-odd" if case.parity else "-even"
+        )
+        counterexamples = tuple(
+            Counterexample(
+                index=m,
+                k=case.k_of(m),
+                norm=norms[m],
+                reduced=reduced_norm_value(kind, case.k_of(m), case.p),
+                predicted=m in predicted,
+                observed=m in observed,
+            )
+            for m in sorted(set(predicted) ^ set(observed))
+        )
+    return TheoremVerdict(
+        case=case,
+        scan_multiplier=scan_multiplier,
+        window_modulus=window,
+        scan_limit=scan_limit,
+        predicted=tuple(sorted({m % window for m in predicted})),
+        observed=tuple(sorted({m % window for m in observed})),
+        classification=classification,
+        counterexamples=counterexamples,
+    )
+
+
+class TestJumpOracle:
+    @pytest.mark.parametrize("p", TWINS_2000)
+    def test_verdicts_match_linear_reference(self, p):
+        params = SeqParams.twin_prime(p)
+        linear = {}
+        for family in ("QP", "QR"):
+            window = math.lcm(family_period(params, family), 2 * pisano_period(p))
+            linear[family] = (window, *norm_oracle(params, family, 4 * window))
+        for cid in applicable_case_ids(p):
+            case = TheoremCase.build(cid, p)
+            for multiplier in (2, 3, 4):
+                verdict = verify_case(case, multiplier)
+                assert verdict.window_modulus == linear[case.family][0], (cid, p)
+                expected = linear_verdict(case, multiplier, linear[case.family])
+                assert verdict.to_dict() == expected.to_dict(), (cid, p, multiplier)
+
+    def test_norms_match_linear_reference_at_every_hypothesis_index(self):
+        for p in TWINS_200:
+            params, profile = SeqParams.twin_prime(p), FibProfile.of(p)
+            z = profile.entry_point
+            for family in ("QP", "QR"):
+                limit = 6 * profile.pisano_period
+                norms, zero_divisors = norm_oracle(params, family, limit)
+                for parity in (0, 1):
+                    indices = range(2 * (z - 3) + parity, limit, 2 * z)
+                    jumped = jump_oracle(params, family, profile, indices)
+                    assert jumped == (
+                        {m: norms[m] for m in indices},
+                        {m for m in indices if m in zero_divisors},
+                    ), (p, family, parity)
+
+    def test_any_start_below_the_step(self):
+        params, profile = SeqParams.twin_prime(31), FibProfile.of(31)
+        z = profile.entry_point
+        norms, _ = norm_oracle(params, "QR", 8 * profile.pisano_period)
+        for start in range(2 * z):
+            indices = range(start, 8 * profile.pisano_period, 2 * z)
+            assert jump_oracle(params, "QR", profile, indices)[0] == {
+                m: norms[m] for m in indices
+            }
+
+    def test_wrong_window_fails_the_certificate(self):
+        # z(5) = 5 and pi(5) = 20; a claimed pi of 5 makes the window 10,
+        # which the QP stream mod 5 (minimal period 40) does not repeat in
+        params = SeqParams.twin_prime(5)
+        assert 10 % family_period(params, "QP") != 0
+        with pytest.raises(AssertionError):
+            jump_oracle(params, "QP", FibProfile(5, 5, 5), range(2, 80, 10))
+
+    def test_indices_must_step_by_twice_the_entry_point(self):
+        params, profile = SeqParams.twin_prime(7), FibProfile.of(7)
+        with pytest.raises(ValueError):
+            jump_oracle(params, "QP", profile, range(16, 64, 16))  # starts at 2 z
+        with pytest.raises(ValueError):
+            jump_oracle(params, "QP", profile, range(0, 64, 8))  # step z
