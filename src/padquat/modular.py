@@ -55,22 +55,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_upto(bound: int) -> list[int]:
-    """All primes <= bound, by sieve."""
+def _sieve(bound: int) -> bytearray:
+    """Sieve of Eratosthenes: flag n is 1 exactly when n <= bound is prime
+    (empty for bound < 2)."""
     if bound < 2:
-        return []
+        return bytearray()
     sieve = bytearray([1]) * (bound + 1)
     sieve[0] = sieve[1] = 0
     for i in range(2, int(bound**0.5) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i, flag in enumerate(sieve) if flag]
+    return sieve
+
+
+def primes_upto(bound: int) -> list[int]:
+    """All primes <= bound, by sieve."""
+    return [i for i, flag in enumerate(_sieve(bound)) if flag]
 
 
 def twin_primes_upto(bound: int) -> list[tuple[int, int]]:
     """Twin prime pairs (p-2, p) with 5 <= p <= bound, ascending in p."""
-    prime = set(primes_upto(bound))
-    return [(p - 2, p) for p in sorted(prime) if p >= 5 and p - 2 in prime]
+    sieve = _sieve(bound)
+    return [(p - 2, p) for p in range(5, bound + 1) if sieve[p] and sieve[p - 2]]
 
 
 def mod_inverse(a: int, p: int) -> int:

@@ -165,44 +165,6 @@ def _extend(terms: list, a, b, count: int, m: int | None = None) -> list:
     return terms
 
 
-Matrix = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
-
-
-def pair_map(a: int, b: int) -> Matrix:
-    """Two steps of the recurrence as one 3x3 map: M (t_n, t_{n+1}, t_{n+2})
-    = (t_{n+2}, t_{n+3}, t_{n+4}) for even n.  det M = 1, so M is invertible."""
-    return ((0, 0, 1), (1, b, 0), (0, 1, a))
-
-
-def mat_vec(mat: Matrix, v: Sequence[int], m: int) -> tuple[int, int, int]:
-    """mat * v over Z_m."""
-    x, y, z = v
-    return tuple((r0 * x + r1 * y + r2 * z) % m for r0, r1, r2 in mat)
-
-
-def mat_mul(x: Matrix, y: Matrix, m: int) -> Matrix:
-    """x * y over Z_m, for 3x3 matrices."""
-    (a, b, c), (d, e, f), (g, h, i) = y
-    return tuple(
-        ((r0 * a + r1 * d + r2 * g) % m,
-         (r0 * b + r1 * e + r2 * h) % m,
-         (r0 * c + r1 * f + r2 * i) % m)
-        for r0, r1, r2 in x
-    )
-
-
-def mat_pow(mat: Matrix, e: int, m: int) -> Matrix:
-    """mat^e over Z_m by repeated squaring, O(log e) products."""
-    out = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    while e:
-        if e & 1:
-            out = mat_mul(out, mat, m)
-        e >>= 1
-        if e:
-            mat = mat_mul(mat, mat, m)
-    return out
-
-
 def padovan_sym_terms(count: int) -> list[BiPoly]:
     """P_0 .. P_{count-1} as exact polynomials in a, b."""
     return _extend(list(_PADOVAN_INIT_SYM[:count]), BiPoly.a(), BiPoly.b(), count)

@@ -3,12 +3,12 @@
 Each claim predicts, for indices m satisfying the hypothesis congruence
 (m/2 or (m-1)/2 congruent to -3 mod z(p)), exactly which quaternions
 QP_m or QR_m are zero divisors in Q(-1,-1) over Z_p.  Every claim is one
-row of the `CLAIMS` table.  The engine jumps straight to the hypothesis
-indices of a window that covers the combined period of both sides, computes
-the quaternion norms there, and classifies the claim as HOLDS,
-HOLDS_VACUOUSLY, or FAILS with the full counterexample list.  The linear
-brute-force norm scan (`norm_oracle`) is kept as the reference it is tested
-against.
+row of the `CLAIMS` table.  The engine reads the quaternions at the
+hypothesis indices of a window that covers the combined period of both
+sides from the Fibonacci closed forms of their coefficients (`FIB_FORMS`),
+computes their norms, and classifies the claim as HOLDS, HOLDS_VACUOUSLY,
+or FAILS with the full counterexample list.  The linear brute-force norm
+scan (`norm_oracle`) is kept as the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -18,20 +18,10 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .fibonacci import FibProfile, entry_point, fib_mod
+from .fibonacci import FibProfile, entry_point, fib_mod, fib_pair
 from .modular import is_prime, jacobi, legendre
 from .quaternion import family_stream
-from .sequences import (
-    NotTwinPrime,
-    SeqParams,
-    mat_mul,
-    mat_pow,
-    mat_vec,
-    padovan_mod,
-    pair_map,
-    perrin_mod,
-    seq_period,
-)
+from .sequences import NotTwinPrime, SeqParams, seq_period
 
 
 class HypothesisViolated(ValueError):
@@ -171,6 +161,8 @@ class TheoremCase:
 
     @classmethod
     def build(cls, claim_id: str, p: int) -> "TheoremCase":
+        """The case of `claim_id` at p, after checking that p heads a twin
+        prime pair and that the claim applies to p."""
         claim = CLAIMS.get(claim_id)
         if claim is None:
             raise ValueError(f"unknown claim id {claim_id!r}")
@@ -180,6 +172,14 @@ class TheoremCase:
             raise ExcludedPrime(f"{claim_id} applies only to p = {claim.prime}")
         if p in claim.excluded:
             raise ExcludedPrime(f"{claim_id} excludes p = {p}")
+        return cls.trusted(claim_id, p)
+
+    @classmethod
+    def trusted(cls, claim_id: str, p: int) -> "TheoremCase":
+        """The case of `claim_id` at p with no checks: p must head a twin
+        prime pair and `claim_id` be one of `applicable_case_ids(p)`, as for
+        the p that `twin_primes_upto` gives."""
+        claim = CLAIMS[claim_id]
         profile = FibProfile.of(p)
         z = profile.entry_point
         classes = claim.classes
@@ -226,51 +226,59 @@ def applicable_case_ids(p: int) -> list[str]:
     )
 
 
+# Under (a, b) = (-2, 0) mod p the coefficient stream t of each family (P
+# for QP; R(a, b) at even and R(b, a) at odd positions for QR) is, for k >= 0,
+#   t_{2k+r} = (-1)^k (A + B F_k + C F_{k+1})
+# with (A, B, C) the family's row for r = 0 and r = 1.  The parity
+# subsequences of t and the three sequences (-1)^k, (-1)^k F_k, (-1)^k F_{k+1}
+# all satisfy e_k = -2 e_{k-1} + e_{k-3}, so three initial terms fix a row.
+FIB_FORMS = {
+    "QP": ((-1, 1, 2), (1, -1, -1)),
+    "QR": ((5, -5, -2), (1, -3, -1)),
+}
+
+
 def jump_oracle(
     params: SeqParams, family: str, profile: FibProfile, indices: range
 ) -> tuple[dict[int, int], set[int]]:
     """Norms and zero divisors of the quaternions m in `indices`, without
     building the coefficient stream.
 
-    `indices` starts below 2 z(p) and steps by 2 z(p), as the hypothesis
-    indices of a claim do.  Each recurrence stream of the family (Padovan
-    for QP; Perrin at (a, b) and at (b, a) for QR) is carried as its state
-    (t_n, t_{n+1}, t_{n+2}) at n = m - parity: it starts at M^{k0} s0,
-    k0 = n/2 for the first index, and advances by M^{z(p)}, where M is
-    `pair_map`; t_n .. t_{n+4} hold quaternion m.  Raises AssertionError
-    unless M^{pi(p)} fixes every stream's initial state s0, that is unless
-    2 pi(p) is a period of the family's stream and hence equals
-    lcm(family_period, 2 pi(p)).
+    `params` must be (a, b) = (-2, 0) mod p, and `indices` start below
+    2 z(p) and step by 2 z(p), as the hypothesis indices of a claim do.
+    Quaternion m = 2k + parity is t_m .. t_{m+3}, which `FIB_FORMS` gives
+    from F_k .. F_{k+3}.  F_z = 0 makes the Fibonacci matrix Q^z = r I with
+    r = F_{z+1} mod p, so each step of k by z(p) multiplies F_k .. F_{k+3}
+    by r.  Raises AssertionError unless F_z = 0, z | pi, pi is even and
+    r^{pi/z} = 1: then Q^pi = I and 2 pi(p) is a period of the family's
+    stream, hence equals lcm(family_period, 2 pi(p)).
     """
     p = params.modulus
     z, pi = profile.entry_point, profile.pisano_period
     k0, parity = divmod(indices.start, 2)
     if indices.step != 2 * z or k0 >= z:
         raise ValueError("indices must start below 2 z(p) and step by 2 z(p)")
-    if family == "QP":
-        streams = [(params, padovan_mod(params, 3))]
-    else:
-        streams = [(s, perrin_mod(s, 3)) for s in (params, params.swapped())]
-    windows = []  # per stream and index m, the terms t_n .. t_{n+4}, n = m - parity
-    for s, init in streams:
-        mat = pair_map(s.a, s.b)
-        start = mat_pow(mat, k0, p)
-        step = mat_mul(start, mat_pow(mat, z - k0, p), p)  # M^z; z - k0 = 3 for claims
-        states = [mat_vec(start, init, p)]
-        while len(states) < max(len(indices), pi // z + 1):
-            states.append(mat_vec(step, states[-1], p))
-        # M is invertible, so M^{k0 + pi} s0 = M^{k0} s0 iff M^{pi} s0 = s0
-        if states[pi // z] != states[0]:
-            raise AssertionError(f"2*pi({p}) is not a period of the {family} stream")
-        windows.append([v + mat_vec(mat, v, p)[1:] for v in states])
+    if (params.a, params.b) != (p - 2, 0):
+        raise ValueError("the closed forms need (a, b) = (-2, 0) mod p")
+    f_z, r = fib_pair(z, p)
+    if f_z or pi % z or pi % 2 or pow(r, pi // z, p) != 1:
+        raise AssertionError(f"2*pi({p}) is not a period of the {family} stream")
+    f0, f1 = fib_pair(k0, p)
+    fibs = [f0, f1, (f0 + f1) % p, (f0 + 2 * f1) % p]  # F_k .. F_{k+3}
+    forms = FIB_FORMS[family]
     norms: dict[int, int] = {}
     zero_divisors: set[int] = set()
-    for i, m in enumerate(indices):
-        # QR reads Perrin(a, b) at even stream positions and Perrin(b, a) at odd ones
-        t = [windows[j % len(windows)][i][j] for j in range(parity, parity + 4)]
+    for m in indices:
+        # t_{2k+j} from row j % 2 at F_{k+j//2}; the sign (-1)^{k+j//2}
+        # changes neither a square nor whether a term is 0
+        t = []
+        for j in range(parity, parity + 4):
+            a, b, c = forms[j % 2]
+            t.append((a + b * fibs[j // 2] + c * fibs[j // 2 + 1]) % p)
         norms[m] = sum(x * x for x in t) % p
         if norms[m] == 0 and any(t):
             zero_divisors.add(m)
+        fibs = [r * f % p for f in fibs]
     return norms, zero_divisors
 
 
@@ -389,7 +397,8 @@ def verify_case(case: TheoremCase, scan_multiplier: int = 2) -> TheoremVerdict:
     """
     if scan_multiplier < 2:
         raise ValueError("scan multiplier must be >= 2")
-    # (p-2, p) mod p; TheoremCase.build has checked that p heads a twin pair
+    # (p-2, p) mod p; p heads a twin pair, checked by TheoremCase.build or
+    # taken from the sieve for TheoremCase.trusted
     params = SeqParams(case.p - 2, 0, modulus=case.p)
     window = 2 * case.profile.pisano_period
     scan_limit = scan_multiplier * window

@@ -246,6 +246,17 @@ class TestScan:
             "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"
         )
 
+    def test_scan_builds_cases_without_primality_checks(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError("twin primality checked again")
+
+        monkeypatch.setattr(verifier, "is_prime", refuse)
+        status, out, _ = run_cli(capsys, "scan", "--upto", "2000", "--format", "csv")
+        assert status == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"
+        )
+
 
 class TestGoldenBytes:
     # sha256 of stdout (not --out: the JSON config records the output path)
@@ -262,6 +273,10 @@ class TestGoldenBytes:
          "7c3e9db86884d50140db4e32db45b73e2ee8af61558c9b581a5b7b7e5b3ff784", 0),
         (("seq", "--symbolic", "--upto", "4", "--format", "json"),
          "f8a379042bb20bc682fcfec37dd2e02c9ec31027f572cf6fa666f5728bb15337", 0),
+        (("scan", "--upto", "20000", "--format", "csv"),
+         "09d0df440f8ad7817e199051e43d510ff4b0d2e62dbe8b623e71ed384cde3f40", 2),
+        (("scan", "--upto", "3000", "--scan-multiplier", "4", "--format", "json"),
+         "86cd7db04bbc68462f34d082e23ce62bec895255084c3675087956d777aff56e", 2),
     ])
     def test_stdout_digest(self, capsys, argv, digest, expected_status):
         status, out, _ = run_cli(capsys, *argv)

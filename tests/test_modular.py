@@ -74,6 +74,14 @@ class TestTwinPrimes:
         ]
         assert twin_primes_upto(499) == expected
 
+    def test_matches_prime_set_definition_every_bound_to_5000(self):
+        # the definition through a list and a set of all primes, at 5000;
+        # at a lower bound it gives the pairs with p <= bound
+        prime = set(primes_upto(5000))
+        pairs = [(p - 2, p) for p in sorted(prime) if p >= 5 and p - 2 in prime]
+        for bound in range(5001):
+            assert twin_primes_upto(bound) == [t for t in pairs if t[1] <= bound], bound
+
 
 class TestPrimeModulus:
     def test_rejects_non_primes(self):

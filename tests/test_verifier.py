@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from reference import matrix_jump_oracle
 
 from padquat.fibonacci import FibProfile, entry_point, fib_mod, pisano_period
 from padquat.modular import (
@@ -13,9 +14,10 @@ from padquat.modular import (
     twin_primes_upto,
 )
 from padquat.quaternion import qp_elements, qr_elements
-from padquat.sequences import NotTwinPrime, SeqParams
+from padquat.sequences import NotTwinPrime, SeqParams, padovan_fib_form
 from padquat.verifier import (
     FAILS,
+    FIB_FORMS,
     HOLDS,
     HOLDS_VACUOUSLY,
     NORM_REDUCTIONS,
@@ -478,6 +480,19 @@ class TestJumpOracle:
                         {m for m in indices if m in zero_divisors},
                     ), (p, family, parity)
 
+    def test_matches_matrix_reference_for_every_twin_prime_to_1e5(self):
+        # every hypothesis index of both parities over two windows: the
+        # closed form against 3x3 matrix powers over general (a, b)
+        for _, p in twin_primes_upto(10**5):
+            params, profile = SeqParams.twin_prime(p), FibProfile.of(p)
+            z, limit = profile.entry_point, 4 * profile.pisano_period
+            for family in ("QP", "QR"):
+                for parity in (0, 1):
+                    indices = range(2 * (z - 3) + parity, limit, 2 * z)
+                    assert jump_oracle(params, family, profile, indices) == (
+                        matrix_jump_oracle(params, family, profile, indices)
+                    ), (p, family, parity)
+
     def test_any_start_below_the_step(self):
         params, profile = SeqParams.twin_prime(31), FibProfile.of(31)
         z = profile.entry_point
@@ -493,8 +508,21 @@ class TestJumpOracle:
         # which the QP stream mod 5 (minimal period 40) does not repeat in
         params = SeqParams.twin_prime(5)
         assert 10 % family_period(params, "QP") != 0
+        # pi(7) = 16 = 2 z(7); a claimed pi of 8 is even and a multiple of z
+        params7 = SeqParams.twin_prime(7)
+        assert 16 % family_period(params7, "QR") != 0
+        for oracle in (jump_oracle, matrix_jump_oracle):
+            with pytest.raises(AssertionError):
+                oracle(params, "QP", FibProfile(5, 5, 5), range(2, 80, 10))
+            with pytest.raises(AssertionError):
+                oracle(params7, "QR", FibProfile(7, 8, 8), range(10, 64, 16))
+
+    def test_wrong_entry_point_fails_the_certificate(self):
+        # F_1 = 1, so Q^1 is no multiple of I, though r = F_2 = 1 gives
+        # r^{pi/z} = 1
+        params = SeqParams.twin_prime(7)
         with pytest.raises(AssertionError):
-            jump_oracle(params, "QP", FibProfile(5, 5, 5), range(2, 80, 10))
+            jump_oracle(params, "QR", FibProfile(7, 1, 16), range(1, 64, 2))
 
     def test_indices_must_step_by_twice_the_entry_point(self):
         params, profile = SeqParams.twin_prime(7), FibProfile.of(7)
@@ -502,3 +530,71 @@ class TestJumpOracle:
             jump_oracle(params, "QP", profile, range(16, 64, 16))  # starts at 2 z
         with pytest.raises(ValueError):
             jump_oracle(params, "QP", profile, range(0, 64, 8))  # step z
+
+    def test_params_must_be_twin_prime_coefficients(self):
+        profile = FibProfile.of(7)
+        with pytest.raises(ValueError):
+            jump_oracle(SeqParams(4, 0, modulus=7), "QP", profile, range(10, 64, 16))
+
+
+def integer_stream(a, b, init, count):
+    """The bi-periodic recurrence over Z, no modulus."""
+    t = list(init)
+    while len(t) < count:
+        n = len(t)
+        t.append((a if n % 2 == 0 else b) * t[n - 2] + t[n - 3])
+    return t
+
+
+FIB = [0, 1]
+while len(FIB) < 210:
+    FIB.append(FIB[-1] + FIB[-2])
+
+
+class TestFibForms:
+    """`FIB_FORMS` checked over Z with no modulus, (a, b) = (-2, 0)."""
+
+    K = 200
+    STREAMS = {
+        "QP": integer_stream(-2, 0, (1, 0, -2), 2 * K + 2),
+        # R(a, b) at even positions, R(b, a) = R at (0, -2) at odd ones
+        "QR": [
+            t if n % 2 == 0 else s
+            for n, (t, s) in enumerate(zip(
+                integer_stream(-2, 0, (3, 0, 2), 2 * K + 2),
+                integer_stream(0, -2, (3, 0, 2), 2 * K + 2),
+            ))
+        ],
+    }
+
+    @staticmethod
+    def satisfies_parity_recurrence(e):
+        return all(e[k] == -2 * e[k - 1] + e[k - 3] for k in range(3, len(e)))
+
+    @pytest.mark.parametrize("family", ["QP", "QR"])
+    def test_rows_reproduce_the_integer_streams(self, family):
+        for r, (a, b, c) in enumerate(FIB_FORMS[family]):
+            for k in range(self.K + 1):
+                expected = (-1) ** k * (a + b * FIB[k] + c * FIB[k + 1])
+                assert self.STREAMS[family][2 * k + r] == expected, (family, r, k)
+
+    def test_both_sides_satisfy_one_order_three_recurrence(self):
+        # the parity subsequences of a stream by the generating-function
+        # denominator 1 - (a+b) x^2 + ab x^4 - x^6, the Fibonacci side since
+        # 2 F_{k-1} - F_{k-3} = F_k: so rows that fit k = 0, 1, 2 fit every k
+        ks = range(self.K + 1)
+        assert self.satisfies_parity_recurrence([(-1) ** k for k in ks])
+        assert self.satisfies_parity_recurrence([(-1) ** k * FIB[k] for k in ks])
+        assert self.satisfies_parity_recurrence([(-1) ** k * FIB[k + 1] for k in ks])
+        for stream in self.STREAMS.values():
+            assert self.satisfies_parity_recurrence(stream[0::2])
+            assert self.satisfies_parity_recurrence(stream[1::2])
+
+    def test_padovan_rows_are_padovan_fib_form(self):
+        # a modulus above every |P_m| here makes padovan_fib_form exact
+        big = 10**60
+        for m in range(2 * self.K):
+            k, r = divmod(m, 2)
+            a, b, c = FIB_FORMS["QP"][r]
+            row = (-1) ** k * (a + b * FIB[k] + c * FIB[k + 1])
+            assert padovan_fib_form(m, big) == row % big, m
