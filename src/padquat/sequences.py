@@ -225,38 +225,6 @@ def perrin_mod(params: SeqParams, count: int) -> list[int]:
     return _extend([3 % m, 0, 2 % m][:count], params.a, params.b, count, m)
 
 
-def seq_period(params: SeqParams, kind: str) -> int:
-    """Exact minimal period of the modular sequence.
-
-    The order-3 step has trailing coefficient 1, hence is invertible over
-    Z_m and the sequence is purely periodic (no preperiod).  The scan first
-    finds the recurrence of the initial parity-tagged state, which happens
-    at an even offset, then minimizes over divisors so that a sequence
-    insensitive to the parity alternation reports its true (possibly odd)
-    period.
-    """
-    if kind not in ("padovan", "perrin"):
-        raise ValueError(f"kind must be 'padovan' or 'perrin', got {kind!r}")
-    m = params._require_modulus()
-    gen = padovan_mod(params, 8) if kind == "padovan" else perrin_mod(params, 8)
-    init = tuple(gen[:3])
-    limit = 2 * m**3 + 4  # parity-tagged state space bound
-    n = 2
-    while n <= limit:
-        _extend(gen, params.a, params.b, n + 3, m)
-        if tuple(gen[n : n + 3]) == init:
-            break
-        n += 2
-    else:
-        raise AssertionError("period scan exceeded the state-space bound")
-    aligned = n
-    _extend(gen, params.a, params.b, 2 * aligned, m)
-    for d in sorted(d for d in range(1, aligned + 1) if aligned % d == 0):
-        if all(gen[i + d] == gen[i] for i in range(aligned)):
-            return d
-    return aligned
-
-
 def padovan_gf_numerator() -> list[BiPoly]:
     """Numerator 1 - b*x^2 + x^3 of the generating function, as x-coefficients."""
     return [BiPoly.one(), BiPoly.zero(), -BiPoly.b(), BiPoly.one()]

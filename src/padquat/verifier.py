@@ -3,25 +3,24 @@
 Each claim predicts, for indices m satisfying the hypothesis congruence
 (m/2 or (m-1)/2 congruent to -3 mod z(p)), exactly which quaternions
 QP_m or QR_m are zero divisors in Q(-1,-1) over Z_p.  Every claim is one
-row of the `CLAIMS` table.  The engine reads the quaternions at the
-hypothesis indices of a window that covers the combined period of both
-sides from the Fibonacci closed forms of their coefficients (`FIB_FORMS`),
-computes their norms, and classifies the claim as HOLDS, HOLDS_VACUOUSLY,
-or FAILS with the full counterexample list.  The linear brute-force norm
-scan (`norm_oracle`) is kept as the reference it is tested against.
+row of the `CLAIMS` table.  The engine reads only the hypothesis indices
+k = j z(p) - 3 of a window that covers the combined period of both sides:
+there F_k .. F_{k+3} are r^j (2, -1, 1, 0) with r = F_{z+1} mod p, and
+the Fibonacci closed forms of the coefficients (`FIB_FORMS`) give each
+quaternion and its norm.  It classifies the claim as HOLDS,
+HOLDS_VACUOUSLY, or FAILS with the full counterexample list, whose
+reduced norm values come from the same read.  The linear and matrix
+references this is tested against live in the tests.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from typing import Callable
 
 from .fibonacci import FibProfile, entry_point, fib_mod, fib_pair
 from .modular import is_prime, jacobi, legendre
-from .quaternion import family_stream
-from .sequences import NotTwinPrime, SeqParams, seq_period
+from .sequences import NotTwinPrime
 
 
 class HypothesisViolated(ValueError):
@@ -120,6 +119,16 @@ _REDUCTIONS_BY_KIND = dict(NORM_REDUCTIONS)
 _REDUCTIONS_BY_KIND["perrin-even-adjusted"] = PERRIN_EVEN_ADJUSTED
 
 
+def _reduce(red: NormReduction, f2: int, p: int) -> int:
+    """The quadratic of `red` at a hypothesis index, from F_{k+2} mod p.
+
+    There F_{k+3} = 0, so F_{k+1} = -F_{k+2}: f is F_{k+2} - 1 for the
+    Padovan kinds and -F_{k+2} for the Perrin kinds.
+    """
+    f = f2 - 1 if red.kind.startswith("padovan") else -f2
+    return red.value(f % p, p)
+
+
 def reduced_norm_value(kind: str, k: int, p: int) -> int:
     """The Fibonacci-expressed norm quadratic at k, reduced mod p.
 
@@ -132,11 +141,7 @@ def reduced_norm_value(kind: str, k: int, p: int) -> int:
     z = entry_point(p)
     if (k + 3) % z != 0:
         raise HypothesisViolated(f"k={k} violates z({p}) | k+3 (z = {z})")
-    if red.kind.startswith("padovan"):
-        f = (fib_mod(k + 2, p) - 1) % p
-    else:
-        f = fib_mod(k + 1, p)
-    return red.value(f, p)
+    return _reduce(red, fib_mod(k + 2, p), p)
 
 
 def _index_classes(profile: FibProfile) -> tuple[int, ...]:
@@ -190,7 +195,7 @@ class TheoremCase:
             p=p,
             profile=profile,
             parity=claim.parity,
-            hypothesis_class=(z - 3) % z,
+            hypothesis_class=z - 3,  # z(p) >= 5 for p >= 5
             family=claim.family,
             predicted_classes=classes,
             claims_invertibility=claim.classes == (),
@@ -238,85 +243,37 @@ FIB_FORMS = {
 }
 
 
-def jump_oracle(
-    params: SeqParams, family: str, profile: FibProfile, indices: range
-) -> tuple[dict[int, int], set[int]]:
-    """Norms and zero divisors of the quaternions m in `indices`, without
-    building the coefficient stream.
+def jump_oracle(case: TheoremCase, count: int) -> list[tuple[int, int, bool]]:
+    """(F_{k+2}, norm, is zero divisor) mod p for the quaternions m = 2k +
+    parity of the case at its first `count` hypothesis indices k = j z(p) - 3,
+    j = 1, 2, ..., without building the coefficient stream.
 
-    `params` must be (a, b) = (-2, 0) mod p, and `indices` start below
-    2 z(p) and step by 2 z(p), as the hypothesis indices of a claim do.
-    Quaternion m = 2k + parity is t_m .. t_{m+3}, which `FIB_FORMS` gives
-    from F_k .. F_{k+3}.  F_z = 0 makes the Fibonacci matrix Q^z = r I with
-    r = F_{z+1} mod p, so each step of k by z(p) multiplies F_k .. F_{k+3}
-    by r.  Raises AssertionError unless F_z = 0, z | pi, pi is even and
-    r^{pi/z} = 1: then Q^pi = I and 2 pi(p) is a period of the family's
-    stream, hence equals lcm(family_period, 2 pi(p)).
+    Quaternion m is t_m .. t_{m+3}, which `FIB_FORMS` gives from
+    F_k .. F_{k+3}.  F_z = 0 makes the Fibonacci matrix Q^z = r I with
+    r = F_{z+1} mod p, so F_k .. F_{k+3} = r^j (F_{-3} .. F_0) =
+    r^j (2, -1, 1, 0).  Raises AssertionError unless F_z = 0, z | pi, pi
+    is even and r^{pi/z} = 1: then Q^pi = I and 2 pi(p) is a period of the
+    family's stream, hence equals lcm(family period, 2 pi(p)).
     """
-    p = params.modulus
-    z, pi = profile.entry_point, profile.pisano_period
-    k0, parity = divmod(indices.start, 2)
-    if indices.step != 2 * z or k0 >= z:
-        raise ValueError("indices must start below 2 z(p) and step by 2 z(p)")
-    if (params.a, params.b) != (p - 2, 0):
-        raise ValueError("the closed forms need (a, b) = (-2, 0) mod p")
+    p = case.p
+    z, pi = case.profile.entry_point, case.profile.pisano_period
     f_z, r = fib_pair(z, p)
     if f_z or pi % z or pi % 2 or pow(r, pi // z, p) != 1:
-        raise AssertionError(f"2*pi({p}) is not a period of the {family} stream")
-    f0, f1 = fib_pair(k0, p)
-    fibs = [f0, f1, (f0 + f1) % p, (f0 + 2 * f1) % p]  # F_k .. F_{k+3}
-    forms = FIB_FORMS[family]
-    norms: dict[int, int] = {}
-    zero_divisors: set[int] = set()
-    for m in indices:
+        raise AssertionError(f"2*pi({p}) is not a period of the {case.family} stream")
+    forms = FIB_FORMS[case.family]
+    fibs = [2, p - 1, 1, 0]  # F_{-3} .. F_0
+    reads = []
+    for _ in range(count):
+        fibs = [r * f % p for f in fibs]
         # t_{2k+j} from row j % 2 at F_{k+j//2}; the sign (-1)^{k+j//2}
         # changes neither a square nor whether a term is 0
         t = []
-        for j in range(parity, parity + 4):
+        for j in range(case.parity, case.parity + 4):
             a, b, c = forms[j % 2]
             t.append((a + b * fibs[j // 2] + c * fibs[j // 2 + 1]) % p)
-        norms[m] = sum(x * x for x in t) % p
-        if norms[m] == 0 and any(t):
-            zero_divisors.add(m)
-        fibs = [r * f % p for f in fibs]
-    return norms, zero_divisors
-
-
-def norm_oracle(
-    params: SeqParams, family: str, scan_limit: int
-) -> tuple[list[int], set[int]]:
-    """Norms and zero divisors of the quaternions m < scan_limit, in one pass.
-
-    In Q(-1,-1) the norm of t_m + t_{m+1} i + t_{m+2} j + t_{m+3} k is the
-    sum of the four squares; it is computed on the plain int coefficient
-    stream.  A zero divisor is a nonzero quaternion of norm 0 (mod p).
-    This linear scan is the reference `jump_oracle` is tested against and
-    is deliberately independent of the claim table.
-    """
-    p = params.modulus
-    t = family_stream(params, family, max(scan_limit, 0) + 3)
-    sq = [x * x for x in t]
-    norms = [(w + x + y + z) % p for w, x, y, z in zip(sq, sq[1:], sq[2:], sq[3:])]
-    zero_divisors = {m for m, n in enumerate(norms) if n == 0 and any(t[m : m + 4])}
-    return norms, zero_divisors
-
-
-def brute_force_zero_divisors(
-    params: SeqParams, family: str, scan_limit: int
-) -> set[int]:
-    """Indices m < scan_limit whose quaternion is a zero divisor."""
-    return norm_oracle(params, family, scan_limit)[1]
-
-
-@lru_cache(maxsize=None)
-def family_period(params: SeqParams, family: str) -> int:
-    """A period of the full quaternion coefficient stream, by linear scan;
-    the reference for the window `jump_oracle` certifies."""
-    if family == "QP":
-        return seq_period(params, "padovan")
-    return math.lcm(
-        seq_period(params, "perrin"), seq_period(params.swapped(), "perrin")
-    )
+        norm = sum(x * x for x in t) % p
+        reads.append((fibs[2], norm, norm == 0 and any(t)))
+    return reads
 
 
 @dataclass(frozen=True)
@@ -397,16 +354,13 @@ def verify_case(case: TheoremCase, scan_multiplier: int = 2) -> TheoremVerdict:
     """
     if scan_multiplier < 2:
         raise ValueError("scan multiplier must be >= 2")
-    # (p-2, p) mod p; p heads a twin pair, checked by TheoremCase.build or
-    # taken from the sieve for TheoremCase.trusted
-    params = SeqParams(case.p - 2, 0, modulus=case.p)
     window = 2 * case.profile.pisano_period
     scan_limit = scan_multiplier * window
 
     z = case.profile.entry_point
     hypothesis = range(2 * case.hypothesis_class + case.parity, scan_limit, 2 * z)
-    norms, zero_divisors = jump_oracle(params, case.family, case.profile, hypothesis)
-    observed = [m for m in hypothesis if m in zero_divisors]
+    reads = dict(zip(hypothesis, jump_oracle(case, len(hypothesis))))
+    observed = [m for m in hypothesis if reads[m][2]]
     predicted = [m for m in hypothesis if case.predicts(m)]
 
     if not hypothesis:
@@ -422,15 +376,15 @@ def verify_case(case: TheoremCase, scan_multiplier: int = 2) -> TheoremVerdict:
     counterexamples: list[Counterexample] = []
     if classification == FAILS:
         pred_set, obs_set = set(predicted), set(observed)
-        kind = _reduction_kind(case)
+        red = NORM_REDUCTIONS[_reduction_kind(case)]
         for m in sorted(pred_set ^ obs_set):
-            k = case.k_of(m)
+            f2, norm, _ = reads[m]
             counterexamples.append(
                 Counterexample(
                     index=m,
-                    k=k,
-                    norm=norms[m],
-                    reduced=reduced_norm_value(kind, k, case.p),
+                    k=case.k_of(m),
+                    norm=norm,
+                    reduced=_reduce(red, f2, case.p),
                     predicted=m in pred_set,
                     observed=m in obs_set,
                 )

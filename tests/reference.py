@@ -1,16 +1,83 @@
-"""The matrix jump oracle: an independent reference for `verifier.jump_oracle`.
+"""Slow, independent references for the verifier's production oracle.
 
-It steps each recurrence stream of a family through the two-step 3x3 map
-with general (a, b), so it relies on none of the twin-prime closed forms
-that the production oracle reads.
+- `norm_oracle`: every quaternion norm of a family over the whole integer
+  coefficient stream, one linear pass;
+- `family_period` and `seq_period`: exact stream periods by linear scan,
+  the reference for the window `verifier.jump_oracle` certifies;
+- `matrix_jump_oracle`: each recurrence stream stepped through the
+  two-step 3x3 map with general (a, b), so it relies on none of the
+  twin-prime closed forms that the production oracle reads.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import Sequence
 
 from padquat.fibonacci import FibProfile
-from padquat.sequences import SeqParams, padovan_mod, perrin_mod
+from padquat.quaternion import family_stream
+from padquat.sequences import SeqParams, _extend, padovan_mod, perrin_mod
+
+
+def norm_oracle(
+    params: SeqParams, family: str, scan_limit: int
+) -> tuple[list[int], set[int]]:
+    """Norms and zero divisors of the quaternions m < scan_limit, in one pass.
+
+    In Q(-1,-1) the norm of t_m + t_{m+1} i + t_{m+2} j + t_{m+3} k is the
+    sum of the four squares; it is computed on the plain int coefficient
+    stream.  A zero divisor is a nonzero quaternion of norm 0 (mod p).
+    This linear scan is deliberately independent of the claim table.
+    """
+    p = params.modulus
+    t = family_stream(params, family, max(scan_limit, 0) + 3)
+    sq = [x * x for x in t]
+    norms = [(w + x + y + z) % p for w, x, y, z in zip(sq, sq[1:], sq[2:], sq[3:])]
+    zero_divisors = {m for m, n in enumerate(norms) if n == 0 and any(t[m : m + 4])}
+    return norms, zero_divisors
+
+
+def seq_period(params: SeqParams, kind: str) -> int:
+    """Exact minimal period of the modular sequence.
+
+    The order-3 step has trailing coefficient 1, hence is invertible over
+    Z_m and the sequence is purely periodic (no preperiod).  The scan first
+    finds the recurrence of the initial parity-tagged state, which happens
+    at an even offset, then minimizes over divisors so that a sequence
+    insensitive to the parity alternation reports its true (possibly odd)
+    period.
+    """
+    if kind not in ("padovan", "perrin"):
+        raise ValueError(f"kind must be 'padovan' or 'perrin', got {kind!r}")
+    m = params._require_modulus()
+    gen = padovan_mod(params, 8) if kind == "padovan" else perrin_mod(params, 8)
+    init = tuple(gen[:3])
+    limit = 2 * m**3 + 4  # parity-tagged state space bound
+    n = 2
+    while n <= limit:
+        _extend(gen, params.a, params.b, n + 3, m)
+        if tuple(gen[n : n + 3]) == init:
+            break
+        n += 2
+    else:
+        raise AssertionError("period scan exceeded the state-space bound")
+    aligned = n
+    _extend(gen, params.a, params.b, 2 * aligned, m)
+    for d in sorted(d for d in range(1, aligned + 1) if aligned % d == 0):
+        if all(gen[i + d] == gen[i] for i in range(aligned)):
+            return d
+    return aligned
+
+
+@lru_cache(maxsize=None)
+def family_period(params: SeqParams, family: str) -> int:
+    """A period of the full quaternion coefficient stream, by linear scan."""
+    if family == "QP":
+        return seq_period(params, "padovan")
+    return math.lcm(
+        seq_period(params, "perrin"), seq_period(params.swapped(), "perrin")
+    )
 
 Matrix = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
 
@@ -53,7 +120,7 @@ def mat_pow(mat: Matrix, e: int, m: int) -> Matrix:
 def matrix_jump_oracle(
     params: SeqParams, family: str, profile: FibProfile, indices: range
 ) -> tuple[dict[int, int], set[int]]:
-    """`jump_oracle` by 3x3 matrix powers.
+    """The norms and zero divisors at `indices` by 3x3 matrix powers.
 
     Each recurrence stream of the family (Padovan for QP; Perrin at (a, b)
     and at (b, a) for QR) is carried as its state (t_n, t_{n+1}, t_{n+2})

@@ -13,6 +13,8 @@ import subprocess
 import sys
 import time
 
+from reference import family_period, norm_oracle
+
 from padquat.fibonacci import (
     entry_point,
     fib_mod,
@@ -51,8 +53,6 @@ from padquat.verifier import (
     HOLDS,
     TheoremCase,
     applicable_case_ids,
-    brute_force_zero_divisors,
-    family_period,
     reduced_norm_value,
     verify_case,
 )
@@ -258,7 +258,7 @@ def test_criterion_9_cor_13():
     params = SeqParams.twin_prime(13)
     case = TheoremCase.build("cor-13", 13)
     window = 2 * math.lcm(family_period(params, "QR"), 2 * pisano_period(13))
-    found = brute_force_zero_divisors(params, "QR", window)
+    found = norm_oracle(params, "QR", window)[1]
     assert not {m for m in found if case.satisfies_hypothesis(m)}
     verdict = verify_case(case)
     assert verdict.classification == HOLDS

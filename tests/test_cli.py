@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from padquat import __version__, cli, sequences, verifier
-from padquat.cli import MAX_PRIME, main
+from padquat import __version__, cli, quaternion, sequences, verifier
+from padquat.cli import MAX_PRIME, MAX_SCAN_BOUND, MAX_SYMBOLIC_TERMS, MAX_TERMS, main
 from padquat.sequences import padovan_fib_form
 
 
@@ -182,6 +182,25 @@ class TestInputBound:
         assert status == 1 and out == ""
         assert err == f"error: --p must be at most {MAX_PRIME}, got {self.P}\n"
 
+    @pytest.mark.parametrize("argv, cap", [
+        (("seq", "--symbolic", "--upto"), MAX_SYMBOLIC_TERMS),
+        (("seq", "--p", "5", "--upto"), MAX_TERMS),
+        (("scan", "--upto"), MAX_SCAN_BOUND),
+    ])
+    def test_rejects_upto_above_cap_before_any_work(self, capsys, monkeypatch, argv, cap):
+        def refuse(*args):
+            raise AssertionError("work ran")
+
+        for name in ("padovan_sym_terms", "perrin_sym_terms", "padovan_mod",
+                     "perrin_mod", "twin_primes_upto"):
+            monkeypatch.setattr(cli, name, refuse)
+        status, out, err = run_cli(capsys, *argv, str(cap + 1))
+        assert status == 1 and out == ""
+        assert err == f"error: --upto must be at most {cap}, got {cap + 1}\n"
+
+    def test_caps_admit_the_benchmark_and_test_sizes(self):
+        assert MAX_SYMBOLIC_TERMS >= 252 and MAX_SCAN_BOUND >= 10**6
+
 
 class TestScan:
     def test_small_bound_rows(self, capsys):
@@ -225,13 +244,37 @@ class TestScan:
         assert content.startswith(b"prime,case_id")
         assert b"\r" not in content
 
+    @staticmethod
+    def refuse_verify(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("verification ran")
+
+        monkeypatch.setattr(cli, "verify_case", refuse)
+
+    @pytest.mark.parametrize("where", ["missing-dir/x.csv", "."])
+    def test_unwritable_out_fails_before_any_work(self, tmp_path, capsys, monkeypatch, where):
+        self.refuse_verify(monkeypatch)
+        target = tmp_path / where
+        status, out, err = run_cli(capsys, "scan", "--upto", "200", "--out", str(target))
+        assert status == 1 and out == ""
+        assert err.startswith(f"error: cannot write --out {target}: ")
+        assert not (tmp_path / "missing-dir").exists()
+
+    def test_failed_command_leaves_out_untouched(self, tmp_path, capsys, monkeypatch):
+        self.refuse_verify(monkeypatch)
+        kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+        kept.write_bytes(b"earlier report\n")
+        for target in (kept, absent):
+            with pytest.raises(AssertionError):
+                main(["scan", "--upto", "200", "--out", str(target)])
+        assert kept.read_bytes() == b"earlier report\n"
+        assert not absent.exists()
+
     def test_scan_needs_no_linear_stream(self, capsys, monkeypatch):
         def refuse(*args):
-            raise AssertionError("linear oracle used")
+            raise AssertionError("linear stream built")
 
-        for name in ("norm_oracle", "family_period", "family_stream", "seq_period"):
-            monkeypatch.setattr(verifier, name, refuse)
-        monkeypatch.setattr(sequences, "seq_period", refuse)
+        monkeypatch.setattr(quaternion, "family_stream", refuse)
         extend = sequences._extend
 
         def short_extend(terms, a, b, count, m=None):
@@ -242,6 +285,19 @@ class TestScan:
         status, out, _ = run_cli(capsys, "scan", "--upto", "2000", "--format", "csv")
         assert status == 2
         # digest measured with the linear oracle before the jump oracle replaced it
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"
+        )
+
+    def test_scan_reads_counterexamples_without_fibonacci_recomputation(
+        self, capsys, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("a Fibonacci number computed again")
+
+        monkeypatch.setattr(verifier, "fib_mod", refuse)
+        status, out, _ = run_cli(capsys, "scan", "--upto", "2000", "--format", "csv")
+        assert status == 2
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"
         )
@@ -277,6 +333,11 @@ class TestGoldenBytes:
          "09d0df440f8ad7817e199051e43d510ff4b0d2e62dbe8b623e71ed384cde3f40", 2),
         (("scan", "--upto", "3000", "--scan-multiplier", "4", "--format", "json"),
          "86cd7db04bbc68462f34d082e23ce62bec895255084c3675087956d777aff56e", 2),
+        # many counterexample `reduced` values, far above the small primes
+        (("verify", "--p", "10093", "--format", "json"),
+         "2cf052bbaf03dcaacaa87a68840a8928d7aa213a637c890f885ff8e60a49ab00", 2),
+        (("verify", "--p", "1000213", "--format", "json"),
+         "e46e46a87b81db86ace9bdd7380097e3ee3b6ecfb41d36134de64cc7e03e5142", 2),
     ])
     def test_stdout_digest(self, capsys, argv, digest, expected_status):
         status, out, _ = run_cli(capsys, *argv)

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from reference import family_period, norm_oracle
 
 from padquat.fibonacci import pisano_period
 from padquat.modular import PrimeModulus, twin_primes_upto
@@ -17,7 +18,6 @@ from padquat.quaternion import (
     qr_symbolic,
 )
 from padquat.sequences import BiPoly, SeqParams, gf_expand, padovan_mod
-from padquat.verifier import brute_force_zero_divisors, family_period, norm_oracle
 
 
 def element(p, x, y=0, z=0, w=0):
@@ -284,9 +284,9 @@ class TestGeneratingFunctions:
 class TestOracleSmoke:
     def test_brute_force_edge_cases(self):
         params = SeqParams.twin_prime(5)
-        assert brute_force_zero_divisors(params, "QP", 0) == set()
+        assert norm_oracle(params, "QP", 0)[1] == set()
         # N(QP_0) = 1 + 0 + 9 + 1 = 11 = 1 (mod 5): not a zero divisor
-        assert brute_force_zero_divisors(params, "QP", 1) == set()
+        assert norm_oracle(params, "QP", 1)[1] == set()
 
     @pytest.mark.parametrize("family", ["QP", "QR"])
     @pytest.mark.parametrize("p", [p for _, p in twin_primes_upto(200)])
@@ -299,8 +299,7 @@ class TestOracleSmoke:
         norms, found = norm_oracle(params, family, limit)
         assert norms == [e.norm().value for e in elems]
         assert found == {m for m, e in enumerate(elems) if e.is_zero_divisor()}
-        assert brute_force_zero_divisors(params, family, limit) == found
 
     def test_family_validated(self):
         with pytest.raises(ValueError):
-            brute_force_zero_divisors(SeqParams.twin_prime(5), "XX", 10)
+            norm_oracle(SeqParams.twin_prime(5), "XX", 10)

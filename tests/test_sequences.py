@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import seq_period
 
 from padquat.fibonacci import pisano_period
 from padquat.modular import twin_primes_upto
@@ -17,7 +18,6 @@ from padquat.sequences import (
     perrin_mod,
     perrin_padovan_identity,
     perrin_sym_terms,
-    seq_period,
 )
 
 # First eleven terms of both sequences, as exponent-pair -> coefficient maps.

@@ -1,7 +1,8 @@
 import math
+from dataclasses import replace
 
 import pytest
-from reference import matrix_jump_oracle
+from reference import family_period, matrix_jump_oracle, norm_oracle
 
 from padquat.fibonacci import FibProfile, entry_point, fib_mod, pisano_period
 from padquat.modular import (
@@ -28,10 +29,7 @@ from padquat.verifier import (
     TheoremCase,
     TheoremVerdict,
     applicable_case_ids,
-    brute_force_zero_divisors,
-    family_period,
     jump_oracle,
-    norm_oracle,
     perrin_even_side_condition,
     reduced_norm_value,
     verify_case,
@@ -275,20 +273,20 @@ class TestSolvabilityBridges:
 class TestBruteForce:
     def test_edge_cases(self):
         params = SeqParams.twin_prime(5)
-        assert brute_force_zero_divisors(params, "QP", 0) == set()
-        assert brute_force_zero_divisors(params, "QP", 1) == set()
+        assert norm_oracle(params, "QP", 0)[1] == set()
+        assert norm_oracle(params, "QP", 1)[1] == set()
 
     def test_cor_13_oracle_empty_on_hypothesis(self):
         params = SeqParams.twin_prime(13)
         case = TheoremCase.build("cor-13", 13)
         limit = 2 * math.lcm(family_period(params, "QR"), 2 * pisano_period(13))
-        found = brute_force_zero_divisors(params, "QR", limit)
+        found = norm_oracle(params, "QR", limit)[1]
         assert not {m for m in found if case.satisfies_hypothesis(m)}
 
     def test_zero_divisors_are_periodic(self):
         params = SeqParams.twin_prime(7)
         period = family_period(params, "QR")
-        found = brute_force_zero_divisors(params, "QR", 2 * period)
+        found = norm_oracle(params, "QR", 2 * period)[1]
         assert {m % period for m in found if m < period} == {
             m % period for m in found
         }
@@ -404,14 +402,19 @@ class TestVerifyCase:
         assert isinstance(d["counterexamples"], list)
 
 
+def hypothesis_indices(case, limit):
+    """The case's hypothesis indices m < limit, as `verify_case` reads them."""
+    z = case.profile.entry_point
+    return range(2 * case.hypothesis_class + case.parity, limit, 2 * z)
+
+
 def linear_verdict(case, scan_multiplier, linear):
     """The verdict the linear reference gives: `linear` holds the window
     lcm(family_period, 2 pi(p)) and the `norm_oracle` norms and zero
     divisors over at least scan_multiplier such windows."""
     window, norms, zero_divisors = linear
     scan_limit = scan_multiplier * window
-    z = case.profile.entry_point
-    hypothesis = range(2 * case.hypothesis_class + case.parity, scan_limit, 2 * z)
+    hypothesis = hypothesis_indices(case, scan_limit)
     observed = [m for m in hypothesis if m in zero_divisors]
     predicted = [m for m in hypothesis if case.predicts(m)]
     if not hypothesis:
@@ -466,42 +469,34 @@ class TestJumpOracle:
                 assert verdict.to_dict() == expected.to_dict(), (cid, p, multiplier)
 
     def test_norms_match_linear_reference_at_every_hypothesis_index(self):
+        # every read against the linear norm pass over six Pisano periods,
+        # and F_{k+2} against fast doubling
         for p in TWINS_200:
-            params, profile = SeqParams.twin_prime(p), FibProfile.of(p)
-            z = profile.entry_point
-            for family in ("QP", "QR"):
-                limit = 6 * profile.pisano_period
-                norms, zero_divisors = norm_oracle(params, family, limit)
-                for parity in (0, 1):
-                    indices = range(2 * (z - 3) + parity, limit, 2 * z)
-                    jumped = jump_oracle(params, family, profile, indices)
-                    assert jumped == (
-                        {m: norms[m] for m in indices},
-                        {m for m in indices if m in zero_divisors},
-                    ), (p, family, parity)
+            params = SeqParams.twin_prime(p)
+            for cid in applicable_case_ids(p):
+                case = TheoremCase.build(cid, p)
+                limit = 6 * case.profile.pisano_period
+                norms, zero_divisors = norm_oracle(params, case.family, limit)
+                indices = hypothesis_indices(case, limit)
+                assert jump_oracle(case, len(indices)) == [
+                    (fib_mod(case.k_of(m) + 2, p), norms[m], m in zero_divisors)
+                    for m in indices
+                ], (cid, p)
 
     def test_matches_matrix_reference_for_every_twin_prime_to_1e5(self):
-        # every hypothesis index of both parities over two windows: the
-        # closed form against 3x3 matrix powers over general (a, b)
+        # every hypothesis index over two windows, for cases of both
+        # families and both parities at every prime: the closed form
+        # against 3x3 matrix powers over general (a, b)
         for _, p in twin_primes_upto(10**5):
-            params, profile = SeqParams.twin_prime(p), FibProfile.of(p)
-            z, limit = profile.entry_point, 4 * profile.pisano_period
-            for family in ("QP", "QR"):
-                for parity in (0, 1):
-                    indices = range(2 * (z - 3) + parity, limit, 2 * z)
-                    assert jump_oracle(params, family, profile, indices) == (
-                        matrix_jump_oracle(params, family, profile, indices)
-                    ), (p, family, parity)
-
-    def test_any_start_below_the_step(self):
-        params, profile = SeqParams.twin_prime(31), FibProfile.of(31)
-        z = profile.entry_point
-        norms, _ = norm_oracle(params, "QR", 8 * profile.pisano_period)
-        for start in range(2 * z):
-            indices = range(start, 8 * profile.pisano_period, 2 * z)
-            assert jump_oracle(params, "QR", profile, indices)[0] == {
-                m: norms[m] for m in indices
-            }
+            params = SeqParams.twin_prime(p)
+            for cid in applicable_case_ids(p):
+                case = TheoremCase.trusted(cid, p)
+                indices = hypothesis_indices(case, 4 * case.profile.pisano_period)
+                reads = jump_oracle(case, len(indices))
+                assert (
+                    {m: norm for m, (_, norm, _) in zip(indices, reads)},
+                    {m for m, (_, _, zd) in zip(indices, reads) if zd},
+                ) == matrix_jump_oracle(params, case.family, case.profile, indices), (cid, p)
 
     def test_wrong_window_fails_the_certificate(self):
         # z(5) = 5 and pi(5) = 20; a claimed pi of 5 makes the window 10,
@@ -511,30 +506,22 @@ class TestJumpOracle:
         # pi(7) = 16 = 2 z(7); a claimed pi of 8 is even and a multiple of z
         params7 = SeqParams.twin_prime(7)
         assert 16 % family_period(params7, "QR") != 0
-        for oracle in (jump_oracle, matrix_jump_oracle):
+        case5 = replace(TheoremCase.build("thm-padovan-even", 5), profile=FibProfile(5, 5, 5))
+        case7 = replace(TheoremCase.build("thm-perrin-even", 7), profile=FibProfile(7, 8, 8))
+        for case in (case5, case7):
             with pytest.raises(AssertionError):
-                oracle(params, "QP", FibProfile(5, 5, 5), range(2, 80, 10))
-            with pytest.raises(AssertionError):
-                oracle(params7, "QR", FibProfile(7, 8, 8), range(10, 64, 16))
+                jump_oracle(case, 4)
+        with pytest.raises(AssertionError):
+            matrix_jump_oracle(params, "QP", FibProfile(5, 5, 5), range(2, 80, 10))
+        with pytest.raises(AssertionError):
+            matrix_jump_oracle(params7, "QR", FibProfile(7, 8, 8), range(10, 64, 16))
 
     def test_wrong_entry_point_fails_the_certificate(self):
         # F_1 = 1, so Q^1 is no multiple of I, though r = F_2 = 1 gives
         # r^{pi/z} = 1
-        params = SeqParams.twin_prime(7)
+        case = replace(TheoremCase.build("cor-7", 7), profile=FibProfile(7, 1, 16))
         with pytest.raises(AssertionError):
-            jump_oracle(params, "QR", FibProfile(7, 1, 16), range(1, 64, 2))
-
-    def test_indices_must_step_by_twice_the_entry_point(self):
-        params, profile = SeqParams.twin_prime(7), FibProfile.of(7)
-        with pytest.raises(ValueError):
-            jump_oracle(params, "QP", profile, range(16, 64, 16))  # starts at 2 z
-        with pytest.raises(ValueError):
-            jump_oracle(params, "QP", profile, range(0, 64, 8))  # step z
-
-    def test_params_must_be_twin_prime_coefficients(self):
-        profile = FibProfile.of(7)
-        with pytest.raises(ValueError):
-            jump_oracle(SeqParams(4, 0, modulus=7), "QP", profile, range(10, 64, 16))
+            jump_oracle(case, 32)
 
 
 def integer_stream(a, b, init, count):
