@@ -4,19 +4,18 @@ Each claim predicts, for indices m satisfying the hypothesis congruence
 (m/2 or (m-1)/2 congruent to -3 mod z(p)), exactly which quaternions
 QP_m or QR_m are zero divisors in Q(-1,-1) over Z_p.  Every claim is one
 row of the `CLAIMS` table.  The engine reads only the hypothesis indices
-k = j z(p) - 3 of a window that covers the combined period of both sides:
-there F_k .. F_{k+3} are r^j (2, -1, 1, 0) with r = F_{z+1} mod p, and
-the Fibonacci closed forms of the coefficients (`FIB_FORMS`) give each
-quaternion and its norm.  It classifies the claim as HOLDS,
-HOLDS_VACUOUSLY, or FAILS with the full counterexample list, whose
-reduced norm values come from the same read.  The linear and matrix
-references this is tested against live in the tests.
+k = j z(p) - 3, where F_k .. F_{k+3} are r^j (2, -1, 1, 0) with
+r = F_{z+1} mod p, through the Fibonacci closed forms of the coefficients
+(`FIB_FORMS`).  As r^{pi/z} = 1, one period j = 1 .. pi(p)/z(p), read once
+per prime and stream, decides every window: HOLDS, HOLDS_VACUOUSLY, or
+FAILS with the full counterexample list, built only when read.  The
+linear, matrix and full-window references live in the tests.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 from .fibonacci import FibProfile, entry_point, fib_mod, fib_pair
 from .modular import is_prime, jacobi, legendre
@@ -166,26 +165,17 @@ class TheoremCase:
 
     @classmethod
     def build(cls, claim_id: str, p: int) -> "TheoremCase":
-        """The case of `claim_id` at p, after checking that p heads a twin
-        prime pair and that the claim applies to p."""
-        claim = CLAIMS.get(claim_id)
-        if claim is None:
-            raise ValueError(f"unknown claim id {claim_id!r}")
-        if not (p >= 5 and is_prime(p) and is_prime(p - 2)):
-            raise NotTwinPrime(f"{p} does not head a twin prime pair")
-        if claim.prime is not None and p != claim.prime:
-            raise ExcludedPrime(f"{claim_id} applies only to p = {claim.prime}")
-        if p in claim.excluded:
-            raise ExcludedPrime(f"{claim_id} excludes p = {p}")
+        """The case of `claim_id` at p, after `check_claim`."""
+        check_claim(claim_id, p)
         return cls.trusted(claim_id, p)
 
     @classmethod
-    def trusted(cls, claim_id: str, p: int) -> "TheoremCase":
+    def trusted(cls, claim_id: str, p: int, profile: FibProfile | None = None):
         """The case of `claim_id` at p with no checks: p must head a twin
         prime pair and `claim_id` be one of `applicable_case_ids(p)`, as for
-        the p that `twin_primes_upto` gives."""
+        the p that `twin_primes_upto` gives.  `profile` is FibProfile.of(p)."""
         claim = CLAIMS[claim_id]
-        profile = FibProfile.of(p)
+        profile = profile or FibProfile.of(p)
         z = profile.entry_point
         classes = claim.classes
         if classes is None:
@@ -222,6 +212,20 @@ class TheoremCase:
         return self.k_of(m) % self.profile.pisano_period in self.predicted_classes
 
 
+def check_claim(claim_id: str, p: int) -> None:
+    """Raise unless `claim_id` names a claim, p heads a twin prime pair and
+    the claim applies to p."""
+    claim = CLAIMS.get(claim_id)
+    if claim is None:
+        raise ValueError(f"unknown claim id {claim_id!r}")
+    if not (p >= 5 and is_prime(p) and is_prime(p - 2)):
+        raise NotTwinPrime(f"{p} does not head a twin prime pair")
+    if claim.prime is not None and p != claim.prime:
+        raise ExcludedPrime(f"{claim_id} applies only to p = {claim.prime}")
+    if p in claim.excluded:
+        raise ExcludedPrime(f"{claim_id} excludes p = {p}")
+
+
 def applicable_case_ids(p: int) -> list[str]:
     """Claim ids that apply to twin prime p, in canonical (sorted) order."""
     return sorted(
@@ -243,37 +247,50 @@ FIB_FORMS = {
 }
 
 
-def jump_oracle(case: TheoremCase, count: int) -> list[tuple[int, int, bool]]:
+def _period_powers(profile: FibProfile) -> list[int]:
+    """r^j mod p for j = 1 .. pi(p)/z(p), r = F_{z+1}: one period of the
+    hypothesis indices k = j z(p) - 3, where F_z = 0 makes Q^z = r I and so
+    F_k .. F_{k+3} = r^j (F_{-3} .. F_0) = r^j (2, -1, 1, 0).  Raises
+    AssertionError unless F_z = 0, z | pi, pi is even and r^{pi/z} = 1:
+    then Q^pi = I, 2 pi(p) is a period of every coefficient stream (so it
+    equals lcm(family period, 2 pi(p))) and r^{j + pi/z} = r^j."""
+    p, z, pi = profile.p, profile.entry_point, profile.pisano_period
+    f_z, r = fib_pair(z, p)
+    if f_z or pi % z or pi % 2 or pow(r, pi // z, p) != 1:
+        raise AssertionError(f"2*pi({p}) is not a period of the coefficient streams")
+    powers = [r]
+    while len(powers) < pi // z:
+        powers.append(powers[-1] * r % p)
+    return powers
+
+
+def jump_oracle(
+    case: TheoremCase, count: int, period: list[int] | None = None
+) -> list[tuple[int, int, bool]]:
     """(F_{k+2}, norm, is zero divisor) mod p for the quaternions m = 2k +
     parity of the case at its first `count` hypothesis indices k = j z(p) - 3,
     j = 1, 2, ..., without building the coefficient stream.
 
     Quaternion m is t_m .. t_{m+3}, which `FIB_FORMS` gives from
-    F_k .. F_{k+3}.  F_z = 0 makes the Fibonacci matrix Q^z = r I with
-    r = F_{z+1} mod p, so F_k .. F_{k+3} = r^j (F_{-3} .. F_0) =
-    r^j (2, -1, 1, 0).  Raises AssertionError unless F_z = 0, z | pi, pi
-    is even and r^{pi/z} = 1: then Q^pi = I and 2 pi(p) is a period of the
-    family's stream, hence equals lcm(family period, 2 pi(p)).
+    F_k .. F_{k+3} = R (2, -1, 1, 0), R = r^j from `period` (the case's
+    `_period_powers`); so F_{k+2} = R and each term is affine in R.  The
+    reads repeat every pi(p)/z(p) indices, so only one period is computed.
     """
-    p = case.p
-    z, pi = case.profile.entry_point, case.profile.pisano_period
-    f_z, r = fib_pair(z, p)
-    if f_z or pi % z or pi % 2 or pow(r, pi // z, p) != 1:
-        raise AssertionError(f"2*pi({p}) is not a period of the {case.family} stream")
-    forms = FIB_FORMS[case.family]
-    fibs = [2, p - 1, 1, 0]  # F_{-3} .. F_0
+    period = period or _period_powers(case.profile)
+    p, forms, f_back = case.p, FIB_FORMS[case.family], (2, -1, 1, 0)
+    # t_{2k+j} is row j % 2 at F_{k+j//2}, F_{k+j//2+1} up to the sign
+    # (-1)^{k+j//2}, which changes neither a square nor whether a term is 0
+    terms = []
+    for j in range(case.parity, case.parity + 4):
+        a, b, c = forms[j % 2]
+        terms.append((a, b * f_back[j // 2] + c * f_back[j // 2 + 1]))
     reads = []
-    for _ in range(count):
-        fibs = [r * f % p for f in fibs]
-        # t_{2k+j} from row j % 2 at F_{k+j//2}; the sign (-1)^{k+j//2}
-        # changes neither a square nor whether a term is 0
-        t = []
-        for j in range(case.parity, case.parity + 4):
-            a, b, c = forms[j % 2]
-            t.append((a + b * fibs[j // 2] + c * fibs[j // 2 + 1]) % p)
-        norm = sum(x * x for x in t) % p
-        reads.append((fibs[2], norm, norm == 0 and any(t)))
-    return reads
+    for power in period:
+        t0, t1, t2, t3 = [(a + d * power) % p for a, d in terms]
+        norm = (t0 * t0 + t1 * t1 + t2 * t2 + t3 * t3) % p
+        reads.append((power, norm, norm == 0 and any((t0, t1, t2, t3))))
+    whole, part = divmod(count, len(reads))
+    return reads * whole + reads[:part]
 
 
 @dataclass(frozen=True)
@@ -291,6 +308,38 @@ class Counterexample:
         return asdict(self)
 
 
+class Counterexamples(Sequence):
+    """The counterexamples of a FAILS verdict, each built when it is read:
+    the disagreements (m, F_{k+2}, norm, predicted) of the first window
+    recur in window t = 0 .. multiplier-1 at index m + 2 pi t and k + pi t,
+    with the same norm and reduced value."""
+
+    def __init__(self, case: TheoremCase, multiplier: int, first_window: list[tuple]):
+        self.case, self.multiplier, self.first_window = case, multiplier, first_window
+
+    def __len__(self) -> int:
+        return self.multiplier * len(self.first_window)
+
+    def __getitem__(self, i: int) -> Counterexample:
+        t, s = divmod(range(len(self))[i], len(self.first_window))
+        m, f2, norm, predicted = self.first_window[s]
+        pi = self.case.profile.pisano_period
+        return Counterexample(
+            index=m + 2 * pi * t,
+            k=self.case.k_of(m) + pi * t,
+            norm=norm,
+            reduced=_reduce(NORM_REDUCTIONS[_reduction_kind(self.case)], f2, self.case.p),
+            predicted=predicted,
+            observed=not predicted,
+        )
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class TheoremVerdict:
     """Predicted vs observed zero-divisor index sets for one case."""
@@ -302,7 +351,7 @@ class TheoremVerdict:
     predicted: tuple[int, ...]  # canonical residues mod window_modulus
     observed: tuple[int, ...]
     classification: str
-    counterexamples: tuple[Counterexample, ...]
+    counterexamples: Sequence[Counterexample]
 
     def to_dict(self) -> dict:
         return {
@@ -338,65 +387,64 @@ def _reduction_kind(case: TheoremCase) -> str:
     return f"{fam}-{par}"
 
 
-def verify_case(case: TheoremCase, scan_multiplier: int = 2) -> TheoremVerdict:
+def verify_case(
+    case: TheoremCase, scan_multiplier: int = 2, period: list[int] | None = None
+) -> TheoremVerdict:
     """Compare a claim's predicted zero divisors against the quaternion norms.
 
-    The window is lcm(sequence period, 2*pi(p)), which `jump_oracle`
-    certifies to be 2*pi(p); the scan covers scan_multiplier windows, so
-    every congruence class of both sides at least twice, and reads only
-    the hypothesis indices in it.
-    Classification: HOLDS when the sets agree and the comparison has
-    content (nonempty sets, or an invertibility claim over a nonempty
-    hypothesis class); HOLDS_VACUOUSLY when the hypothesis class has no
-    index in range or a zero-divisor classification matches the oracle
-    only because nothing satisfies it; FAILS otherwise, with every
-    disagreeing index recorded.
+    The window is lcm(sequence period, 2*pi(p)), which `_period_powers`
+    certifies to be 2*pi(p); the scan covers scan_multiplier windows.  The
+    reads and the predicted classes of k mod pi(p) repeat in every window,
+    so the first window's pi(p)/z(p) hypothesis indices, read at `period`
+    (the case's `_period_powers`), decide the verdict.  Classification: HOLDS when the sets agree and the comparison has
+    content (nonempty sets, or an invertibility claim); HOLDS_VACUOUSLY
+    when a zero-divisor claim matches the oracle only because nothing
+    satisfies it; FAILS otherwise, with every disagreeing index of the scan
+    in `counterexamples`.
     """
     if scan_multiplier < 2:
         raise ValueError("scan multiplier must be >= 2")
     window = 2 * case.profile.pisano_period
-    scan_limit = scan_multiplier * window
-
-    z = case.profile.entry_point
-    hypothesis = range(2 * case.hypothesis_class + case.parity, scan_limit, 2 * z)
-    reads = dict(zip(hypothesis, jump_oracle(case, len(hypothesis))))
-    observed = [m for m in hypothesis if reads[m][2]]
+    z = case.profile.entry_point  # m = 2(jz - 3) + parity < window for j <= pi/z
+    hypothesis = range(2 * case.hypothesis_class + case.parity, window, 2 * z)
+    reads = jump_oracle(case, len(hypothesis), period)
     predicted = [m for m in hypothesis if case.predicts(m)]
+    observed = [m for m, (_, _, zero) in zip(hypothesis, reads) if zero]
 
-    if not hypothesis:
-        classification = HOLDS_VACUOUSLY
-    elif predicted == observed:
-        if predicted or case.claims_invertibility:
-            classification = HOLDS
-        else:
-            classification = HOLDS_VACUOUSLY
+    counterexamples: Sequence[Counterexample] = ()
+    if predicted == observed:
+        has_content = predicted or case.claims_invertibility
+        classification = HOLDS if has_content else HOLDS_VACUOUSLY
     else:
         classification = FAILS
-
-    counterexamples: list[Counterexample] = []
-    if classification == FAILS:
-        pred_set, obs_set = set(predicted), set(observed)
-        red = NORM_REDUCTIONS[_reduction_kind(case)]
-        for m in sorted(pred_set ^ obs_set):
-            f2, norm, _ = reads[m]
-            counterexamples.append(
-                Counterexample(
-                    index=m,
-                    k=case.k_of(m),
-                    norm=norm,
-                    reduced=_reduce(red, f2, case.p),
-                    predicted=m in pred_set,
-                    observed=m in obs_set,
-                )
-            )
+        counterexamples = Counterexamples(case, scan_multiplier, [
+            (m, f2, norm, not zero)
+            for m, (f2, norm, zero) in zip(hypothesis, reads)
+            if (m in predicted) != zero
+        ])
 
     return TheoremVerdict(
         case=case,
         scan_multiplier=scan_multiplier,
         window_modulus=window,
-        scan_limit=scan_limit,
-        predicted=tuple(sorted({m % window for m in predicted})),
-        observed=tuple(sorted({m % window for m in observed})),
+        scan_limit=scan_multiplier * window,
+        predicted=tuple(predicted),
+        observed=tuple(observed),
         classification=classification,
-        counterexamples=tuple(counterexamples),
+        counterexamples=counterexamples,
     )
+
+
+def verify_prime(
+    p: int, case_ids: Iterable[str], scan_multiplier: int = 2
+) -> list[TheoremVerdict]:
+    """The verdicts of the claims `case_ids` at p, in order, from one
+    FibProfile and one `_period_powers`.  Each claim must apply to p, as
+    `applicable_case_ids(p)` at a p from `twin_primes_upto` or ids that
+    passed `check_claim` do."""
+    profile = FibProfile.of(p)
+    period = _period_powers(profile)
+    return [
+        verify_case(TheoremCase.trusted(cid, p, profile), scan_multiplier, period)
+        for cid in case_ids
+    ]

@@ -3,10 +3,13 @@
 - `norm_oracle`: every quaternion norm of a family over the whole integer
   coefficient stream, one linear pass;
 - `family_period` and `seq_period`: exact stream periods by linear scan,
-  the reference for the window `verifier.jump_oracle` certifies;
+  the reference for the window that `verifier` certifies;
 - `matrix_jump_oracle`: each recurrence stream stepped through the
   two-step 3x3 map with general (a, b), so it relies on none of the
-  twin-prime closed forms that the production oracle reads.
+  twin-prime closed forms that the production oracle reads;
+- `full_window_verdict`: a verdict from every hypothesis index of the
+  scan, each read by its own step, the reference for the one-period
+  verdict of `verifier.verify_case`.
 """
 
 from __future__ import annotations
@@ -15,9 +18,21 @@ import math
 from functools import lru_cache
 from typing import Sequence
 
-from padquat.fibonacci import FibProfile
+from padquat.fibonacci import FibProfile, fib_pair
 from padquat.quaternion import family_stream
 from padquat.sequences import SeqParams, _extend, padovan_mod, perrin_mod
+from padquat.verifier import (
+    FAILS,
+    FIB_FORMS,
+    HOLDS,
+    HOLDS_VACUOUSLY,
+    NORM_REDUCTIONS,
+    Counterexample,
+    TheoremCase,
+    TheoremVerdict,
+    _reduce,
+    _reduction_kind,
+)
 
 
 def norm_oracle(
@@ -78,6 +93,7 @@ def family_period(params: SeqParams, family: str) -> int:
     return math.lcm(
         seq_period(params, "perrin"), seq_period(params.swapped(), "perrin")
     )
+
 
 Matrix = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
 
@@ -160,3 +176,67 @@ def matrix_jump_oracle(
         if norms[m] == 0 and any(t):
             zero_divisors.add(m)
     return norms, zero_divisors
+
+
+def full_window_verdict(case: TheoremCase, scan_multiplier: int) -> TheoremVerdict:
+    """The verdict of `case` over scan_multiplier windows of 2 pi(p) that
+    reads every hypothesis index k = j z(p) - 3 of the scan, stepping
+    F_k .. F_{k+3} by r = F_{z+1} from one index to the next, and lists
+    every disagreeing index; it uses no periodicity of the reads."""
+    p = case.p
+    z, pi = case.profile.entry_point, case.profile.pisano_period
+    window = 2 * pi
+    scan_limit = scan_multiplier * window
+    hypothesis = range(2 * case.hypothesis_class + case.parity, scan_limit, 2 * z)
+    r = fib_pair(z, p)[1]
+    forms = FIB_FORMS[case.family]
+    fibs = [2, p - 1, 1, 0]  # F_{-3} .. F_0
+    reads = {}
+    for m in hypothesis:
+        fibs = [r * f % p for f in fibs]
+        t = []
+        for j in range(case.parity, case.parity + 4):
+            a, b, c = forms[j % 2]
+            t.append((a + b * fibs[j // 2] + c * fibs[j // 2 + 1]) % p)
+        norm = sum(x * x for x in t) % p
+        reads[m] = (fibs[2], norm, norm == 0 and any(t))
+    observed = [m for m in hypothesis if reads[m][2]]
+    predicted = [m for m in hypothesis if case.predicts(m)]
+
+    if not hypothesis:
+        classification = HOLDS_VACUOUSLY
+    elif predicted == observed:
+        if predicted or case.claims_invertibility:
+            classification = HOLDS
+        else:
+            classification = HOLDS_VACUOUSLY
+    else:
+        classification = FAILS
+
+    counterexamples = []
+    if classification == FAILS:
+        pred_set, obs_set = set(predicted), set(observed)
+        red = NORM_REDUCTIONS[_reduction_kind(case)]
+        for m in sorted(pred_set ^ obs_set):
+            f2, norm, _ = reads[m]
+            counterexamples.append(
+                Counterexample(
+                    index=m,
+                    k=case.k_of(m),
+                    norm=norm,
+                    reduced=_reduce(red, f2, p),
+                    predicted=m in pred_set,
+                    observed=m in obs_set,
+                )
+            )
+
+    return TheoremVerdict(
+        case=case,
+        scan_multiplier=scan_multiplier,
+        window_modulus=window,
+        scan_limit=scan_limit,
+        predicted=tuple(sorted({m % window for m in predicted})),
+        observed=tuple(sorted({m % window for m in observed})),
+        classification=classification,
+        counterexamples=tuple(counterexamples),
+    )

@@ -5,8 +5,16 @@ import json
 
 import pytest
 
-from padquat import __version__, cli, quaternion, sequences, verifier
-from padquat.cli import MAX_PRIME, MAX_SCAN_BOUND, MAX_SYMBOLIC_TERMS, MAX_TERMS, main
+from padquat import __version__, cli, modular, quaternion, sequences, verifier
+from padquat.cli import (
+    MAX_PRIME,
+    MAX_SCAN_BOUND,
+    MAX_SCAN_MULTIPLIER,
+    MAX_SYMBOLIC_TERMS,
+    MAX_TERMS,
+    main,
+)
+from padquat.fibonacci import FibProfile
 from padquat.sequences import padovan_fib_form
 
 
@@ -198,8 +206,24 @@ class TestInputBound:
         assert status == 1 and out == ""
         assert err == f"error: --upto must be at most {cap}, got {cap + 1}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--p", "13"),
+        ("scan", "--upto", "200"),
+    ])
+    def test_rejects_scan_multiplier_above_cap_before_any_work(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("work ran")
+
+        for name in ("verify_prime", "check_claim", "twin_primes_upto"):
+            monkeypatch.setattr(cli, name, refuse)
+        n = MAX_SCAN_MULTIPLIER + 1
+        status, out, err = run_cli(capsys, *argv, "--scan-multiplier", str(n))
+        assert status == 1 and out == ""
+        assert err == f"error: --scan-multiplier must be at most {MAX_SCAN_MULTIPLIER}, got {n}\n"
+
     def test_caps_admit_the_benchmark_and_test_sizes(self):
         assert MAX_SYMBOLIC_TERMS >= 252 and MAX_SCAN_BOUND >= 10**6
+        assert MAX_SCAN_MULTIPLIER >= 5
 
 
 class TestScan:
@@ -249,24 +273,30 @@ class TestScan:
         def refuse(*args):
             raise AssertionError("verification ran")
 
-        monkeypatch.setattr(cli, "verify_case", refuse)
+        monkeypatch.setattr(cli, "verify_prime", refuse)
 
+    @pytest.mark.parametrize("command", [("scan", "--upto", "200"), ("verify", "--p", "13")],
+                             ids=["scan", "verify"])
     @pytest.mark.parametrize("where", ["missing-dir/x.csv", "."])
-    def test_unwritable_out_fails_before_any_work(self, tmp_path, capsys, monkeypatch, where):
+    def test_unwritable_out_fails_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, where
+    ):
         self.refuse_verify(monkeypatch)
         target = tmp_path / where
-        status, out, err = run_cli(capsys, "scan", "--upto", "200", "--out", str(target))
+        status, out, err = run_cli(capsys, *command, "--out", str(target))
         assert status == 1 and out == ""
         assert err.startswith(f"error: cannot write --out {target}: ")
         assert not (tmp_path / "missing-dir").exists()
 
-    def test_failed_command_leaves_out_untouched(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", [("scan", "--upto", "200"), ("verify", "--p", "13")],
+                             ids=["scan", "verify"])
+    def test_failed_command_leaves_out_untouched(self, tmp_path, capsys, monkeypatch, command):
         self.refuse_verify(monkeypatch)
         kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
         kept.write_bytes(b"earlier report\n")
         for target in (kept, absent):
             with pytest.raises(AssertionError):
-                main(["scan", "--upto", "200", "--out", str(target)])
+                main([*command, "--out", str(target)])
         assert kept.read_bytes() == b"earlier report\n"
         assert not absent.exists()
 
@@ -312,6 +342,49 @@ class TestScan:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"
         )
+
+    def test_scan_takes_one_profile_and_one_pair_per_prime(self, capsys, monkeypatch):
+        calls = {"fib_pair": [], "of": []}
+        fib_pair, of = verifier.fib_pair, FibProfile.of.__func__
+
+        def counted_pair(n, p):
+            calls["fib_pair"].append(p)
+            return fib_pair(n, p)
+
+        def counted_of(cls, p):
+            calls["of"].append(p)
+            return of(cls, p)
+
+        monkeypatch.setattr(verifier, "fib_pair", counted_pair)
+        monkeypatch.setattr(FibProfile, "of", classmethod(counted_of))
+        status, out, _ = run_cli(capsys, "scan", "--upto", "2000", "--format", "csv")
+        assert status == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"
+        )
+        twins = [p for _, p in modular.twin_primes_upto(2000)]
+        assert calls == {"fib_pair": twins, "of": twins}
+
+    def test_scan_reads_do_not_grow_with_the_multiplier(self, capsys, monkeypatch):
+        reads = {}
+        jump_oracle = verifier.jump_oracle
+        for multiplier in (2, MAX_SCAN_MULTIPLIER):
+            reads[multiplier] = 0
+
+            def counted(case, count, period=None, multiplier=multiplier):
+                out = jump_oracle(case, count, period)
+                reads[multiplier] += len(out)
+                return out
+
+            monkeypatch.setattr(verifier, "jump_oracle", counted)
+            status, out, _ = run_cli(capsys, "scan", "--upto", "2000", "--format", "csv",
+                                     "--scan-multiplier", str(multiplier))
+            assert status == 2
+            # the rows do not depend on the multiplier either
+            assert hashlib.sha256(out.encode()).hexdigest() == (
+                "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"
+            )
+        assert reads[2] == reads[MAX_SCAN_MULTIPLIER] > 0
 
 
 class TestGoldenBytes:

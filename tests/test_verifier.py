@@ -2,8 +2,9 @@ import math
 from dataclasses import replace
 
 import pytest
-from reference import family_period, matrix_jump_oracle, norm_oracle
+from reference import family_period, full_window_verdict, matrix_jump_oracle, norm_oracle
 
+from padquat import verifier
 from padquat.fibonacci import FibProfile, entry_point, fib_mod, pisano_period
 from padquat.modular import (
     PrimeModulus,
@@ -24,6 +25,7 @@ from padquat.verifier import (
     NORM_REDUCTIONS,
     PERRIN_EVEN_ADJUSTED,
     Counterexample,
+    Counterexamples,
     ExcludedPrime,
     HypothesisViolated,
     TheoremCase,
@@ -33,6 +35,7 @@ from padquat.verifier import (
     perrin_even_side_condition,
     reduced_norm_value,
     verify_case,
+    verify_prime,
 )
 
 TWINS_200 = [p for _, p in twin_primes_upto(200)]
@@ -522,6 +525,56 @@ class TestJumpOracle:
         case = replace(TheoremCase.build("cor-7", 7), profile=FibProfile(7, 1, 16))
         with pytest.raises(AssertionError):
             jump_oracle(case, 32)
+
+
+class TestOnePeriodVerdict:
+    """Verdicts from one period of r against `full_window_verdict`, which
+    reads every hypothesis index of the scan."""
+
+    @pytest.mark.parametrize("multiplier", [2, 3, 4, 5])
+    def test_matches_full_window_reference_for_every_twin_prime_to_1e4(self, multiplier):
+        for _, p in twin_primes_upto(10**4):
+            ids = applicable_case_ids(p)
+            for cid, verdict in zip(ids, verify_prime(p, ids, multiplier), strict=True):
+                case = TheoremCase.build(cid, p)
+                expected = full_window_verdict(case, multiplier).to_dict()
+                assert verdict.to_dict() == expected, (cid, p, multiplier)
+                assert verify_case(case, multiplier).to_dict() == expected, (cid, p, multiplier)
+
+    def test_period_is_one_period_of_r(self):
+        for _, p in twin_primes_upto(2000):
+            profile = FibProfile.of(p)
+            z, pi = profile.entry_point, profile.pisano_period
+            r = fib_mod(z + 1, p)
+            powers = verifier._period_powers(profile)
+            assert powers == [pow(r, j, p) for j in range(1, pi // z + 1)], p
+            assert powers[-1] == 1, p
+
+    def test_counterexamples_behave_as_the_reference_tuple(self):
+        case = TheoremCase.build("thm-padovan-even", 13)
+        verdict = verify_case(case, 3)
+        cexs = verdict.counterexamples
+        expected = full_window_verdict(case, 3).counterexamples
+        assert isinstance(cexs, Counterexamples) and len(cexs) == len(expected) > 3
+        assert cexs == expected and expected == cexs and hash(cexs) == hash(expected)
+        assert cexs[-1] == expected[-1] and cexs[2] == expected[2]
+        with pytest.raises(IndexError):
+            cexs[len(expected)]
+
+    def test_counterexamples_are_built_only_when_read(self, monkeypatch):
+        built = []
+
+        def counted(**fields):
+            built.append(fields["index"])
+            return Counterexample(**fields)
+
+        monkeypatch.setattr(verifier, "Counterexample", counted)
+        verdicts = verify_prime(13, applicable_case_ids(13), 4)
+        fails = [v for v in verdicts if v.classification == FAILS]
+        assert fails and built == []
+        assert [v.first_counterexample() for v in fails] == built
+        assert len(fails[0].to_dict()["counterexamples"]) == len(fails[0].counterexamples)
+        assert len(built) == len(fails) + len(fails[0].counterexamples)
 
 
 def integer_stream(a, b, init, count):
