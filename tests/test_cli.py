@@ -275,12 +275,7 @@ class TestScan:
 
         monkeypatch.setattr(cli, "verify_prime", refuse)
 
-    @pytest.mark.parametrize("command", [("scan", "--upto", "200"), ("verify", "--p", "13")],
-                             ids=["scan", "verify"])
-    @pytest.mark.parametrize("where", ["missing-dir/x.csv", "."])
-    def test_unwritable_out_fails_before_any_work(
-        self, tmp_path, capsys, monkeypatch, command, where
-    ):
+    def check_unwritable_out(self, tmp_path, capsys, monkeypatch, command, where):
         self.refuse_verify(monkeypatch)
         target = tmp_path / where
         status, out, err = run_cli(capsys, *command, "--out", str(target))
@@ -288,9 +283,7 @@ class TestScan:
         assert err.startswith(f"error: cannot write --out {target}: ")
         assert not (tmp_path / "missing-dir").exists()
 
-    @pytest.mark.parametrize("command", [("scan", "--upto", "200"), ("verify", "--p", "13")],
-                             ids=["scan", "verify"])
-    def test_failed_command_leaves_out_untouched(self, tmp_path, capsys, monkeypatch, command):
+    def check_out_untouched(self, tmp_path, monkeypatch, command):
         self.refuse_verify(monkeypatch)
         kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
         kept.write_bytes(b"earlier report\n")
@@ -299,6 +292,22 @@ class TestScan:
                 main([*command, "--out", str(target)])
         assert kept.read_bytes() == b"earlier report\n"
         assert not absent.exists()
+
+    @pytest.mark.parametrize("where", ["missing-dir/x.csv", "."])
+    def test_unwritable_out_fails_before_any_work(self, tmp_path, capsys, monkeypatch, where):
+        self.check_unwritable_out(tmp_path, capsys, monkeypatch, ("scan", "--upto", "200"), where)
+
+    @pytest.mark.parametrize("where", ["missing-dir/x.csv", "."])
+    def test_verify_unwritable_out_fails_before_any_work(
+        self, tmp_path, capsys, monkeypatch, where
+    ):
+        self.check_unwritable_out(tmp_path, capsys, monkeypatch, ("verify", "--p", "13"), where)
+
+    def test_failed_command_leaves_out_untouched(self, tmp_path, monkeypatch):
+        self.check_out_untouched(tmp_path, monkeypatch, ("scan", "--upto", "200"))
+
+    def test_verify_failed_command_leaves_out_untouched(self, tmp_path, monkeypatch):
+        self.check_out_untouched(tmp_path, monkeypatch, ("verify", "--p", "13"))
 
     def test_scan_needs_no_linear_stream(self, capsys, monkeypatch):
         def refuse(*args):
