@@ -3,15 +3,15 @@
 The entry point z(p) is the least positive index with p | F_z; the Pisano
 period pi(p) is the period of the Fibonacci sequence mod p.  z(p) divides
 p - (5/p) (Wall 1960, Vinson 1963), so it is found by order reduction over
-the prime factors of that number.  For odd primes pi(p) is one of z(p),
-2*z(p), 4*z(p), decided by z(p) mod 4, which gives a three-candidate
-shortcut for computing it.
+the prime factors of that number.  F_z = 0 makes Q^z = r I for the
+Fibonacci matrix Q and r = F_{z+1}, so pi(p) = z(p) ord_p(r), with
+ord_p(r) one of 1, 2, 4: `FibProfile.of` reads it from one fast-doubling
+pair (F_z, F_{z+1}).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .modular import PrimeModulus, legendre
 
@@ -54,8 +54,8 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _entry_point(p: int) -> int:
+def entry_point(p: int) -> int:
+    """Least z > 0 with F_z = 0 (mod p), for an odd prime p >= 3."""
     PrimeModulus(p)  # validates p once; every other function goes through here
     # the indices n with p | F_n are the multiples of z(p), and z(p) divides
     # p - (5/p) (which is p itself for p = 5): divide out each prime factor
@@ -67,43 +67,42 @@ def _entry_point(p: int) -> int:
     return z
 
 
-def entry_point(p: int) -> int:
-    """Least z > 0 with F_z = 0 (mod p), for an odd prime p >= 3."""
-    return _entry_point(p)
-
-
-@lru_cache(maxsize=None)
-def _pisano_period(p: int) -> int:
-    z = _entry_point(p)
-    # the period is z, 2z or 4z; take the first candidate with F_{L+1} = 1
-    for mult in (1, 2, 4):
-        length = mult * z
-        if fib_pair(length, p) == (0, 1):
-            return length
-    raise AssertionError(f"no Pisano period among z, 2z, 4z for p={p}")
-
-
 def pisano_period(p: int) -> int:
     """Pisano period pi(p) for an odd prime p >= 3."""
-    return _pisano_period(p)
+    return FibProfile.of(p).pisano_period
 
 
 @dataclass(frozen=True)
 class FibProfile:
-    """Entry point and Pisano period of an odd prime, with their ratio."""
+    """Entry point and Pisano period of an odd prime, with the powers
+    r^j mod p, j = 1 .. pi(p)/z(p), of r = F_{z+1}."""
 
     p: int
     entry_point: int
-    pisano_period: int
+    powers: tuple[int, ...]  # r, r^2, ..., 1: one period of r
 
     @classmethod
     def of(cls, p: int) -> "FibProfile":
-        return cls(p, _entry_point(p), _pisano_period(p))
+        """The profile of p, certified: raises AssertionError unless
+        F_z = 0, r^j = 1 for some j <= 4 and pi(p) is even."""
+        z = entry_point(p)
+        f_z, r = fib_pair(z, p)
+        powers = [r]
+        while powers[-1] != 1 and len(powers) < 4:
+            powers.append(powers[-1] * r % p)
+        if f_z or powers[-1] != 1 or z * len(powers) % 2:
+            raise AssertionError(f"F_z, F_(z+1) certify no Pisano period for p={p}, z={z}")
+        return cls(p, z, tuple(powers))
+
+    @property
+    def pisano_period(self) -> int:
+        """z(p) times the order of r: Q^z = r I, so Q^{jz} = I iff r^j = 1."""
+        return self.entry_point * len(self.powers)
 
     @property
     def ratio(self) -> int:
         """pisano_period / entry_point, always 1, 2 or 4."""
-        return self.pisano_period // self.entry_point
+        return len(self.powers)
 
     def relation(self) -> str:
         """Which z(p)-to-pi(p) case applies, as a printable line."""

@@ -6,10 +6,11 @@ QP_m or QR_m are zero divisors in Q(-1,-1) over Z_p.  Every claim is one
 row of the `CLAIMS` table.  The engine reads only the hypothesis indices
 k = j z(p) - 3, where F_k .. F_{k+3} are r^j (2, -1, 1, 0) with
 r = F_{z+1} mod p, through the Fibonacci closed forms of the coefficients
-(`FIB_FORMS`).  As r^{pi/z} = 1, one period j = 1 .. pi(p)/z(p), read once
-per prime and stream, decides every window: HOLDS, HOLDS_VACUOUSLY, or
-FAILS with the full counterexample list, built only when read.  The
-linear, matrix and full-window references live in the tests.
+(`FIB_FORMS`).  As r^{pi/z} = 1, one period j = 1 .. pi(p)/z(p), the powers
+of r that `FibProfile.of` certifies, decides every window: HOLDS,
+HOLDS_VACUOUSLY, or FAILS with the full counterexample list, built only
+when read.  The linear, matrix and full-window references live in the
+tests.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, dataclass
 
-from .fibonacci import FibProfile, entry_point, fib_mod, fib_pair
+from .fibonacci import FibProfile, entry_point, fib_mod
 from .modular import is_prime, jacobi, legendre
 from .sequences import NotTwinPrime
 
@@ -167,16 +168,15 @@ class TheoremCase:
     def build(cls, claim_id: str, p: int) -> "TheoremCase":
         """The case of `claim_id` at p, after `check_claim`."""
         check_claim(claim_id, p)
-        return cls.trusted(claim_id, p)
+        return cls.trusted(claim_id, FibProfile.of(p))
 
     @classmethod
-    def trusted(cls, claim_id: str, p: int, profile: FibProfile | None = None):
-        """The case of `claim_id` at p with no checks: p must head a twin
-        prime pair and `claim_id` be one of `applicable_case_ids(p)`, as for
-        the p that `twin_primes_upto` gives.  `profile` is FibProfile.of(p)."""
+    def trusted(cls, claim_id: str, profile: FibProfile) -> "TheoremCase":
+        """The case of `claim_id` at p = profile.p with no checks: p must
+        head a twin prime pair and `claim_id` be one of
+        `applicable_case_ids(p)`, as for the p that `twin_primes_upto` gives."""
         claim = CLAIMS[claim_id]
-        profile = profile or FibProfile.of(p)
-        z = profile.entry_point
+        p, z = profile.p, profile.entry_point
         classes = claim.classes
         if classes is None:
             classes = _index_classes(profile) if claim.side_condition(p) else ()
@@ -247,36 +247,16 @@ FIB_FORMS = {
 }
 
 
-def _period_powers(profile: FibProfile) -> list[int]:
-    """r^j mod p for j = 1 .. pi(p)/z(p), r = F_{z+1}: one period of the
-    hypothesis indices k = j z(p) - 3, where F_z = 0 makes Q^z = r I and so
-    F_k .. F_{k+3} = r^j (F_{-3} .. F_0) = r^j (2, -1, 1, 0).  Raises
-    AssertionError unless F_z = 0, z | pi, pi is even and r^{pi/z} = 1:
-    then Q^pi = I, 2 pi(p) is a period of every coefficient stream (so it
-    equals lcm(family period, 2 pi(p))) and r^{j + pi/z} = r^j."""
-    p, z, pi = profile.p, profile.entry_point, profile.pisano_period
-    f_z, r = fib_pair(z, p)
-    if f_z or pi % z or pi % 2 or pow(r, pi // z, p) != 1:
-        raise AssertionError(f"2*pi({p}) is not a period of the coefficient streams")
-    powers = [r]
-    while len(powers) < pi // z:
-        powers.append(powers[-1] * r % p)
-    return powers
-
-
-def jump_oracle(
-    case: TheoremCase, count: int, period: list[int] | None = None
-) -> list[tuple[int, int, bool]]:
+def jump_oracle(case: TheoremCase) -> list[tuple[int, int, bool]]:
     """(F_{k+2}, norm, is zero divisor) mod p for the quaternions m = 2k +
-    parity of the case at its first `count` hypothesis indices k = j z(p) - 3,
-    j = 1, 2, ..., without building the coefficient stream.
+    parity of the case at one period of its hypothesis indices k = j z(p) - 3,
+    j = 1 .. pi(p)/z(p), without building the coefficient stream.
 
-    Quaternion m is t_m .. t_{m+3}, which `FIB_FORMS` gives from
-    F_k .. F_{k+3} = R (2, -1, 1, 0), R = r^j from `period` (the case's
-    `_period_powers`); so F_{k+2} = R and each term is affine in R.  The
-    reads repeat every pi(p)/z(p) indices, so only one period is computed.
+    There F_z = 0 makes Q^z = r I, so F_k .. F_{k+3} = R (2, -1, 1, 0) with
+    R = r^j, the j-th of `case.profile.powers`; quaternion m is t_m ..
+    t_{m+3}, which `FIB_FORMS` makes affine in R, and F_{k+2} = R.  As
+    r^{pi/z} = 1 the reads repeat with period pi(p)/z(p) in j.
     """
-    period = period or _period_powers(case.profile)
     p, forms, f_back = case.p, FIB_FORMS[case.family], (2, -1, 1, 0)
     # t_{2k+j} is row j % 2 at F_{k+j//2}, F_{k+j//2+1} up to the sign
     # (-1)^{k+j//2}, which changes neither a square nor whether a term is 0
@@ -285,12 +265,11 @@ def jump_oracle(
         a, b, c = forms[j % 2]
         terms.append((a, b * f_back[j // 2] + c * f_back[j // 2 + 1]))
     reads = []
-    for power in period:
+    for power in case.profile.powers:
         t0, t1, t2, t3 = [(a + d * power) % p for a, d in terms]
         norm = (t0 * t0 + t1 * t1 + t2 * t2 + t3 * t3) % p
         reads.append((power, norm, norm == 0 and any((t0, t1, t2, t3))))
-    whole, part = divmod(count, len(reads))
-    return reads * whole + reads[:part]
+    return reads
 
 
 @dataclass(frozen=True)
@@ -387,27 +366,26 @@ def _reduction_kind(case: TheoremCase) -> str:
     return f"{fam}-{par}"
 
 
-def verify_case(
-    case: TheoremCase, scan_multiplier: int = 2, period: list[int] | None = None
-) -> TheoremVerdict:
+def verify_case(case: TheoremCase, scan_multiplier: int = 2) -> TheoremVerdict:
     """Compare a claim's predicted zero divisors against the quaternion norms.
 
-    The window is lcm(sequence period, 2*pi(p)), which `_period_powers`
-    certifies to be 2*pi(p); the scan covers scan_multiplier windows.  The
-    reads and the predicted classes of k mod pi(p) repeat in every window,
-    so the first window's pi(p)/z(p) hypothesis indices, read at `period`
-    (the case's `_period_powers`), decide the verdict.  Classification: HOLDS when the sets agree and the comparison has
-    content (nonempty sets, or an invertibility claim); HOLDS_VACUOUSLY
-    when a zero-divisor claim matches the oracle only because nothing
-    satisfies it; FAILS otherwise, with every disagreeing index of the scan
-    in `counterexamples`.
+    The window is lcm(sequence period, 2*pi(p)), which is 2*pi(p): the
+    profile certifies Q^pi = I, so 2*pi(p) is a period of every coefficient
+    stream.  The scan covers scan_multiplier windows.  The reads and the
+    predicted classes of k mod pi(p) repeat in every window, so the first
+    window's pi(p)/z(p) hypothesis indices, read by `jump_oracle`, decide
+    the verdict.  Classification: HOLDS when the sets agree and the
+    comparison has content (nonempty sets, or an invertibility claim);
+    HOLDS_VACUOUSLY when a zero-divisor claim matches the oracle only
+    because nothing satisfies it; FAILS otherwise, with every disagreeing
+    index of the scan in `counterexamples`.
     """
     if scan_multiplier < 2:
         raise ValueError("scan multiplier must be >= 2")
     window = 2 * case.profile.pisano_period
     z = case.profile.entry_point  # m = 2(jz - 3) + parity < window for j <= pi/z
     hypothesis = range(2 * case.hypothesis_class + case.parity, window, 2 * z)
-    reads = jump_oracle(case, len(hypothesis), period)
+    reads = jump_oracle(case)
     predicted = [m for m in hypothesis if case.predicts(m)]
     observed = [m for m, (_, _, zero) in zip(hypothesis, reads) if zero]
 
@@ -439,12 +417,9 @@ def verify_prime(
     p: int, case_ids: Iterable[str], scan_multiplier: int = 2
 ) -> list[TheoremVerdict]:
     """The verdicts of the claims `case_ids` at p, in order, from one
-    FibProfile and one `_period_powers`.  Each claim must apply to p, as
-    `applicable_case_ids(p)` at a p from `twin_primes_upto` or ids that
-    passed `check_claim` do."""
+    FibProfile.  Each claim must apply to p, as `applicable_case_ids(p)` at
+    a p from `twin_primes_upto` or ids that passed `check_claim` do."""
     profile = FibProfile.of(p)
-    period = _period_powers(profile)
     return [
-        verify_case(TheoremCase.trusted(cid, p, profile), scan_multiplier, period)
-        for cid in case_ids
+        verify_case(TheoremCase.trusted(cid, profile), scan_multiplier) for cid in case_ids
     ]

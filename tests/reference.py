@@ -1,5 +1,8 @@
 """Slow, independent references for the verifier's production oracle.
 
+- `pisano_by_candidates`: pi(p) as the first of z, 2z, 4z at which the
+  pair (F_L, F_{L+1}) returns to (0, 1), the reference for the order of
+  r = F_{z+1} that `FibProfile.of` reads;
 - `norm_oracle`: every quaternion norm of a family over the whole integer
   coefficient stream, one linear pass;
 - `family_period` and `seq_period`: exact stream periods by linear scan,
@@ -18,7 +21,7 @@ import math
 from functools import lru_cache
 from typing import Sequence
 
-from padquat.fibonacci import FibProfile, fib_pair
+from padquat.fibonacci import FibProfile, entry_point, fib_pair
 from padquat.quaternion import family_stream
 from padquat.sequences import SeqParams, _extend, padovan_mod, perrin_mod
 from padquat.verifier import (
@@ -33,6 +36,16 @@ from padquat.verifier import (
     _reduce,
     _reduction_kind,
 )
+
+
+def pisano_by_candidates(p: int) -> int:
+    """pi(p) for an odd prime p: it is z(p), 2 z(p) or 4 z(p), so the first
+    of those lengths L with (F_L, F_{L+1}) = (0, 1) mod p."""
+    z = entry_point(p)
+    for length in (z, 2 * z, 4 * z):
+        if fib_pair(length, p) == (0, 1):
+            return length
+    raise AssertionError(f"no Pisano period among z, 2z, 4z for p={p}")
 
 
 def norm_oracle(

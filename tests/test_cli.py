@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from padquat import __version__, cli, modular, quaternion, sequences, verifier
+from padquat import __version__, cli, fibonacci, modular, quaternion, sequences, verifier
 from padquat.cli import (
     MAX_PRIME,
     MAX_SCAN_BOUND,
@@ -353,26 +353,32 @@ class TestScan:
         )
 
     def test_scan_takes_one_profile_and_one_pair_per_prime(self, capsys, monkeypatch):
+        twins = [p for _, p in modular.twin_primes_upto(2000)]
+        z = {p: fibonacci.entry_point(p) for p in twins}
         calls = {"fib_pair": [], "of": []}
-        fib_pair, of = verifier.fib_pair, FibProfile.of.__func__
+        fib_pair, of = fibonacci.fib_pair, FibProfile.of.__func__
 
         def counted_pair(n, p):
-            calls["fib_pair"].append(p)
+            # pairs at multiples of z(p), the z/2z/4z candidates of pi(p) among them
+            if n % z[p] == 0:
+                calls["fib_pair"].append((p, n))
             return fib_pair(n, p)
+
+        # z(p) from the table, so that the order reduction's own pairs are not counted
+        monkeypatch.setattr(fibonacci, "entry_point", z.__getitem__)
 
         def counted_of(cls, p):
             calls["of"].append(p)
             return of(cls, p)
 
-        monkeypatch.setattr(verifier, "fib_pair", counted_pair)
+        monkeypatch.setattr(fibonacci, "fib_pair", counted_pair)
         monkeypatch.setattr(FibProfile, "of", classmethod(counted_of))
         status, out, _ = run_cli(capsys, "scan", "--upto", "2000", "--format", "csv")
         assert status == 2
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"
         )
-        twins = [p for _, p in modular.twin_primes_upto(2000)]
-        assert calls == {"fib_pair": twins, "of": twins}
+        assert calls == {"fib_pair": [(p, z[p]) for p in twins], "of": twins}
 
     def test_scan_reads_do_not_grow_with_the_multiplier(self, capsys, monkeypatch):
         reads = {}
@@ -380,8 +386,8 @@ class TestScan:
         for multiplier in (2, MAX_SCAN_MULTIPLIER):
             reads[multiplier] = 0
 
-            def counted(case, count, period=None, multiplier=multiplier):
-                out = jump_oracle(case, count, period)
+            def counted(case, multiplier=multiplier):
+                out = jump_oracle(case)
                 reads[multiplier] += len(out)
                 return out
 

@@ -1,5 +1,7 @@
 import pytest
+from reference import pisano_by_candidates
 
+from padquat import fibonacci
 from padquat.fibonacci import (
     FibProfile,
     entry_point,
@@ -34,7 +36,7 @@ def entry_point_scan(p):
 
 
 def pisano_scan(p):
-    """Blind cycle scan, independent of the candidate shortcut."""
+    """Blind cycle scan, independent of the order of r and of z(p)."""
     a, b = 0, 1
     n = 0
     while True:
@@ -118,6 +120,10 @@ class TestPisanoPeriod:
                 break
             assert pisano_period(p) == pisano_scan(p)
 
+    def test_matches_candidate_reference_for_every_odd_prime_to_1e5(self):
+        for p in primes_upto(10**5)[1:]:
+            assert pisano_period(p) == pisano_by_candidates(p), p
+
     def test_defining_property(self):
         for p in (5, 7, 13, 181):
             length = pisano_period(p)
@@ -141,6 +147,17 @@ class TestProfile:
             else:
                 assert prof.ratio == 1
             assert prof.relation().startswith("pi(p) = ")
+
+    def test_wrong_entry_point_fails_the_certificate(self, monkeypatch):
+        # F_1 = 1, so Q^1 is no multiple of I, though r = F_2 = 1 has order 1;
+        # F_2 = 1 too, though r = F_3 = 2 has order 3 mod 7 and 2 * 3 is even
+        for wrong_z in (1, 2):
+            monkeypatch.setattr(
+                fibonacci, "entry_point", lambda p: wrong_z if p == 7 else entry_point(p)
+            )
+            with pytest.raises(AssertionError):
+                FibProfile.of(7)
+            assert FibProfile.of(13).pisano_period == 28
 
     def test_divisibility_characterizes_zeros(self):
         for p in (5, 7, 13, 61):
