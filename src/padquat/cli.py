@@ -61,44 +61,60 @@ class CliError(Exception):
     """Input validation failure; reported on stderr with exit status 1."""
 
 
+# The subcommands, in the order the full parser lists them.
+_COMMAND_NAMES = ("seq", "fib", "verify", "scan")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse default exits 2; we reserve 2 for FAILS
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: tuple[str, ...] = _COMMAND_NAMES) -> argparse.ArgumentParser:
+    """The padquat parser with a subparser for each of `commands`, built in
+    the order of _COMMAND_NAMES."""
     parser = _Parser(prog="padquat", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     # every command's JSON config records these two, whether it takes them or not
     parser.set_defaults(symbolic=False, scan_multiplier=2)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # argparse lists only the choices built in a usage line, so a partial build
+    # names all four itself.  The full build leaves the metavar unset: it would
+    # also rename the argument in that build's errors ("argument command:
+    # invalid choice", "required: command"), which only it reports.
+    partial = set(commands) != set(_COMMAND_NAMES)
+    metavar = "{" + ",".join(_COMMAND_NAMES) + "}" if partial else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p_seq = sub.add_parser("seq", help="print sequence terms")
-    p_seq.add_argument("--kind", choices=["padovan", "perrin"], default=None,
-                       help="which sequence (default: both)")
-    p_seq.add_argument("--symbolic", action="store_true",
-                       help="exact polynomials in a, b instead of residues")
-    p_seq.add_argument("--p", type=int, default=None,
-                       help="twin prime modulus; coefficients are (p-2, p)")
-    p_seq.add_argument("--upto", type=int, required=True,
-                       help="number of terms (indices 0..N-1)")
+    if "seq" in commands:
+        p_seq = sub.add_parser("seq", help="print sequence terms")
+        p_seq.add_argument("--kind", choices=["padovan", "perrin"], default=None,
+                           help="which sequence (default: both)")
+        p_seq.add_argument("--symbolic", action="store_true",
+                           help="exact polynomials in a, b instead of residues")
+        p_seq.add_argument("--p", type=int, default=None,
+                           help="twin prime modulus; coefficients are (p-2, p)")
+        p_seq.add_argument("--upto", type=int, required=True,
+                           help="number of terms (indices 0..N-1)")
 
-    p_fib = sub.add_parser("fib", help="Fibonacci profile of a prime")
-    p_fib.add_argument("--p", type=int, required=True)
+    if "fib" in commands:
+        p_fib = sub.add_parser("fib", help="Fibonacci profile of a prime")
+        p_fib.add_argument("--p", type=int, required=True)
 
-    p_ver = sub.add_parser("verify", help="check the zero-divisor claims for one twin prime")
-    p_ver.add_argument("--p", type=int, required=True)
-    p_ver.add_argument("--case", choices=list(CASE_IDS), default=None,
-                       help="a single claim id (default: all applicable)")
-    p_ver.add_argument("--scan-multiplier", type=int, default=2)
+    if "verify" in commands:
+        p_ver = sub.add_parser("verify", help="check the zero-divisor claims for one twin prime")
+        p_ver.add_argument("--p", type=int, required=True)
+        p_ver.add_argument("--case", choices=list(CASE_IDS), default=None,
+                           help="a single claim id (default: all applicable)")
+        p_ver.add_argument("--scan-multiplier", type=int, default=2)
 
-    p_scan = sub.add_parser("scan", help="verdicts for every twin prime up to a bound")
-    p_scan.add_argument("--upto", type=int, required=True,
-                        help="inclusive bound on the twin prime p")
-    p_scan.add_argument("--scan-multiplier", type=int, default=2)
+    if "scan" in commands:
+        p_scan = sub.add_parser("scan", help="verdicts for every twin prime up to a bound")
+        p_scan.add_argument("--upto", type=int, required=True,
+                            help="inclusive bound on the twin prime p")
+        p_scan.add_argument("--scan-multiplier", type=int, default=2)
 
-    for sp in (p_seq, p_fib, p_ver, p_scan):
+    for sp in sub.choices.values():
         sp.add_argument("--format", choices=["table", "json", "csv"], default="table")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
     return parser
@@ -271,7 +287,14 @@ def _check_writable(path: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a leading command is the only subparser this run can reach; anything
+    # else (--help, --version, no argument, an unknown name) gets all four
+    if argv and argv[0] in _COMMAND_NAMES:
+        parser = build_parser((argv[0],))
+    else:
+        parser = build_parser()
     args = parser.parse_args(argv)
     try:
         p = getattr(args, "p", None)  # scan has no --p

@@ -19,9 +19,24 @@ class LeadingCoefficientNotInvertible(ValueError):
     """Raised when a quadratic congruence has p | c2."""
 
 
-# Strong-pseudoprime bases that make Miller-Rabin deterministic for all
-# n < 3_317_044_064_679_887_385_961_981 (covers the full 63-bit range).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin bases, each with psi_k, the least strong pseudoprime to all of
+# the first k of them (Jaeschke 1993; OEIS A014233): an n < psi_k that passes
+# the first k bases is prime.  All twelve are exact below
+# psi_12 = 318_665_857_834_031_151_167_461, which covers the full 63-bit range.
+_MR_BASES = (
+    (2, 2047),
+    (3, 1373653),
+    (5, 25326001),
+    (7, 3215031751),
+    (11, 2152302898747),
+    (13, 3474749660383),
+    (17, 341550071728321),
+    (19, 341550071728321),
+    (23, 3825123056546413051),
+    (29, 3825123056546413051),
+    (31, 3825123056546413051),
+    (37, 318665857834031151167461),
+)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -42,16 +57,17 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a, psi in _MR_BASES:
         x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x not in (1, n - 1):
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
     return True
 
 

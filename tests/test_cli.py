@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -443,3 +444,99 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 1
+
+    # main builds only the subparser argv[0] names; every message must read as
+    # it does from the full four-command parser
+    CORPUS = [
+        (),
+        ("-h",),
+        ("--help",),
+        ("--version",),
+        ("--version", "scan"),
+        ("-h", "scan"),
+        ("frobnicate",),
+        ("sca",),
+        ("--bogus",),
+        ("--format", "csv", "scan", "--upto", "20"),
+        ("seq", "-h"),
+        ("fib", "-h"),
+        ("verify", "-h"),
+        ("scan", "-h"),
+        ("scan", "--version"),
+        ("scan", "--upto", "200", "--bogus"),
+        ("scan", "--upto", "200", "extra"),
+        ("seq",),
+        ("seq", "--upto", "x"),
+        ("fib",),
+        ("fib", "--p"),
+        ("fib", "--p", "x"),
+        ("verify",),
+        ("verify", "--p", "1.5"),
+        ("scan",),
+        ("scan", "--upto", "ten"),
+        ("verify", "--p", "13", "--case", "nope"),
+        ("seq", "--p", "5", "--upto", "6"),
+        ("fib", "--p", "181", "--format", "json"),
+        ("verify", "--p", "13", "--format", "csv"),
+        ("scan", "--upto", "200", "--format", "json"),
+        ("verify", "--p", "13", "--scan-multiplier", "1"),
+        ("verify", "--p", "13", "--scan-multiplier", "5000"),
+        ("scan", "--upto", "200", "--scan-multiplier", "1"),
+        ("scan", "--upto", "200", "--scan-multiplier", "5000"),
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            status = main(list(argv))
+        except SystemExit as exc:
+            status = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return status, captured.out, captured.err
+
+    @pytest.mark.parametrize("columns", ["80", "30"])
+    @pytest.mark.parametrize("argv", CORPUS, ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_partial_build_matches_full_parser(self, capsys, monkeypatch, argv, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        partial = self.outcome(capsys, argv)
+        full_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda *commands: full_parser())
+        assert partial == self.outcome(capsys, argv)
+
+    @pytest.mark.parametrize("argv, parsers", [
+        (("fib", "--p", "13"), 2),
+        (("scan", "--upto", "200"), 2),
+        (("--help",), 5),
+        (("frobnicate",), 5),
+    ])
+    def test_builds_only_the_invoked_subparser(self, capsys, monkeypatch, argv, parsers):
+        built = []
+
+        class Counted(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counted)
+        self.outcome(capsys, argv)
+        assert len(built) == parsers
+
+    @pytest.mark.parametrize("argv, message", [
+        ((), "the following arguments are required: command"),
+        (("frobnicate",), "argument command: invalid choice: 'frobnicate' "
+                          "(choose from 'seq', 'fib', 'verify', 'scan')"),
+    ])
+    def test_full_parser_errors_name_the_command_argument(
+            self, capsys, monkeypatch, argv, message):
+        monkeypatch.setenv("COLUMNS", "80")
+        # the metavar a partial build sets must not rename the argument here
+        status, _, err = self.outcome(capsys, argv)
+        assert status == ("exit", 1)
+        assert err == ("usage: padquat [-h] [--version] {seq,fib,verify,scan} ...\n"
+                       f"padquat: error: {message}\n")
+
+    def test_default_build_offers_every_command_in_order(self):
+        # a benchmark setup child times build_parser() with no arguments
+        (sub,) = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == ["seq", "fib", "verify", "scan"]

@@ -8,6 +8,7 @@ from padquat.modular import (
     QuadCongruence,
     ResidueClass,
     ZeroNotInvertible,
+    _sieve,
     is_prime,
     jacobi,
     legendre,
@@ -54,6 +55,39 @@ class TestIsPrime:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             is_prime(-7)
+
+    # psi_k, the least strong pseudoprime to the first k prime bases (OEIS A014233)
+    PSI = {
+        2: 1373653,
+        3: 25326001,
+        4: 3215031751,
+        5: 2152302898747,
+        6: 3474749660383,
+        7: 341550071728321,
+        8: 341550071728321,
+        9: 3825123056546413051,
+    }
+    BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+    @staticmethod
+    def strong_probable_prime(n, a):
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        x = pow(a, d, n)
+        return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+    @pytest.mark.parametrize("k", sorted(PSI))
+    def test_pseudoprime_to_the_first_k_bases_is_composite(self, k):
+        # psi_k passes bases 1..k, so a test that stopped at base k would call it prime
+        n = self.PSI[k]
+        assert all(self.strong_probable_prime(n, a) for a in self.BASES[:k])
+        assert not is_prime(n)
+
+    def test_agrees_with_sieve_to_two_million(self):
+        flags = _sieve(2 * 10**6)
+        wrong = [n for n, flag in enumerate(flags) if is_prime(n) != bool(flag)]
+        assert wrong == []
 
 
 class TestTwinPrimes:
