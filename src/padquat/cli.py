@@ -224,6 +224,19 @@ _ROW_HEADER = [
 ]
 
 
+def _verdicts_text(args: argparse.Namespace, verdicts: list, json_entry) -> tuple[str, int]:
+    """The report of `verdicts` in args.format, with exit status 2 when one
+    of them FAILS; `json_entry(verdict)` is a verdict's JSON record."""
+    status = 2 if any(v.classification == FAILS for v in verdicts) else 0
+    if args.format == "json":
+        payload = {"verdicts": [json_entry(v) for v in verdicts]}
+        return _json_document(args, payload), status
+    rows = [_verdict_row(v) for v in verdicts]
+    if args.format == "csv":
+        return _csv_text(_ROW_HEADER, rows), status
+    return _table_text(_ROW_HEADER, rows), status
+
+
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     p = args.p
     case_ids = applicable_case_ids(p) if args.case is None else [args.case]
@@ -233,14 +246,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     except (NotTwinPrime, ExcludedPrime) as exc:
         raise CliError(str(exc)) from exc
     verdicts = verify_prime(p, case_ids, args.scan_multiplier)
-    status = 2 if any(v.classification == FAILS for v in verdicts) else 0
-    if args.format == "json":
-        payload = {"verdicts": [v.to_dict() for v in verdicts]}
-        return _json_document(args, payload), status
-    rows = [_verdict_row(v) for v in verdicts]
-    if args.format == "csv":
-        return _csv_text(_ROW_HEADER, rows), status
-    return _table_text(_ROW_HEADER, rows), status
+    return _verdicts_text(args, verdicts, lambda v: v.to_dict())
 
 
 def cmd_scan(args: argparse.Namespace) -> tuple[str, int]:
@@ -253,14 +259,7 @@ def cmd_scan(args: argparse.Namespace) -> tuple[str, int]:
         for _, p in twin_primes_upto(args.upto)  # p from the sieve: no checks
         for verdict in verify_prime(p, applicable_case_ids(p), args.scan_multiplier)
     ]
-    status = 2 if any(v.classification == FAILS for v in verdicts) else 0
-    rows = [_verdict_row(v) for v in verdicts]
-    if args.format == "json":
-        payload = {"verdicts": [dict(zip(_ROW_HEADER, row)) for row in rows]}
-        return _json_document(args, payload), status
-    if args.format == "csv":
-        return _csv_text(_ROW_HEADER, rows), status
-    return _table_text(_ROW_HEADER, rows), status
+    return _verdicts_text(args, verdicts, lambda v: dict(zip(_ROW_HEADER, _verdict_row(v))))
 
 
 _COMMANDS = {

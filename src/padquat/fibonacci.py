@@ -6,7 +6,7 @@ p - (5/p) (Wall 1960, Vinson 1963), so it is found by order reduction over
 the prime factors of that number.  F_z = 0 makes Q^z = r I for the
 Fibonacci matrix Q and r = F_{z+1}, so pi(p) = z(p) ord_p(r), with
 ord_p(r) one of 1, 2, 4: `FibProfile.of` reads it from one fast-doubling
-pair (F_z, F_{z+1}).
+pair (F_z, F_{z+1}), which the order reduction hands over.
 """
 
 from __future__ import annotations
@@ -54,17 +54,22 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def entry_point(p: int) -> int:
-    """Least z > 0 with F_z = 0 (mod p), for an odd prime p >= 3."""
+def _entry_pair(p: int) -> tuple[int, tuple[int, int]]:
+    """z(p) and (F_z, F_{z+1}) mod p, for an odd prime p >= 3."""
     PrimeModulus(p)  # validates p once; every other function goes through here
     # the indices n with p | F_n are the multiples of z(p), and z(p) divides
     # p - (5/p) (which is p itself for p = 5): divide out each prime factor
-    # while the quotient still indexes a zero
-    z = p - legendre(5, p)
+    # while the quotient still indexes a zero, keeping that zero's pair
+    z, pair = p - legendre(5, p), None
     for q in _prime_factors(z):
-        while z % q == 0 and fib_pair(z // q, p)[0] == 0:
-            z //= q
-    return z
+        while z % q == 0 and (below := fib_pair(z // q, p))[0] == 0:
+            z, pair = z // q, below
+    return z, pair or fib_pair(z, p)
+
+
+def entry_point(p: int) -> int:
+    """Least z > 0 with F_z = 0 (mod p), for an odd prime p >= 3."""
+    return _entry_pair(p)[0]
 
 
 def pisano_period(p: int) -> int:
@@ -85,8 +90,7 @@ class FibProfile:
     def of(cls, p: int) -> "FibProfile":
         """The profile of p, certified: raises AssertionError unless
         F_z = 0, r^j = 1 for some j <= 4 and pi(p) is even."""
-        z = entry_point(p)
-        f_z, r = fib_pair(z, p)
+        z, (f_z, r) = _entry_pair(p)
         powers = [r]
         while powers[-1] != 1 and len(powers) < 4:
             powers.append(powers[-1] * r % p)
@@ -98,11 +102,6 @@ class FibProfile:
     def pisano_period(self) -> int:
         """z(p) times the order of r: Q^z = r I, so Q^{jz} = I iff r^j = 1."""
         return self.entry_point * len(self.powers)
-
-    @property
-    def ratio(self) -> int:
-        """pisano_period / entry_point, always 1, 2 or 4."""
-        return len(self.powers)
 
     def relation(self) -> str:
         """Which z(p)-to-pi(p) case applies, as a printable line."""

@@ -1,22 +1,18 @@
 """Exact modular arithmetic over odd prime moduli.
 
-Primality testing, twin-prime enumeration, modular inverses,
-Legendre/Jacobi symbols, Tonelli-Shanks square roots, and quadratic
-congruence solving.  Residues and moduli are plain ints; everything is
-deterministic and exact, no floats.
+Primality testing, twin-prime enumeration, modular inverses and
+Legendre/Jacobi symbols.  Residues and moduli are plain ints; everything
+is deterministic and exact, no floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
 class ZeroNotInvertible(ZeroDivisionError):
     """Raised when asking for the inverse of 0 mod p."""
-
-
-class LeadingCoefficientNotInvertible(ValueError):
-    """Raised when a quadratic congruence has p | c2."""
 
 
 # Miller-Rabin bases, each with psi_k, the least strong pseudoprime to all of
@@ -78,15 +74,10 @@ def _sieve(bound: int) -> bytearray:
         return bytearray()
     sieve = bytearray([1]) * (bound + 1)
     sieve[0] = sieve[1] = 0
-    for i in range(2, int(bound**0.5) + 1):
+    for i in range(2, math.isqrt(bound) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return sieve
-
-
-def primes_upto(bound: int) -> list[int]:
-    """All primes <= bound, by sieve."""
-    return [i for i, flag in enumerate(_sieve(bound)) if flag]
 
 
 def twin_primes_upto(bound: int) -> list[tuple[int, int]]:
@@ -115,17 +106,6 @@ class PrimeModulus:
             raise ValueError(f"modulus must be prime, got {self.p}")
 
 
-@dataclass(frozen=True)
-class ResidueClass:
-    """An integer residue in [0, p) paired with its modulus."""
-
-    value: int
-    p: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.p)
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) in {-1, 0, +1} for an odd prime p; a is
     reduced mod p first."""
@@ -152,106 +132,3 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def sqrt_mod(a: int, p: int) -> tuple[int, int] | None:
-    """Square roots of a mod the odd prime p, or None when a is a non-residue.
-
-    Returns the unordered pair {r, p-r} with r <= p-r; a = 0 gives (0, 0).
-    Tonelli-Shanks, with the p = 3 (mod 4) shortcut.
-    """
-    a %= p
-    if a == 0:
-        return (0, 0)
-    if legendre(a, p) == -1:
-        return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-    else:
-        r = _tonelli_shanks(a, p)
-    r = min(r, p - r)
-    return (r, p - r)
-
-
-def _tonelli_shanks(n: int, p: int) -> int:
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    c = pow(z, q, p)
-    r = pow(n, (q + 1) // 2, p)
-    t = pow(n, q, p)
-    m = s
-    while t != 1:
-        i = 0
-        t2 = t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return r
-
-
-@dataclass(frozen=True)
-class QuadCongruence:
-    """The congruence c2*x^2 + c1*x + c0 = 0 (mod p)."""
-
-    c2: int
-    c1: int
-    c0: int
-    modulus: PrimeModulus
-
-    @property
-    def discriminant(self) -> int:
-        """Full integer discriminant c1^2 - 4*c2*c0."""
-        return self.c1 * self.c1 - 4 * self.c2 * self.c0
-
-    @property
-    def discriminant_mod(self) -> int:
-        return self.discriminant % self.modulus.p
-
-    def evaluate(self, x: int) -> int:
-        p = self.modulus.p
-        return (self.c2 * x * x + self.c1 * x + self.c0) % p
-
-
-@dataclass(frozen=True)
-class QuadSolution:
-    """Root set of a quadratic congruence plus its solvability verdict."""
-
-    roots: tuple[int, ...]
-    discriminant_symbol: int  # legendre(disc, p)
-
-    @property
-    def solvable(self) -> bool:
-        return self.discriminant_symbol >= 0
-
-
-def solve_quadratic(q: QuadCongruence) -> QuadSolution:
-    """Complete root set of c2*x^2 + c1*x + c0 = 0 (mod p).
-
-    Solves by completing the square, (2*c2*x + c1)^2 = disc (mod p):
-    two roots when the discriminant is a nonzero residue, one double root
-    when it is 0, none when it is a non-residue.
-    Raises LeadingCoefficientNotInvertible when p | c2.
-    """
-    p = q.modulus.p
-    if q.c2 % p == 0:
-        raise LeadingCoefficientNotInvertible(
-            f"leading coefficient {q.c2} is 0 mod {p}; not a quadratic congruence"
-        )
-    symbol = legendre(q.discriminant, p)
-    if symbol == -1:
-        return QuadSolution((), -1)
-    pair = sqrt_mod(q.discriminant, p)
-    assert pair is not None
-    inv = mod_inverse(2 * q.c2, p)
-    roots = sorted({(y - q.c1) * inv % p for y in pair})
-    return QuadSolution(tuple(roots), symbol)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modular import PrimeModulus, ResidueClass, mod_inverse
+from .modular import PrimeModulus, mod_inverse
 from .sequences import BiPoly, SeqParams, padovan_mod, padovan_sym_terms, perrin_mod, perrin_sym_terms
 
 
@@ -63,27 +63,14 @@ class QuatElem:
         )
 
     def __sub__(self, other: "QuatElem") -> "QuatElem":
-        self._check(other)
-        return QuatElem(
-            self.modulus,
-            self.x - other.x,
-            self.y - other.y,
-            self.z - other.z,
-            self.w - other.w,
-        )
+        return self + -other
 
     def __neg__(self) -> "QuatElem":
         return QuatElem(self.modulus, -self.x, -self.y, -self.z, -self.w)
 
     def __mul__(self, other: "QuatElem | int") -> "QuatElem":
-        if isinstance(other, int):
-            return QuatElem(
-                self.modulus,
-                self.x * other,
-                self.y * other,
-                self.z * other,
-                self.w * other,
-            )
+        if isinstance(other, int):  # the scalar s is the element s + 0i + 0j + 0k
+            other = QuatElem(self.modulus, other, 0, 0, 0)
         self._check(other)
         x1, y1, z1, w1 = self.coefficients
         x2, y2, z2, w2 = other.coefficients
@@ -95,16 +82,15 @@ class QuatElem:
             x1 * w2 + w1 * x2 + y1 * z2 - z1 * y2,
         )
 
-    def __rmul__(self, other: int) -> "QuatElem":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def conj(self) -> "QuatElem":
         """(x, -y, -z, -w); satisfies u * conj(u) = N(u) * 1."""
         return QuatElem(self.modulus, self.x, -self.y, -self.z, -self.w)
 
-    def norm(self) -> ResidueClass:
+    def norm(self) -> int:
         """N(u) = x^2 + y^2 + z^2 + w^2 mod p."""
-        return ResidueClass(sum(c * c for c in self.coefficients), self.modulus.p)
+        return sum(c * c for c in self.coefficients) % self.modulus.p
 
     @property
     def is_zero(self) -> bool:
@@ -112,11 +98,11 @@ class QuatElem:
 
     def is_zero_divisor(self) -> bool:
         """Nonzero with vanishing norm."""
-        return not self.is_zero and self.norm().value == 0
+        return not self.is_zero and self.norm() == 0
 
     def inverse(self) -> "QuatElem":
         """conj(u) * N(u)^-1; raises NotInvertible when N(u) = 0."""
-        n = self.norm().value
+        n = self.norm()
         if n == 0:
             raise NotInvertible("element has zero norm")
         return self.conj() * mod_inverse(n, self.modulus.p)

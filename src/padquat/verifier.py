@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, dataclass
 
-from .fibonacci import FibProfile, entry_point, fib_mod
+from .fibonacci import FibProfile
 from .modular import is_prime, jacobi, legendre
 from .sequences import NotTwinPrime
 
@@ -115,9 +115,6 @@ NORM_REDUCTIONS = {
 # twin prime; the primary perrin-even form above disagrees at p = 5, 7.
 PERRIN_EVEN_ADJUSTED = NormReduction("perrin-even-adjusted", 51, 28, 26)
 
-_REDUCTIONS_BY_KIND = dict(NORM_REDUCTIONS)
-_REDUCTIONS_BY_KIND["perrin-even-adjusted"] = PERRIN_EVEN_ADJUSTED
-
 
 def _reduce(red: NormReduction, f2: int, p: int) -> int:
     """The quadratic of `red` at a hypothesis index, from F_{k+2} mod p.
@@ -127,21 +124,6 @@ def _reduce(red: NormReduction, f2: int, p: int) -> int:
     """
     f = f2 - 1 if red.kind.startswith("padovan") else -f2
     return red.value(f % p, p)
-
-
-def reduced_norm_value(kind: str, k: int, p: int) -> int:
-    """The Fibonacci-expressed norm quadratic at k, reduced mod p.
-
-    Requires the hypothesis z(p) | (k+3); raises HypothesisViolated
-    otherwise, since the rewriting is only valid there.
-    """
-    red = _REDUCTIONS_BY_KIND.get(kind)
-    if red is None:
-        raise ValueError(f"unknown reduction kind {kind!r}")
-    z = entry_point(p)
-    if (k + 3) % z != 0:
-        raise HypothesisViolated(f"k={k} violates z({p}) | k+3 (z = {z})")
-    return _reduce(red, fib_mod(k + 2, p), p)
 
 
 def _index_classes(profile: FibProfile) -> tuple[int, ...]:
@@ -190,11 +172,6 @@ class TheoremCase:
             predicted_classes=classes,
             claims_invertibility=claim.classes == (),
         )
-
-    def satisfies_hypothesis(self, m: int) -> bool:
-        if m % 2 != self.parity:
-            return False
-        return self.k_of(m) % self.profile.entry_point == self.hypothesis_class
 
     def k_of(self, m: int) -> int:
         return (m - self.parity) // 2
@@ -247,23 +224,39 @@ FIB_FORMS = {
 }
 
 
+def _jump_terms(family: str, parity: int) -> tuple[tuple[int, int], ...]:
+    # t_{2k+i} is row i % 2 of FIB_FORMS at F_{k+i//2}, F_{k+i//2+1} up to the
+    # sign (-1)^{k+i//2}, which changes neither a square nor whether a term
+    # is 0; at k = j z(p) - 3, F_k .. F_{k+3} = r^j (2, -1, 1, 0)
+    forms, f_back = FIB_FORMS[family], (2, -1, 1, 0)
+    terms = []
+    for i in range(parity, parity + 4):
+        a, b, c = forms[i % 2]
+        terms.append((a, b * f_back[i // 2] + c * f_back[i // 2 + 1]))
+    return tuple(terms)
+
+
+# (family, parity) -> (the terms t_m .. t_{m+3} of quaternion m = 2k + parity
+# at k = j z(p) - 3, each (A, D) with t = A + D r^j up to sign; the norm
+# reduction of the row's cases)
+CASE_ROWS = {
+    (family, parity): (_jump_terms(family, parity), NORM_REDUCTIONS[kind])
+    for family, parity, kind in (("QP", 0, "padovan-even"), ("QP", 1, "padovan-odd"),
+                                 ("QR", 0, "perrin-even"), ("QR", 1, "perrin-odd"))
+}
+
+
 def jump_oracle(case: TheoremCase) -> list[tuple[int, int, bool]]:
     """(F_{k+2}, norm, is zero divisor) mod p for the quaternions m = 2k +
     parity of the case at one period of its hypothesis indices k = j z(p) - 3,
     j = 1 .. pi(p)/z(p), without building the coefficient stream.
 
-    There F_z = 0 makes Q^z = r I, so F_k .. F_{k+3} = R (2, -1, 1, 0) with
-    R = r^j, the j-th of `case.profile.powers`; quaternion m is t_m ..
-    t_{m+3}, which `FIB_FORMS` makes affine in R, and F_{k+2} = R.  As
-    r^{pi/z} = 1 the reads repeat with period pi(p)/z(p) in j.
+    There F_z = 0 makes Q^z = r I, so with R = r^j, the j-th of
+    `case.profile.powers`, F_{k+2} = R and each term is affine in R
+    (`CASE_ROWS`).  As r^{pi/z} = 1 the reads repeat with period pi(p)/z(p)
+    in j.
     """
-    p, forms, f_back = case.p, FIB_FORMS[case.family], (2, -1, 1, 0)
-    # t_{2k+j} is row j % 2 at F_{k+j//2}, F_{k+j//2+1} up to the sign
-    # (-1)^{k+j//2}, which changes neither a square nor whether a term is 0
-    terms = []
-    for j in range(case.parity, case.parity + 4):
-        a, b, c = forms[j % 2]
-        terms.append((a, b * f_back[j // 2] + c * f_back[j // 2 + 1]))
+    p, (terms, _) = case.p, CASE_ROWS[case.family, case.parity]
     reads = []
     for power in case.profile.powers:
         t0, t1, t2, t3 = [(a + d * power) % p for a, d in terms]
@@ -283,9 +276,6 @@ class Counterexample:
     predicted: bool
     observed: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 class Counterexamples(Sequence):
     """The counterexamples of a FAILS verdict, each built when it is read:
@@ -299,15 +289,17 @@ class Counterexamples(Sequence):
     def __len__(self) -> int:
         return self.multiplier * len(self.first_window)
 
-    def __getitem__(self, i: int) -> Counterexample:
+    def __getitem__(self, i: int | slice) -> Counterexample | tuple[Counterexample, ...]:
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
         t, s = divmod(range(len(self))[i], len(self.first_window))
         m, f2, norm, predicted = self.first_window[s]
-        pi = self.case.profile.pisano_period
+        case, pi = self.case, self.case.profile.pisano_period
         return Counterexample(
             index=m + 2 * pi * t,
-            k=self.case.k_of(m) + pi * t,
+            k=case.k_of(m) + pi * t,
             norm=norm,
-            reduced=_reduce(NORM_REDUCTIONS[_reduction_kind(self.case)], f2, self.case.p),
+            reduced=_reduce(CASE_ROWS[case.family, case.parity][1], f2, case.p),
             predicted=predicted,
             observed=not predicted,
         )
@@ -353,17 +345,11 @@ class TheoremVerdict:
             "predicted_count": len(self.predicted),
             "observed_count": len(self.observed),
             "classification": self.classification,
-            "counterexamples": [c.to_dict() for c in self.counterexamples],
+            "counterexamples": [asdict(c) for c in self.counterexamples],
         }
 
     def first_counterexample(self) -> int | None:
         return self.counterexamples[0].index if self.counterexamples else None
-
-
-def _reduction_kind(case: TheoremCase) -> str:
-    fam = "padovan" if case.family == "QP" else "perrin"
-    par = "even" if case.parity == 0 else "odd"
-    return f"{fam}-{par}"
 
 
 def verify_case(case: TheoremCase, scan_multiplier: int = 2) -> TheoremVerdict:

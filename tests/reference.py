@@ -1,4 +1,7 @@
-"""Slow, independent references for the verifier's production oracle.
+"""Slow, independent references for the verifier's production oracle, and
+the number theory only the tests use (`primes_upto`, `sqrt_mod`,
+`solve_quadratic`, `reduced_norm_value` from fast doubling and
+`satisfies_hypothesis`).
 
 - `pisano_by_candidates`: pi(p) as the first of z, 2z, 4z at which the
   pair (F_L, F_{L+1}) returns to (0, 1), the reference for the order of
@@ -18,24 +21,155 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from padquat.fibonacci import FibProfile, entry_point, fib_pair
+from padquat.fibonacci import FibProfile, entry_point, fib_mod, fib_pair
+from padquat.modular import PrimeModulus, _sieve, legendre, mod_inverse
 from padquat.quaternion import family_stream
 from padquat.sequences import SeqParams, _extend, padovan_mod, perrin_mod
 from padquat.verifier import (
+    CASE_ROWS,
     FAILS,
     FIB_FORMS,
     HOLDS,
     HOLDS_VACUOUSLY,
     NORM_REDUCTIONS,
+    PERRIN_EVEN_ADJUSTED,
     Counterexample,
+    HypothesisViolated,
     TheoremCase,
     TheoremVerdict,
     _reduce,
-    _reduction_kind,
 )
+
+
+def primes_upto(bound: int) -> list[int]:
+    """All primes <= bound, by sieve."""
+    return [i for i, flag in enumerate(_sieve(bound)) if flag]
+
+
+class LeadingCoefficientNotInvertible(ValueError):
+    """Raised when a quadratic congruence has p | c2."""
+
+
+def sqrt_mod(a: int, p: int) -> tuple[int, int] | None:
+    """Square roots of a mod the odd prime p, or None when a is a non-residue.
+
+    Returns the unordered pair {r, p-r} with r <= p-r; a = 0 gives (0, 0).
+    Tonelli-Shanks.
+    """
+    a %= p
+    if a == 0:
+        return (0, 0)
+    if legendre(a, p) == -1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while legendre(z, p) != -1:
+        z += 1
+    c = pow(z, q, p)
+    r = pow(a, (q + 1) // 2, p)
+    t = pow(a, q, p)
+    m = s
+    while t != 1:
+        i = 0
+        t2 = t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        r = r * b % p
+        c = b * b % p
+        t = t * c % p
+        m = i
+    return (min(r, p - r), max(r, p - r))
+
+
+@dataclass(frozen=True)
+class QuadCongruence:
+    """The congruence c2*x^2 + c1*x + c0 = 0 (mod p)."""
+
+    c2: int
+    c1: int
+    c0: int
+    modulus: PrimeModulus
+
+    @property
+    def discriminant(self) -> int:
+        """Full integer discriminant c1^2 - 4*c2*c0."""
+        return self.c1 * self.c1 - 4 * self.c2 * self.c0
+
+    @property
+    def discriminant_mod(self) -> int:
+        return self.discriminant % self.modulus.p
+
+    def evaluate(self, x: int) -> int:
+        p = self.modulus.p
+        return (self.c2 * x * x + self.c1 * x + self.c0) % p
+
+
+@dataclass(frozen=True)
+class QuadSolution:
+    """Root set of a quadratic congruence plus its solvability verdict."""
+
+    roots: tuple[int, ...]
+    discriminant_symbol: int  # legendre(disc, p)
+
+    @property
+    def solvable(self) -> bool:
+        return self.discriminant_symbol >= 0
+
+
+def solve_quadratic(q: QuadCongruence) -> QuadSolution:
+    """Complete root set of c2*x^2 + c1*x + c0 = 0 (mod p).
+
+    Solves by completing the square, (2*c2*x + c1)^2 = disc (mod p):
+    two roots when the discriminant is a nonzero residue, one double root
+    when it is 0, none when it is a non-residue.
+    Raises LeadingCoefficientNotInvertible when p | c2.
+    """
+    p = q.modulus.p
+    if q.c2 % p == 0:
+        raise LeadingCoefficientNotInvertible(
+            f"leading coefficient {q.c2} is 0 mod {p}; not a quadratic congruence"
+        )
+    pair = sqrt_mod(q.discriminant, p)  # None exactly when (disc/p) = -1
+    if pair is None:
+        return QuadSolution((), -1)
+    inv = mod_inverse(2 * q.c2, p)
+    roots = sorted({(y - q.c1) * inv % p for y in pair})
+    return QuadSolution(tuple(roots), legendre(q.discriminant, p))
+
+
+_REDUCTIONS_BY_KIND = {**NORM_REDUCTIONS, "perrin-even-adjusted": PERRIN_EVEN_ADJUSTED}
+
+
+def reduced_norm_value(kind: str, k: int, p: int) -> int:
+    """The Fibonacci-expressed norm quadratic at k, reduced mod p.
+
+    Requires the hypothesis z(p) | (k+3); raises HypothesisViolated
+    otherwise, since the rewriting is only valid there.
+    """
+    red = _REDUCTIONS_BY_KIND.get(kind)
+    if red is None:
+        raise ValueError(f"unknown reduction kind {kind!r}")
+    z = entry_point(p)
+    if (k + 3) % z != 0:
+        raise HypothesisViolated(f"k={k} violates z({p}) | k+3 (z = {z})")
+    return _reduce(red, fib_mod(k + 2, p), p)
+
+
+def satisfies_hypothesis(case: TheoremCase, m: int) -> bool:
+    """Whether m has the parity of `case` and k = (m - parity)/2 lies in its
+    hypothesis class mod z(p)."""
+    if m % 2 != case.parity:
+        return False
+    return case.k_of(m) % case.profile.entry_point == case.hypothesis_class
 
 
 def pisano_by_candidates(p: int) -> int:
@@ -229,7 +363,7 @@ def full_window_verdict(case: TheoremCase, scan_multiplier: int) -> TheoremVerdi
     counterexamples = []
     if classification == FAILS:
         pred_set, obs_set = set(predicted), set(observed)
-        red = NORM_REDUCTIONS[_reduction_kind(case)]
+        red = CASE_ROWS[case.family, case.parity][1]
         for m in sorted(pred_set ^ obs_set):
             f2, norm, _ = reads[m]
             counterexamples.append(

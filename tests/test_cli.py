@@ -332,10 +332,27 @@ class TestScan:
     def test_scan_reads_counterexamples_without_fibonacci_recomputation(
         self, capsys, monkeypatch
     ):
-        def refuse(*args):
-            raise AssertionError("a Fibonacci number computed again")
+        # every Fibonacci number of a prime comes from its FibProfile
+        building = []
+        of = FibProfile.of.__func__
 
-        monkeypatch.setattr(verifier, "fib_mod", refuse)
+        def building_of(cls, p):
+            building.append(p)
+            try:
+                return of(cls, p)
+            finally:
+                building.pop()
+
+        def refuse_outside_profile(fn):
+            def guarded(*args):
+                if not building:
+                    raise AssertionError("a Fibonacci number computed again")
+                return fn(*args)
+            return guarded
+
+        for name in ("fib_mod", "fib_pair"):
+            monkeypatch.setattr(fibonacci, name, refuse_outside_profile(getattr(fibonacci, name)))
+        monkeypatch.setattr(FibProfile, "of", classmethod(building_of))
         status, out, _ = run_cli(capsys, "scan", "--upto", "2000", "--format", "csv")
         assert status == 2
         assert hashlib.sha256(out.encode()).hexdigest() == (
@@ -360,13 +377,10 @@ class TestScan:
         fib_pair, of = fibonacci.fib_pair, FibProfile.of.__func__
 
         def counted_pair(n, p):
-            # pairs at multiples of z(p), the z/2z/4z candidates of pi(p) among them
-            if n % z[p] == 0:
+            # every pair at z(p) itself, whichever code asks for it
+            if n == z[p]:
                 calls["fib_pair"].append((p, n))
             return fib_pair(n, p)
-
-        # z(p) from the table, so that the order reduction's own pairs are not counted
-        monkeypatch.setattr(fibonacci, "entry_point", z.__getitem__)
 
         def counted_of(cls, p):
             calls["of"].append(p)

@@ -1,5 +1,5 @@
 import pytest
-from reference import pisano_by_candidates
+from reference import pisano_by_candidates, primes_upto
 
 from padquat import fibonacci
 from padquat.fibonacci import (
@@ -9,7 +9,7 @@ from padquat.fibonacci import (
     fib_pair,
     pisano_period,
 )
-from padquat.modular import legendre, primes_upto
+from padquat.modular import legendre
 
 ODD_PRIMES = [p for p in primes_upto(1000) if p > 2]
 
@@ -139,21 +139,24 @@ class TestProfile:
                 break
             prof = FibProfile.of(p)
             z, pi = prof.entry_point, prof.pisano_period
-            assert pi % z == 0 and prof.ratio in (1, 2, 4)
+            assert pi % z == 0 and len(prof.powers) in (1, 2, 4)
             if z % 2 == 1:
-                assert prof.ratio == 4
+                assert len(prof.powers) == 4
             elif z % 4 == 0:
-                assert prof.ratio == 2
+                assert len(prof.powers) == 2
             else:
-                assert prof.ratio == 1
+                assert len(prof.powers) == 1
             assert prof.relation().startswith("pi(p) = ")
 
     def test_wrong_entry_point_fails_the_certificate(self, monkeypatch):
         # F_1 = 1, so Q^1 is no multiple of I, though r = F_2 = 1 has order 1;
         # F_2 = 1 too, though r = F_3 = 2 has order 3 mod 7 and 2 * 3 is even
+        entry_pair = fibonacci._entry_pair
         for wrong_z in (1, 2):
             monkeypatch.setattr(
-                fibonacci, "entry_point", lambda p: wrong_z if p == 7 else entry_point(p)
+                fibonacci,
+                "_entry_pair",
+                lambda p: (wrong_z, fib_pair(wrong_z, p)) if p == 7 else entry_pair(p),
             )
             with pytest.raises(AssertionError):
                 FibProfile.of(7)

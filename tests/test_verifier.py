@@ -1,19 +1,21 @@
 import math
 
 import pytest
-from reference import family_period, full_window_verdict, matrix_jump_oracle, norm_oracle
+from reference import (
+    QuadCongruence,
+    family_period,
+    full_window_verdict,
+    matrix_jump_oracle,
+    norm_oracle,
+    primes_upto,
+    reduced_norm_value,
+    satisfies_hypothesis,
+    solve_quadratic,
+)
 
 from padquat import verifier
 from padquat.fibonacci import FibProfile, entry_point, fib_mod, pisano_period
-from padquat.modular import (
-    PrimeModulus,
-    QuadCongruence,
-    legendre,
-    jacobi,
-    primes_upto,
-    solve_quadratic,
-    twin_primes_upto,
-)
+from padquat.modular import PrimeModulus, jacobi, legendre, twin_primes_upto
 from padquat.quaternion import qp_elements, qr_elements
 from padquat.sequences import NotTwinPrime, SeqParams, padovan_fib_form
 from padquat.verifier import (
@@ -32,7 +34,6 @@ from padquat.verifier import (
     applicable_case_ids,
     jump_oracle,
     perrin_even_side_condition,
-    reduced_norm_value,
     verify_case,
     verify_prime,
 )
@@ -85,9 +86,9 @@ class TestCaseConstruction:
     def test_hypothesis_class(self):
         case = TheoremCase.build("thm-padovan-even", 13)
         assert case.hypothesis_class == 4  # -3 mod z(13)=7
-        assert case.satisfies_hypothesis(8)  # m=8 -> k=4
-        assert not case.satisfies_hypothesis(9)  # odd
-        assert not case.satisfies_hypothesis(10)  # k=5
+        assert satisfies_hypothesis(case, 8)  # m=8 -> k=4
+        assert not satisfies_hypothesis(case, 9)  # odd
+        assert not satisfies_hypothesis(case, 10)  # k=5
 
 
 def predicts(claim_id, p, m):
@@ -98,18 +99,18 @@ class TestPredicates:
     def test_padovan_even_side_condition(self):
         # p = 3 (mod 4) predicts nothing
         case7 = TheoremCase.build("thm-padovan-even", 7)
-        m = next(m for m in range(0, 200, 2) if case7.satisfies_hypothesis(m))
+        m = next(m for m in range(0, 200, 2) if satisfies_hypothesis(case7, m))
         assert case7.predicts(m) is False
         # p = 1 (mod 4) predicts every candidate class
         case13 = TheoremCase.build("thm-padovan-even", 13)
         for m in range(0, 120, 2):
-            if case13.satisfies_hypothesis(m):
+            if satisfies_hypothesis(case13, m):
                 assert case13.predicts(m) is True
 
     def test_padovan_odd_side_condition(self):
         assert predicts("thm-padovan-odd", 5, 2 * 2 + 1) is False  # 5 = 2 (mod 3), k=2 = -3 mod 5
         case7 = TheoremCase.build("thm-padovan-odd", 7)
-        m = next(m for m in range(1, 200, 2) if case7.satisfies_hypothesis(m))
+        m = next(m for m in range(1, 200, 2) if satisfies_hypothesis(case7, m))
         assert case7.predicts(m) is True
 
     def test_parity_rejected(self):
@@ -132,7 +133,7 @@ class TestPredicates:
         assert predicts("cor-7", 7, 2 * 5 + 1) is False
         case = TheoremCase.build("cor-13", 13)
         for m in range(1, 300, 2):
-            if case.satisfies_hypothesis(m):
+            if satisfies_hypothesis(case, m):
                 assert case.predicts(m) is False
 
     def test_perrin_even_condition_equals_discriminant_symbol(self):
@@ -188,7 +189,7 @@ class TestNormReductions:
             for k in range(2 * pi):
                 f2, f3, f4 = (fib_mod(k + j, p) for j in (2, 3, 4))
                 rhs = (2 * (f3 - 1) ** 2 + (f2 - 1) ** 2 + (f4 - 1) ** 2) % p
-                assert elems[2 * k].norm().value == rhs, (p, k)
+                assert elems[2 * k].norm() == rhs, (p, k)
 
     def test_padovan_biconditionals_all_twins(self):
         for p in TWINS_200:
@@ -198,8 +199,8 @@ class TestNormReductions:
             for k in ks:
                 even = reduced_norm_value("padovan-even", k, p)
                 odd = reduced_norm_value("padovan-odd", k, p)
-                assert (elems[2 * k].norm().value == 0) == (even == 0), (p, k)
-                assert (elems[2 * k + 1].norm().value == 0) == (odd == 0), (p, k)
+                assert (elems[2 * k].norm() == 0) == (even == 0), (p, k)
+                assert (elems[2 * k + 1].norm() == 0) == (odd == 0), (p, k)
 
     def test_perrin_odd_biconditional_all_twins(self):
         for p in TWINS_200:
@@ -208,7 +209,7 @@ class TestNormReductions:
             elems = qr_elements(params, 2 * ks[-1] + 6)
             for k in ks:
                 value = reduced_norm_value("perrin-odd", k, p)
-                assert (elems[2 * k + 1].norm().value == 0) == (value == 0), (p, k)
+                assert (elems[2 * k + 1].norm() == 0) == (value == 0), (p, k)
 
     def test_perrin_even_adjusted_biconditional_all_twins(self):
         # The re-derived quadratic 51f^2 + 28f + 26 tracks the oracle at
@@ -219,7 +220,7 @@ class TestNormReductions:
             elems = qr_elements(params, 2 * ks[-1] + 6)
             for k in ks:
                 value = reduced_norm_value("perrin-even-adjusted", k, p)
-                norm = elems[2 * k].norm().value
+                norm = elems[2 * k].norm()
                 assert norm == 2 * value % p, (p, k)
                 assert (norm == 0) == (value == 0), (p, k)
 
@@ -230,7 +231,7 @@ class TestNormReductions:
         for p, first_k in ((5, 7), (7, 5)):
             params = SeqParams.twin_prime(p)
             elems = qr_elements(params, 2 * first_k + 2)
-            norm = elems[2 * first_k].norm().value
+            norm = elems[2 * first_k].norm()
             value = reduced_norm_value("perrin-even", first_k, p)
             assert norm == 0 and value != 0, (p, first_k)
         # everywhere else in range the primary form agrees
@@ -242,7 +243,7 @@ class TestNormReductions:
             elems = qr_elements(params, 2 * ks[-1] + 6)
             for k in ks:
                 value = reduced_norm_value("perrin-even", k, p)
-                assert (elems[2 * k].norm().value == 0) == (value == 0), (p, k)
+                assert (elems[2 * k].norm() == 0) == (value == 0), (p, k)
 
     def test_adjusted_reduction_registered(self):
         assert PERRIN_EVEN_ADJUSTED.kind == "perrin-even-adjusted"
@@ -283,7 +284,7 @@ class TestBruteForce:
         case = TheoremCase.build("cor-13", 13)
         limit = 2 * math.lcm(family_period(params, "QR"), 2 * pisano_period(13))
         found = norm_oracle(params, "QR", limit)[1]
-        assert not {m for m in found if case.satisfies_hypothesis(m)}
+        assert not {m for m in found if satisfies_hypothesis(case, m)}
 
     def test_zero_divisors_are_periodic(self):
         params = SeqParams.twin_prime(7)
@@ -332,7 +333,7 @@ class TestVerifyCase:
         assert verdict.classification == HOLDS
         assert verdict.predicted == verdict.observed != ()
         case = verdict.case
-        assert all(case.satisfies_hypothesis(m) for m in verdict.observed)
+        assert all(satisfies_hypothesis(case, m) for m in verdict.observed)
 
     def test_padovan_even_fails_at_13_with_counterexamples(self):
         # side condition is on (13 = 1 mod 4) but the oracle finds no zero
@@ -552,6 +553,8 @@ class TestOnePeriodVerdict:
         assert isinstance(cexs, Counterexamples) and len(cexs) == len(expected) > 3
         assert cexs == expected and expected == cexs and hash(cexs) == hash(expected)
         assert cexs[-1] == expected[-1] and cexs[2] == expected[2]
+        assert cexs[1:4] == expected[1:4] and cexs[-3:] == expected[-3:]
+        assert cexs[::-1] == expected[::-1]
         with pytest.raises(IndexError):
             cexs[len(expected)]
 
