@@ -34,11 +34,6 @@ def fib_pair(n: int, m: int) -> tuple[int, int]:
     return a, b
 
 
-def fib_mod(n: int, m: int) -> int:
-    """F_n mod m."""
-    return fib_pair(n, m)[0]
-
-
 def _prime_factors(n: int) -> list[int]:
     """The distinct prime factors of n >= 1, by trial division."""
     out = []
@@ -70,11 +65,6 @@ def _entry_pair(p: int) -> tuple[int, tuple[int, int]]:
 def entry_point(p: int) -> int:
     """Least z > 0 with F_z = 0 (mod p), for an odd prime p >= 3."""
     return _entry_pair(p)[0]
-
-
-def pisano_period(p: int) -> int:
-    """Pisano period pi(p) for an odd prime p >= 3."""
-    return FibProfile.of(p).pisano_period
 
 
 @dataclass(frozen=True)

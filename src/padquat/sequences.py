@@ -286,14 +286,14 @@ def padovan_fib_form(m: int, p: int) -> int:
     (-1)^k (F_{k+3} - 1) for m = 2k and (-1)^(k-1) (F_{k+2} - 1) for
     m = 2k + 1.
     """
-    from .fibonacci import fib_mod
+    from .fibonacci import fib_pair
 
     if m < 0:
         raise ValueError(f"index must be nonnegative, got {m}")
     k, odd = divmod(m, 2)
     if odd:
-        return (-1) ** (k - 1) * (fib_mod(k + 2, p) - 1) % p
-    return (-1) ** k * (fib_mod(k + 3, p) - 1) % p
+        return (-1) ** (k - 1) * (fib_pair(k + 2, p)[0] - 1) % p
+    return (-1) ** k * (fib_pair(k + 3, p)[0] - 1) % p
 
 
 def perrin_padovan_identity(n: int) -> bool:

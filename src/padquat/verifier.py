@@ -51,9 +51,10 @@ class Claim:
     """One zero-divisor claim: which quaternions it is about, at which
     primes it applies and which k classes mod pi(p) it predicts.
 
-    A theorem (classes None) predicts the candidate classes of
-    `_index_classes` at primes where its side condition holds and nothing
-    elsewhere; a corollary about one prime predicts its fixed `classes`.
+    A theorem (classes None) predicts every hypothesis class j z(p) - 3,
+    j = 1 .. pi(p)/z(p), at primes where its side condition holds and
+    nothing elsewhere; a corollary about one prime predicts its fixed
+    `classes`.
     A corollary predicting no class claims invertibility.
     """
 
@@ -126,13 +127,6 @@ def _reduce(red: NormReduction, f2: int, p: int) -> int:
     return red.value(f % p, p)
 
 
-def _index_classes(profile: FibProfile) -> tuple[int, ...]:
-    """The candidate k classes mod pi(p): (j*z - 3) mod pi for j = 1..4,
-    deduplicated and kept below pi(p)."""
-    z, pi = profile.entry_point, profile.pisano_period
-    return tuple(sorted({(j * z - 3) % pi for j in range(1, 5)}))
-
-
 @dataclass(frozen=True)
 class TheoremCase:
     """One claim instantiated at one twin prime."""
@@ -161,7 +155,9 @@ class TheoremCase:
         p, z = profile.p, profile.entry_point
         classes = claim.classes
         if classes is None:
-            classes = _index_classes(profile) if claim.side_condition(p) else ()
+            # {(jz - 3) mod pi : j = 1..4} is this range, as pi = z ord(r), ord(r) <= 4
+            holds = claim.side_condition(p)
+            classes = tuple(range(z - 3, profile.pisano_period, z)) if holds else ()
         return cls(
             claim_id=claim_id,
             p=p,
@@ -180,9 +176,9 @@ class TheoremCase:
         """Whether the claim says quaternion m is a zero divisor.
 
         Rejects indices of the wrong parity.  The z(p)-hypothesis
-        congruence on k is a caller obligation: the verdict engine only
-        asks at hypothesis-compatible indices, while direct callers may
-        probe the class condition at any k.
+        congruence on k is not checked, so callers may probe the class
+        condition at any k.  `verify_case` does not ask here: its k are
+        below pi(p), so it reads `predicted_classes` directly.
         """
         if m % 2 != self.parity:
             raise HypothesisViolated(f"index {m} has the wrong parity for this claim")
@@ -358,34 +354,40 @@ def verify_case(case: TheoremCase, scan_multiplier: int = 2) -> TheoremVerdict:
     The window is lcm(sequence period, 2*pi(p)), which is 2*pi(p): the
     profile certifies Q^pi = I, so 2*pi(p) is a period of every coefficient
     stream.  The scan covers scan_multiplier windows.  The reads and the
-    predicted classes of k mod pi(p) repeat in every window, so the first
-    window's pi(p)/z(p) hypothesis indices, read by `jump_oracle`, decide
-    the verdict.  Classification: HOLDS when the sets agree and the
-    comparison has content (nonempty sets, or an invertibility claim);
-    HOLDS_VACUOUSLY when a zero-divisor claim matches the oracle only
-    because nothing satisfies it; FAILS otherwise, with every disagreeing
-    index of the scan in `counterexamples`.
+    predicted classes of k mod pi(p) repeat in every window, so one pass
+    over the first window's hypothesis indices k = j z(p) - 3 < pi(p), each
+    paired with its `jump_oracle` read, decides the verdict: quaternion
+    m = 2k + parity is predicted exactly when k is one of
+    `case.predicted_classes`, since k < pi(p).  Classification: FAILS when
+    some index disagrees, with every disagreeing index of the scan in
+    `counterexamples`; otherwise HOLDS when the comparison has content
+    (nonempty sets, or an invertibility claim) and HOLDS_VACUOUSLY when a
+    zero-divisor claim matches the oracle only because nothing satisfies it.
     """
     if scan_multiplier < 2:
         raise ValueError("scan multiplier must be >= 2")
-    window = 2 * case.profile.pisano_period
-    z = case.profile.entry_point  # m = 2(jz - 3) + parity < window for j <= pi/z
-    hypothesis = range(2 * case.hypothesis_class + case.parity, window, 2 * z)
-    reads = jump_oracle(case)
-    predicted = [m for m in hypothesis if case.predicts(m)]
-    observed = [m for m, (_, _, zero) in zip(hypothesis, reads) if zero]
+    pi = case.profile.pisano_period
+    window = 2 * pi
+    hypothesis = range(case.hypothesis_class, pi, case.profile.entry_point)
+    predicted, observed, disagreements = [], [], []
+    for k, (f2, norm, zero) in zip(hypothesis, jump_oracle(case), strict=True):
+        m = 2 * k + case.parity
+        predicts = k in case.predicted_classes
+        if predicts:
+            predicted.append(m)
+        if zero:
+            observed.append(m)
+        if predicts != zero:
+            disagreements.append((m, f2, norm, predicts))
 
     counterexamples: Sequence[Counterexample] = ()
-    if predicted == observed:
-        has_content = predicted or case.claims_invertibility
-        classification = HOLDS if has_content else HOLDS_VACUOUSLY
-    else:
+    if disagreements:
         classification = FAILS
-        counterexamples = Counterexamples(case, scan_multiplier, [
-            (m, f2, norm, not zero)
-            for m, (f2, norm, zero) in zip(hypothesis, reads)
-            if (m in predicted) != zero
-        ])
+        counterexamples = Counterexamples(case, scan_multiplier, disagreements)
+    elif predicted or case.claims_invertibility:
+        classification = HOLDS
+    else:
+        classification = HOLDS_VACUOUSLY
 
     return TheoremVerdict(
         case=case,

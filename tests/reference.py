@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from padquat.fibonacci import FibProfile, entry_point, fib_mod, fib_pair
+from padquat.fibonacci import FibProfile, entry_point, fib_pair
 from padquat.modular import PrimeModulus, _sieve, legendre, mod_inverse
 from padquat.quaternion import family_stream
 from padquat.sequences import SeqParams, _extend, padovan_mod, perrin_mod
@@ -161,7 +161,7 @@ def reduced_norm_value(kind: str, k: int, p: int) -> int:
     z = entry_point(p)
     if (k + 3) % z != 0:
         raise HypothesisViolated(f"k={k} violates z({p}) | k+3 (z = {z})")
-    return _reduce(red, fib_mod(k + 2, p), p)
+    return _reduce(red, fib_pair(k + 2, p)[0], p)
 
 
 def satisfies_hypothesis(case: TheoremCase, m: int) -> bool:

@@ -23,11 +23,7 @@ from reference import (
     solve_quadratic,
 )
 
-from padquat.fibonacci import (
-    entry_point,
-    fib_mod,
-    pisano_period,
-)
+from padquat.fibonacci import FibProfile, entry_point, fib_pair
 from padquat.modular import (
     PrimeModulus,
     legendre,
@@ -186,7 +182,7 @@ def test_criterion_5_wall_vinson():
             if (seq_a, seq_b) == (0, 1):
                 break
 
-        z, pi = entry_point(p), pisano_period(p)
+        z, pi = entry_point(p), FibProfile.of(p).pisano_period
         assert z == z_brute and pi == pi_brute, p
         assert pi % z == 0, p  # (i)
         if z % 2 == 1:
@@ -208,7 +204,7 @@ def test_criterion_6_norm_reductions():
     for p in TWINS_200:
         params = SeqParams.twin_prime(p)
         z = entry_point(p)
-        window = 2 * math.lcm(family_period(params, "QR"), 2 * pisano_period(p))
+        window = 2 * math.lcm(family_period(params, "QR"), 2 * FibProfile.of(p).pisano_period)
         ks = [k for k in range(window // 2) if (k + 3) % z == 0]
         qp = qp_elements(params, window + 2)
         qr = qr_elements(params, window + 2)
@@ -253,15 +249,15 @@ def test_criterion_8_anchor_values():
     sol = solve_quadratic(QuadCongruence(27, -8, 14, PrimeModulus(181)))
     assert sol.roots == (94,)
     assert mod_inverse(27, 181) == 114
-    assert pisano_period(181) == 90
-    assert fib_mod(48, 181) == 94
+    assert FibProfile.of(181).pisano_period == 90
+    assert fib_pair(48, 181)[0] == 94
 
 
 @criterion(9, "p = 13 invertibility", 5.0)
 def test_criterion_9_cor_13():
     params = SeqParams.twin_prime(13)
     case = TheoremCase.build("cor-13", 13)
-    window = 2 * math.lcm(family_period(params, "QR"), 2 * pisano_period(13))
+    window = 2 * math.lcm(family_period(params, "QR"), 2 * FibProfile.of(13).pisano_period)
     found = norm_oracle(params, "QR", window)[1]
     assert not {m for m in found if satisfies_hypothesis(case, m)}
     verdict = verify_case(case)

@@ -2,13 +2,7 @@ import pytest
 from reference import pisano_by_candidates, primes_upto
 
 from padquat import fibonacci
-from padquat.fibonacci import (
-    FibProfile,
-    entry_point,
-    fib_mod,
-    fib_pair,
-    pisano_period,
-)
+from padquat.fibonacci import FibProfile, entry_point, fib_pair
 from padquat.modular import legendre
 
 ODD_PRIMES = [p for p in primes_upto(1000) if p > 2]
@@ -48,15 +42,15 @@ def pisano_scan(p):
 
 class TestFibMod:
     def test_examples(self):
-        assert fib_mod(0, 7) == 0
-        assert fib_mod(8, 7) == 0  # F_8 = 21
-        assert fib_mod(6, 1000) == 8
+        assert fib_pair(0, 7)[0] == 0
+        assert fib_pair(8, 7)[0] == 0  # F_8 = 21
+        assert fib_pair(6, 1000)[0] == 8
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            fib_mod(-1, 7)
+            fib_pair(-1, 7)
         with pytest.raises(ValueError):
-            fib_mod(5, 1)
+            fib_pair(5, 1)
 
     def test_fast_doubling_vs_iterative_dense(self):
         for m in (2, 3, 5, 7, 10, 13, 101, 997, 1000):
@@ -69,13 +63,13 @@ class TestFibMod:
         for m in range(2, 1001):
             oracle = fib_list(10_001, m)
             for n in checkpoints:
-                assert fib_mod(n, m) == oracle[n], (n, m)
+                assert fib_pair(n, m)[0] == oracle[n], (n, m)
 
     def test_pair_is_consecutive(self):
         for n in (0, 1, 17, 100, 12345):
             a, b = fib_pair(n, 10**9)
-            assert fib_mod(n + 1, 10**9) == b
-            assert (a + b) % 10**9 == fib_mod(n + 2, 10**9)
+            assert fib_pair(n + 1, 10**9)[0] == b
+            assert (a + b) % 10**9 == fib_pair(n + 2, 10**9)[0]
 
 
 class TestEntryPoint:
@@ -86,7 +80,7 @@ class TestEntryPoint:
         assert entry_point(181) == 90
 
     def test_rejects_non_prime(self):
-        for fn in (entry_point, pisano_period, FibProfile.of):
+        for fn in (entry_point, FibProfile.of):
             for bad in (1, 9, 15):
                 with pytest.raises(ValueError):
                     fn(bad)
@@ -110,23 +104,23 @@ class TestEntryPoint:
 
 class TestPisanoPeriod:
     def test_anchor_values(self):
-        assert pisano_period(181) == 90
-        assert pisano_period(7) == 16
-        assert pisano_period(5) == 20  # z(5)=5 odd, so 4*z
+        assert FibProfile.of(181).pisano_period == 90
+        assert FibProfile.of(7).pisano_period == 16
+        assert FibProfile.of(5).pisano_period == 20  # z(5)=5 odd, so 4*z
 
     def test_matches_blind_scan(self):
         for p in ODD_PRIMES:
             if p > 300:
                 break
-            assert pisano_period(p) == pisano_scan(p)
+            assert FibProfile.of(p).pisano_period == pisano_scan(p)
 
     def test_matches_candidate_reference_for_every_odd_prime_to_1e5(self):
         for p in primes_upto(10**5)[1:]:
-            assert pisano_period(p) == pisano_by_candidates(p), p
+            assert FibProfile.of(p).pisano_period == pisano_by_candidates(p), p
 
     def test_defining_property(self):
         for p in (5, 7, 13, 181):
-            length = pisano_period(p)
+            length = FibProfile.of(p).pisano_period
             assert fib_pair(length, p) == (0, 1)
             seq = fib_list(2 * length, p)
             assert seq[length:] == seq[:length]
@@ -165,13 +159,13 @@ class TestProfile:
     def test_divisibility_characterizes_zeros(self):
         for p in (5, 7, 13, 61):
             z = entry_point(p)
-            pi = pisano_period(p)
+            pi = FibProfile.of(p).pisano_period
             for m in range(10 * pi + 1):
-                assert (fib_mod(m, p) == 0) == (m % z == 0), (p, m)
+                assert (fib_pair(m, p)[0] == 0) == (m % z == 0), (p, m)
 
 
 class TestAnchorIndex:
     def test_unique_index_for_94_mod_181(self):
         # the k = 48 anchor of cor-181: the only index in one period with F = 94
-        seq = fib_list(pisano_period(181), 181)
+        seq = fib_list(FibProfile.of(181).pisano_period, 181)
         assert [i for i, v in enumerate(seq) if v == 94] == [48]

@@ -4,7 +4,7 @@ import random
 import pytest
 from reference import family_period, norm_oracle
 
-from padquat.fibonacci import pisano_period
+from padquat.fibonacci import FibProfile
 from padquat.modular import PrimeModulus, twin_primes_upto
 from padquat.quaternion import (
     AlgebraMismatch,
@@ -293,7 +293,7 @@ class TestOracleSmoke:
         # the one-pass int oracle against the QuatElem algebra, over the
         # scan window verify_case uses
         params = SeqParams.twin_prime(p)
-        limit = 2 * math.lcm(family_period(params, family), 2 * pisano_period(p))
+        limit = 2 * math.lcm(family_period(params, family), 2 * FibProfile.of(p).pisano_period)
         elems = (qp_elements if family == "QP" else qr_elements)(params, limit)
         norms, found = norm_oracle(params, family, limit)
         assert norms == [e.norm() for e in elems]

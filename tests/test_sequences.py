@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import seq_period
 
-from padquat.fibonacci import pisano_period
+from padquat.fibonacci import FibProfile
 from padquat.modular import twin_primes_upto
 from padquat.sequences import (
     BiPoly,
@@ -249,7 +249,7 @@ class TestSeqPeriod:
 
     def test_state_scan_injective_until_first_return(self):
         params = SeqParams.twin_prime(7)
-        terms = padovan_mod(params, 4 * pisano_period(7) + 6)
+        terms = padovan_mod(params, 4 * FibProfile.of(7).pisano_period + 6)
         states = {}
         for n in range(0, len(terms) - 3):
             key = (tuple(terms[n : n + 3]), n % 2)
@@ -325,9 +325,9 @@ class TestParityCongruence:
         # P_{2k} = P_{2k+3} (mod p) under twin-prime coefficients
         for _, p in twin_primes_upto(200):
             params = SeqParams.twin_prime(p)
-            count = 10 * pisano_period(p) + 5
+            count = 10 * FibProfile.of(p).pisano_period + 5
             terms = padovan_mod(params, count + 3)
-            for k in range(5 * pisano_period(p)):
+            for k in range(5 * FibProfile.of(p).pisano_period):
                 assert terms[2 * k] == terms[2 * k + 3], (p, k)
 
 

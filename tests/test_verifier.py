@@ -14,7 +14,7 @@ from reference import (
 )
 
 from padquat import verifier
-from padquat.fibonacci import FibProfile, entry_point, fib_mod, pisano_period
+from padquat.fibonacci import FibProfile, entry_point, fib_pair
 from padquat.modular import PrimeModulus, jacobi, legendre, twin_primes_upto
 from padquat.quaternion import qp_elements, qr_elements
 from padquat.sequences import NotTwinPrime, SeqParams, padovan_fib_form
@@ -46,7 +46,7 @@ def hypothesis_ks(p, periods=2):
     """Hypothesis-compatible k values covering `periods` family periods."""
     z = entry_point(p)
     limit = periods * math.lcm(
-        family_period(SeqParams.twin_prime(p), "QR"), 2 * pisano_period(p)
+        family_period(SeqParams.twin_prime(p), "QR"), 2 * FibProfile.of(p).pisano_period
     ) // 2
     return [k for k in range(limit) if (k + 3) % z == 0]
 
@@ -155,6 +155,28 @@ class TestPredicates:
             case = TheoremCase.build("thm-perrin-odd", p)
             assert bool(case.predicted_classes) == (jacobi(p, 3107) == 1), p
 
+    def test_theorem_classes_are_the_candidate_formula(self):
+        # the candidate classes {(j z - 3) mod pi(p) : j = 1..4} when the side
+        # condition, stated here as a symbol, holds; none otherwise
+        side_conditions = {
+            "thm-padovan-even": lambda p: legendre(-1, p) == 1,
+            "thm-padovan-odd": lambda p: legendre(-3, p) == 1,
+            "thm-perrin-even": lambda p: legendre(-8 * 181, p) == 1,
+            "thm-perrin-odd": lambda p: legendre(-4 * 13 * 239, p) == 1,
+        }
+        seen = set()
+        for _, p in twin_primes_upto(10**4):
+            profile = FibProfile.of(p)
+            z, pi = profile.entry_point, profile.pisano_period
+            for cid in set(applicable_case_ids(p)) & set(side_conditions):
+                expected = ()
+                if side_conditions[cid](p):
+                    expected = tuple(sorted({(j * z - 3) % pi for j in range(1, 5)}))
+                    seen.add(cid)
+                case = TheoremCase.trusted(cid, profile)
+                assert case.predicted_classes == expected, (cid, p)
+        assert seen == set(side_conditions)
+
     def test_side_condition_congruence_equivalences(self):
         for _, p in twin_primes_upto(500):
             assert (p % 4 == 1) == (legendre(-1, p) == 1)
@@ -184,10 +206,10 @@ class TestNormReductions:
         # N(QP_{2k}) = 2(F_{k+3}-1)^2 + (F_{k+2}-1)^2 + (F_{k+4}-1)^2, no hypothesis
         for p in TWINS_200:
             params = SeqParams.twin_prime(p)
-            pi = pisano_period(p)
+            pi = FibProfile.of(p).pisano_period
             elems = qp_elements(params, 4 * pi + 2)
             for k in range(2 * pi):
-                f2, f3, f4 = (fib_mod(k + j, p) for j in (2, 3, 4))
+                f2, f3, f4 = (fib_pair(k + j, p)[0] for j in (2, 3, 4))
                 rhs = (2 * (f3 - 1) ** 2 + (f2 - 1) ** 2 + (f4 - 1) ** 2) % p
                 assert elems[2 * k].norm() == rhs, (p, k)
 
@@ -282,7 +304,7 @@ class TestBruteForce:
     def test_cor_13_oracle_empty_on_hypothesis(self):
         params = SeqParams.twin_prime(13)
         case = TheoremCase.build("cor-13", 13)
-        limit = 2 * math.lcm(family_period(params, "QR"), 2 * pisano_period(13))
+        limit = 2 * math.lcm(family_period(params, "QR"), 2 * FibProfile.of(13).pisano_period)
         found = norm_oracle(params, "QR", limit)[1]
         assert not {m for m in found if satisfies_hypothesis(case, m)}
 
@@ -367,7 +389,7 @@ class TestVerifyCase:
         case = TheoremCase.build("thm-padovan-even", 5)
         verdict = verify_case(case, scan_multiplier=3)
         assert verdict.scan_limit == 3 * verdict.window_modulus
-        assert verdict.window_modulus % (2 * pisano_period(5)) == 0
+        assert verdict.window_modulus % (2 * FibProfile.of(5).pisano_period) == 0
         assert verdict.window_modulus % family_period(SeqParams.twin_prime(5), "QP") == 0
 
     def test_multiplier_validated(self):
@@ -468,7 +490,7 @@ class TestJumpOracle:
         params = SeqParams.twin_prime(p)
         linear = {}
         for family in ("QP", "QR"):
-            window = math.lcm(family_period(params, family), 2 * pisano_period(p))
+            window = math.lcm(family_period(params, family), 2 * FibProfile.of(p).pisano_period)
             linear[family] = (window, *norm_oracle(params, family, 4 * window))
         for cid in applicable_case_ids(p):
             case = TheoremCase.build(cid, p)
@@ -489,7 +511,7 @@ class TestJumpOracle:
                 norms, zero_divisors = norm_oracle(params, case.family, limit)
                 indices = hypothesis_indices(case, limit)
                 assert tiled_reads(case, len(indices)) == [
-                    (fib_mod(case.k_of(m) + 2, p), norms[m], m in zero_divisors)
+                    (fib_pair(case.k_of(m) + 2, p)[0], norms[m], m in zero_divisors)
                     for m in indices
                 ], (cid, p)
 
@@ -537,11 +559,35 @@ class TestOnePeriodVerdict:
                 assert verdict.to_dict() == expected, (cid, p, multiplier)
                 assert verify_case(case, multiplier).to_dict() == expected, (cid, p, multiplier)
 
+    def test_verdicts_ask_no_per_index_predicate(self, monkeypatch):
+        # the full-window reference asks `predicts` at every index; the
+        # production pass reads the claim table and calls neither it nor k_of
+        primes = (5, 7, 13, 181)
+        expected = {
+            p: [full_window_verdict(TheoremCase.build(cid, p), 2).to_dict()
+                for cid in applicable_case_ids(p)]
+            for p in primes
+        }
+
+        def refuse(self, m):
+            raise AssertionError("a per-index predicate asked")
+
+        k_of = TheoremCase.k_of
+        monkeypatch.setattr(TheoremCase, "predicts", refuse)
+        monkeypatch.setattr(TheoremCase, "k_of", refuse)
+        verdicts = {p: verify_prime(p, applicable_case_ids(p)) for p in primes}
+        monkeypatch.setattr(TheoremCase, "k_of", k_of)  # counterexamples read k when built
+        for p in primes:
+            assert [v.to_dict() for v in verdicts[p]] == expected[p], p
+        assert {v.classification for vs in verdicts.values() for v in vs} == {
+            HOLDS, HOLDS_VACUOUSLY, FAILS
+        }
+
     def test_period_is_one_period_of_r(self):
         for _, p in twin_primes_upto(2000):
             profile = FibProfile.of(p)
             z, pi = profile.entry_point, profile.pisano_period
-            r = fib_mod(z + 1, p)
+            r = fib_pair(z + 1, p)[0]
             assert profile.powers == tuple(pow(r, j, p) for j in range(1, pi // z + 1)), p
             assert profile.powers[-1] == 1, p
 
