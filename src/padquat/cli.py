@@ -21,7 +21,7 @@ import sys
 
 from . import __version__
 from .fibonacci import FibProfile
-from .modular import is_prime, twin_primes_upto
+from .modular import twin_primes_upto
 from .sequences import (
     NotTwinPrime,
     SeqParams,
@@ -61,8 +61,8 @@ class CliError(Exception):
     """Input validation failure; reported on stderr with exit status 1."""
 
 
-# The subcommands, in the order the full parser lists them.
-_COMMAND_NAMES = ("seq", "fib", "verify", "scan")
+# every command's JSON config records these two, whether it takes them or not
+_CONFIG_DEFAULTS = {"symbolic": False, "scan_multiplier": 2}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,52 +71,40 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def build_parser(commands: tuple[str, ...] = _COMMAND_NAMES) -> argparse.ArgumentParser:
-    """The padquat parser with a subparser for each of `commands`, built in
-    the order of _COMMAND_NAMES."""
+def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
+    """Add the options of `command` to `parser`."""
+    if command == "seq":
+        parser.add_argument("--kind", choices=["padovan", "perrin"], default=None,
+                            help="which sequence (default: both)")
+        parser.add_argument("--symbolic", action="store_true",
+                            help="exact polynomials in a, b instead of residues")
+        parser.add_argument("--p", type=int, default=None,
+                            help="twin prime modulus; coefficients are (p-2, p)")
+        parser.add_argument("--upto", type=int, required=True,
+                            help="number of terms (indices 0..N-1)")
+    elif command == "fib":
+        parser.add_argument("--p", type=int, required=True)
+    elif command == "verify":
+        parser.add_argument("--p", type=int, required=True)
+        parser.add_argument("--case", choices=list(CASE_IDS), default=None,
+                            help="a single claim id (default: all applicable)")
+        parser.add_argument("--scan-multiplier", type=int, default=2)
+    else:  # scan
+        parser.add_argument("--upto", type=int, required=True,
+                            help="inclusive bound on the twin prime p")
+        parser.add_argument("--scan-multiplier", type=int, default=2)
+    parser.add_argument("--format", choices=["table", "json", "csv"], default="table")
+    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The padquat parser, with a subparser for each command."""
     parser = _Parser(prog="padquat", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    # every command's JSON config records these two, whether it takes them or not
-    parser.set_defaults(symbolic=False, scan_multiplier=2)
-    # argparse lists only the choices built in a usage line, so a partial build
-    # names all four itself.  The full build leaves the metavar unset: it would
-    # also rename the argument in that build's errors ("argument command:
-    # invalid choice", "required: command"), which only it reports.
-    partial = set(commands) != set(_COMMAND_NAMES)
-    metavar = "{" + ",".join(_COMMAND_NAMES) + "}" if partial else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    if "seq" in commands:
-        p_seq = sub.add_parser("seq", help="print sequence terms")
-        p_seq.add_argument("--kind", choices=["padovan", "perrin"], default=None,
-                           help="which sequence (default: both)")
-        p_seq.add_argument("--symbolic", action="store_true",
-                           help="exact polynomials in a, b instead of residues")
-        p_seq.add_argument("--p", type=int, default=None,
-                           help="twin prime modulus; coefficients are (p-2, p)")
-        p_seq.add_argument("--upto", type=int, required=True,
-                           help="number of terms (indices 0..N-1)")
-
-    if "fib" in commands:
-        p_fib = sub.add_parser("fib", help="Fibonacci profile of a prime")
-        p_fib.add_argument("--p", type=int, required=True)
-
-    if "verify" in commands:
-        p_ver = sub.add_parser("verify", help="check the zero-divisor claims for one twin prime")
-        p_ver.add_argument("--p", type=int, required=True)
-        p_ver.add_argument("--case", choices=list(CASE_IDS), default=None,
-                           help="a single claim id (default: all applicable)")
-        p_ver.add_argument("--scan-multiplier", type=int, default=2)
-
-    if "scan" in commands:
-        p_scan = sub.add_parser("scan", help="verdicts for every twin prime up to a bound")
-        p_scan.add_argument("--upto", type=int, required=True,
-                            help="inclusive bound on the twin prime p")
-        p_scan.add_argument("--scan-multiplier", type=int, default=2)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--format", choices=["table", "json", "csv"], default="table")
-        sp.add_argument("--out", default=None, help="output path (default: stdout)")
+    parser.set_defaults(**_CONFIG_DEFAULTS)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, _) in _COMMANDS.items():
+        _add_options(sub.add_parser(command, help=help_text), command)
     return parser
 
 
@@ -179,10 +167,10 @@ def cmd_seq(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_fib(args: argparse.Namespace) -> tuple[str, int]:
-    p = args.p
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise CliError(f"--p must be an odd prime >= 3, got {p}")
-    profile = FibProfile.of(p)
+    try:
+        profile = FibProfile.of(args.p)  # validates p
+    except ValueError as exc:
+        raise CliError(f"--p must be an odd prime >= 3, got {args.p}") from exc
     payload = {
         "p": profile.p,
         "entry_point": profile.entry_point,
@@ -262,11 +250,12 @@ def cmd_scan(args: argparse.Namespace) -> tuple[str, int]:
     return _verdicts_text(args, verdicts, lambda v: dict(zip(_ROW_HEADER, _verdict_row(v))))
 
 
+# The commands, in the order the full parser lists them: (help, handler).
 _COMMANDS = {
-    "seq": cmd_seq,
-    "fib": cmd_fib,
-    "verify": cmd_verify,
-    "scan": cmd_scan,
+    "seq": ("print sequence terms", cmd_seq),
+    "fib": ("Fibonacci profile of a prime", cmd_fib),
+    "verify": ("check the zero-divisor claims for one twin prime", cmd_verify),
+    "scan": ("verdicts for every twin prime up to a bound", cmd_scan),
 }
 
 
@@ -285,16 +274,26 @@ def _check_writable(path: str) -> None:
     raise CliError(f"cannot write --out {path}: {reason}")
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as build_parser() parses it.  A leading command's options
+    alone, parsed as the subparser action parses them, give the full parser's
+    namespace, help and errors; the full parser is built only for --help,
+    --version, no command, an unknown one or arguments left over."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _Parser(prog=f"padquat {argv[0]}")
+        parser.set_defaults(command=argv[0], **_CONFIG_DEFAULTS)
+        _add_options(parser, argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a leading command is the only subparser this run can reach; anything
-    # else (--help, --version, no argument, an unknown name) gets all four
-    if argv and argv[0] in _COMMAND_NAMES:
-        parser = build_parser((argv[0],))
-    else:
-        parser = build_parser()
-    args = parser.parse_args(argv)
+    # the leading command's own parser when it reads all of argv, else the full one
+    args = _parse_args(argv)
     try:
         p = getattr(args, "p", None)  # scan has no --p
         if p is not None and p > MAX_PRIME:
@@ -306,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
             raise CliError("--scan-multiplier must be at least 2")
         if n > MAX_SCAN_MULTIPLIER:
             raise CliError(f"--scan-multiplier must be at most {MAX_SCAN_MULTIPLIER}, got {n}")
-        text, status = _COMMANDS[args.command](args)
+        text, status = _COMMANDS[args.command][1](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

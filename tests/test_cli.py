@@ -86,8 +86,9 @@ class TestFib:
         assert status == 0 and "pisano_period: 16" in out
 
     def test_rejects_non_prime(self, capsys):
-        status, _, err = run_cli(capsys, "fib", "--p", "4")
-        assert status == 1 and "odd prime" in err
+        for p in (-7, 0, 1, 2, 4, 9, 1000001):  # 1000001 = 101 * 9901
+            assert run_cli(capsys, "fib", "--p", str(p)) == (
+                1, "", f"error: --p must be an odd prime >= 3, got {p}\n")
 
     def test_csv(self, capsys):
         status, out, _ = run_cli(capsys, "fib", "--p", "5", "--format", "csv")
@@ -184,8 +185,9 @@ class TestInputBound:
         def refuse(n):
             raise AssertionError("validation work ran")
 
-        # every command checks primality before it does anything else
-        for module in (cli, sequences, verifier):
+        # every command checks primality before it does anything else; fib
+        # through FibProfile.of, whose PrimeModulus calls modular.is_prime
+        for module in (modular, sequences, verifier):
             monkeypatch.setattr(module, "is_prime", refuse)
         status, out, err = run_cli(capsys, *argv, str(self.P))
         assert status == 1 and out == ""
@@ -461,8 +463,9 @@ class TestParser:
             main(["frobnicate"])
         assert exc.value.code == 1
 
-    # main builds only the subparser argv[0] names; every message must read as
-    # it does from the full four-command parser
+    # main parses a leading command with that command's own parser; every
+    # message, and the namespace the JSON config comes from, must be those of
+    # the full four-command parser
     CORPUS = [
         (),
         ("-h",),
@@ -499,6 +502,12 @@ class TestParser:
         ("verify", "--p", "13", "--scan-multiplier", "5000"),
         ("scan", "--upto", "200", "--scan-multiplier", "1"),
         ("scan", "--upto", "200", "--scan-multiplier", "5000"),
+        ("fib", "--p", "13", "--", "x"),
+        ("fib", "--p=13", "--fo", "csv"),
+        ("fib", "--p", "13", "--p", "17"),
+        ("verify", "--p", "13", "-h", "--bogus"),
+        ("scan", "--upto", "200", "--out"),
+        ("seq", "--symbolic", "--upto", "5", "--kind", "perrin", "--format", "json"),
     ]
 
     @staticmethod
@@ -514,16 +523,29 @@ class TestParser:
     @pytest.mark.parametrize("argv", CORPUS, ids=lambda argv: " ".join(argv) or "no-arguments")
     def test_partial_build_matches_full_parser(self, capsys, monkeypatch, argv, columns):
         monkeypatch.setenv("COLUMNS", columns)
-        partial = self.outcome(capsys, argv)
-        full_parser = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda *commands: full_parser())
-        assert partial == self.outcome(capsys, argv)
+        parsed = []
+
+        def recorded(parse):
+            def parse_args(argv):
+                args = parse(argv)
+                parsed.append(dict(vars(args)))
+                return args
+            return parse_args
+
+        monkeypatch.setattr(cli, "_parse_args", recorded(cli._parse_args))
+        one_command = self.outcome(capsys, argv)
+        monkeypatch.setattr(cli, "_parse_args",
+                            recorded(lambda argv: cli.build_parser().parse_args(argv)))
+        assert one_command == self.outcome(capsys, argv)
+        # both sides parsed argv to the same namespace, or neither parsed it
+        assert parsed[:1] == parsed[1:]
 
     @pytest.mark.parametrize("argv, parsers", [
-        (("fib", "--p", "13"), 2),
-        (("scan", "--upto", "200"), 2),
+        (("fib", "--p", "13"), 1),
+        (("scan", "--upto", "200"), 1),
         (("--help",), 5),
         (("frobnicate",), 5),
+        (("scan", "--upto", "200", "--bogus"), 6),
     ])
     def test_builds_only_the_invoked_subparser(self, capsys, monkeypatch, argv, parsers):
         built = []
@@ -545,7 +567,8 @@ class TestParser:
     def test_full_parser_errors_name_the_command_argument(
             self, capsys, monkeypatch, argv, message):
         monkeypatch.setenv("COLUMNS", "80")
-        # the metavar a partial build sets must not rename the argument here
+        # only the full parser reports a missing or unknown command, and it
+        # names the argument by its dest
         status, _, err = self.outcome(capsys, argv)
         assert status == ("exit", 1)
         assert err == ("usage: padquat [-h] [--version] {seq,fib,verify,scan} ...\n"
