@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modular import PrimeModulus, legendre
+from .modular import legendre, require_odd_prime
 
 
 def fib_pair(n: int, m: int) -> tuple[int, int]:
@@ -51,7 +51,7 @@ def _prime_factors(n: int) -> list[int]:
 
 def _entry_pair(p: int) -> tuple[int, tuple[int, int]]:
     """z(p) and (F_z, F_{z+1}) mod p, for an odd prime p >= 3."""
-    PrimeModulus(p)  # validates p once; every other function goes through here
+    require_odd_prime(p)  # validates p once; every other function goes through here
     # the indices n with p | F_n are the multiples of z(p), and z(p) divides
     # p - (5/p) (which is p itself for p = 5): divide out each prime factor
     # while the quotient still indexes a zero, keeping that zero's pair
@@ -67,7 +67,7 @@ def entry_point(p: int) -> int:
     return _entry_pair(p)[0]
 
 
-@dataclass(frozen=True)
+@dataclass
 class FibProfile:
     """Entry point and Pisano period of an odd prime, with the powers
     r^j mod p, j = 1 .. pi(p)/z(p), of r = F_{z+1}."""

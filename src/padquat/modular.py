@@ -93,6 +93,14 @@ def mod_inverse(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
+def require_odd_prime(p: int) -> None:
+    """Raise ValueError unless p is an odd prime in [3, 2^63)."""
+    if p < 3 or p % 2 == 0 or p.bit_length() > 63:
+        raise ValueError(f"modulus must be an odd prime in [3, 2^63), got {p}")
+    if not is_prime(p):
+        raise ValueError(f"modulus must be prime, got {p}")
+
+
 @dataclass(frozen=True)
 class PrimeModulus:
     """An odd prime modulus p >= 3 (validated on construction)."""
@@ -100,10 +108,7 @@ class PrimeModulus:
     p: int
 
     def __post_init__(self) -> None:
-        if self.p < 3 or self.p % 2 == 0 or self.p.bit_length() > 63:
-            raise ValueError(f"modulus must be an odd prime in [3, 2^63), got {self.p}")
-        if not is_prime(self.p):
-            raise ValueError(f"modulus must be prime, got {self.p}")
+        require_odd_prime(self.p)
 
 
 def legendre(a: int, p: int) -> int:

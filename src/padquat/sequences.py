@@ -283,7 +283,7 @@ def padovan_even_binomial(k: int, p: int) -> int:
 def padovan_fib_form(m: int, p: int) -> int:
     """P_m mod p through Fibonacci numbers, under twin-prime coefficients.
 
-    (-1)^k (F_{k+3} - 1) for m = 2k and (-1)^(k-1) (F_{k+2} - 1) for
+    (-1)^k (F_{k+3} - 1) for m = 2k and (-1)^(k+1) (F_{k+2} - 1) for
     m = 2k + 1.
     """
     from .fibonacci import fib_pair
@@ -292,7 +292,8 @@ def padovan_fib_form(m: int, p: int) -> int:
         raise ValueError(f"index must be nonnegative, got {m}")
     k, odd = divmod(m, 2)
     if odd:
-        return (-1) ** (k - 1) * (fib_pair(k + 2, p)[0] - 1) % p
+        # k + 1, not k - 1: (-1) ** -1 is the float -1.0
+        return (-1) ** (k + 1) * (fib_pair(k + 2, p)[0] - 1) % p
     return (-1) ** k * (fib_pair(k + 3, p)[0] - 1) % p
 
 

@@ -127,7 +127,7 @@ def _reduce(red: NormReduction, f2: int, p: int) -> int:
     return red.value(f % p, p)
 
 
-@dataclass(frozen=True)
+@dataclass
 class TheoremCase:
     """One claim instantiated at one twin prime."""
 
@@ -199,13 +199,18 @@ def check_claim(claim_id: str, p: int) -> None:
         raise ExcludedPrime(f"{claim_id} excludes p = {p}")
 
 
+# The claim ids that apply at each prime some claim names (7, 13, 181, 239),
+# in canonical (sorted) order; key None holds those of every other prime.
+_APPLICABLE_IDS = {
+    q: tuple(sorted(cid for cid, claim in CLAIMS.items()
+                    if claim.prime in (None, q) and q not in claim.excluded))
+    for q in {None}.union(*((c.prime, *c.excluded) for c in CLAIMS.values()))
+}
+
+
 def applicable_case_ids(p: int) -> list[str]:
     """Claim ids that apply to twin prime p, in canonical (sorted) order."""
-    return sorted(
-        cid
-        for cid, claim in CLAIMS.items()
-        if claim.prime in (None, p) and p not in claim.excluded
-    )
+    return list(_APPLICABLE_IDS.get(p, _APPLICABLE_IDS[None]))
 
 
 # Under (a, b) = (-2, 0) mod p the coefficient stream t of each family (P
@@ -275,9 +280,10 @@ class Counterexample:
 
 class Counterexamples(Sequence):
     """The counterexamples of a FAILS verdict, each built when it is read:
-    the disagreements (m, F_{k+2}, norm, predicted) of the first window
-    recur in window t = 0 .. multiplier-1 at index m + 2 pi t and k + pi t,
-    with the same norm and reduced value."""
+    the disagreements (m, F_{k+2}, norm, predicted) of the first window,
+    ascending in m and never empty, recur in window t = 0 .. multiplier-1
+    at index m + 2 pi t and k + pi t, with the same norm and reduced value.
+    Item 0 is the first window's first disagreement, at index m itself."""
 
     def __init__(self, case: TheoremCase, multiplier: int, first_window: list[tuple]):
         self.case, self.multiplier, self.first_window = case, multiplier, first_window
@@ -307,7 +313,7 @@ class Counterexamples(Sequence):
         return hash(tuple(self))
 
 
-@dataclass(frozen=True)
+@dataclass
 class TheoremVerdict:
     """Predicted vs observed zero-divisor index sets for one case."""
 
@@ -345,7 +351,13 @@ class TheoremVerdict:
         }
 
     def first_counterexample(self) -> int | None:
-        return self.counterexamples[0].index if self.counterexamples else None
+        """The least index of a counterexample, None unless FAILS.  From
+        `Counterexamples` it is the m of the first window's first
+        disagreement, read without building a `Counterexample`."""
+        cexs = self.counterexamples
+        if isinstance(cexs, Counterexamples):
+            return cexs.first_window[0][0]
+        return cexs[0].index if cexs else None
 
 
 def verify_case(case: TheoremCase, scan_multiplier: int = 2) -> TheoremVerdict:

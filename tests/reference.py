@@ -3,6 +3,9 @@ the number theory only the tests use (`primes_upto`, `sqrt_mod`,
 `solve_quadratic`, `reduced_norm_value` from fast doubling and
 `satisfies_hypothesis`).
 
+- `sorted_case_ids`: the claim ids that apply at p, sorted out of
+  `CLAIMS` at every call, the reference for the claim table that
+  `verifier.applicable_case_ids` reads;
 - `pisano_by_candidates`: pi(p) as the first of z, 2z, 4z at which the
   pair (F_L, F_{L+1}) returns to (0, 1), the reference for the order of
   r = F_{z+1} that `FibProfile.of` reads;
@@ -31,6 +34,7 @@ from padquat.quaternion import family_stream
 from padquat.sequences import SeqParams, _extend, padovan_mod, perrin_mod
 from padquat.verifier import (
     CASE_ROWS,
+    CLAIMS,
     FAILS,
     FIB_FORMS,
     HOLDS,
@@ -43,6 +47,15 @@ from padquat.verifier import (
     TheoremVerdict,
     _reduce,
 )
+
+
+def sorted_case_ids(p: int) -> list[str]:
+    """Claim ids that apply to p, in canonical (sorted) order."""
+    return sorted(
+        cid
+        for cid, claim in CLAIMS.items()
+        if claim.prime in (None, p) and p not in claim.excluded
+    )
 
 
 def primes_upto(bound: int) -> list[int]:

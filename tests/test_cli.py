@@ -371,6 +371,17 @@ class TestScan:
             "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"
         )
 
+    def test_scan_builds_no_counterexample(self, capsys, monkeypatch):
+        def refuse(**fields):
+            raise AssertionError("a Counterexample built")
+
+        monkeypatch.setattr(verifier, "Counterexample", refuse)
+        status, out, _ = run_cli(capsys, "scan", "--upto", "2000", "--format", "csv")
+        assert status == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"
+        )
+
     def test_scan_takes_one_profile_and_one_pair_per_prime(self, capsys, monkeypatch):
         twins = [p for _, p in modular.twin_primes_upto(2000)]
         z = {p: fibonacci.entry_point(p) for p in twins}

@@ -3,7 +3,7 @@ from reference import pisano_by_candidates, primes_upto
 
 from padquat import fibonacci
 from padquat.fibonacci import FibProfile, entry_point, fib_pair
-from padquat.modular import legendre
+from padquat.modular import PrimeModulus, legendre, require_odd_prime
 
 ODD_PRIMES = [p for p in primes_upto(1000) if p > 2]
 
@@ -84,6 +84,21 @@ class TestEntryPoint:
             for bad in (1, 9, 15):
                 with pytest.raises(ValueError):
                     fn(bad)
+
+    @pytest.mark.parametrize("p, message", [
+        (-7, "modulus must be an odd prime in [3, 2^63), got -7"),
+        (0, "modulus must be an odd prime in [3, 2^63), got 0"),
+        (1, "modulus must be an odd prime in [3, 2^63), got 1"),
+        (2, "modulus must be an odd prime in [3, 2^63), got 2"),
+        (4, "modulus must be an odd prime in [3, 2^63), got 4"),
+        (9, "modulus must be prime, got 9"),
+        (2**63 + 1, "modulus must be an odd prime in [3, 2^63), got 9223372036854775809"),
+    ])
+    def test_shares_the_prime_modulus_message(self, p, message):
+        for fn in (entry_point, FibProfile.of, PrimeModulus, require_odd_prime):
+            with pytest.raises(ValueError) as exc:
+                fn(p)
+            assert str(exc.value) == message, fn
 
     def test_matches_scan(self):
         for p in primes_upto(20_000)[1:]:

@@ -319,6 +319,13 @@ class TestClosedForms:
             for m in range(101):
                 assert padovan_fib_form(m, p) == terms[m], (p, m)
 
+    @pytest.mark.parametrize("p", [5, 7, 13, 19])
+    def test_fib_form_is_an_exact_int(self, p):
+        terms = padovan_mod(SeqParams.twin_prime(p), 64)
+        for m in range(64):
+            value = padovan_fib_form(m, p)
+            assert type(value) is int and value == terms[m], (p, m, value)
+
 
 class TestParityCongruence:
     def test_even_shift_congruence(self):

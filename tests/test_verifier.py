@@ -11,6 +11,7 @@ from reference import (
     reduced_norm_value,
     satisfies_hypothesis,
     solve_quadratic,
+    sorted_case_ids,
 )
 
 from padquat import verifier
@@ -64,6 +65,16 @@ class TestCaseConstruction:
         assert "thm-perrin-even" not in applicable_case_ids(181)
         # 239 heads no twin pair, so only the applicability list shows its exclusion
         assert "thm-perrin-odd" not in applicable_case_ids(239)
+
+    def test_claim_table_matches_sorting_the_claims(self):
+        for p in range(10**4 + 1):  # 7, 13, 181 and 239 among them
+            assert applicable_case_ids(p) == sorted_case_ids(p), p
+
+    def test_applicable_ids_are_a_fresh_list(self):
+        for p in (5, 7, 13, 181, 239):
+            ids = applicable_case_ids(p)
+            ids.clear()
+            assert applicable_case_ids(p) == sorted_case_ids(p) != [], p
 
     def test_build_validates_twin_prime(self):
         with pytest.raises(NotTwinPrime):
@@ -555,8 +566,12 @@ class TestOnePeriodVerdict:
             ids = applicable_case_ids(p)
             for cid, verdict in zip(ids, verify_prime(p, ids, multiplier), strict=True):
                 case = TheoremCase.build(cid, p)
-                expected = full_window_verdict(case, multiplier).to_dict()
+                reference = full_window_verdict(case, multiplier)
+                expected = reference.to_dict()
                 assert verdict.to_dict() == expected, (cid, p, multiplier)
+                # from the first window on one side, from a tuple on the other
+                assert verdict.first_counterexample() == reference.first_counterexample(), (
+                    cid, p, multiplier)
                 assert verify_case(case, multiplier).to_dict() == expected, (cid, p, multiplier)
 
     def test_verdicts_ask_no_per_index_predicate(self, monkeypatch):
@@ -614,10 +629,12 @@ class TestOnePeriodVerdict:
         monkeypatch.setattr(verifier, "Counterexample", counted)
         verdicts = verify_prime(13, applicable_case_ids(13), 4)
         fails = [v for v in verdicts if v.classification == FAILS]
-        assert fails and built == []
-        assert [v.first_counterexample() for v in fails] == built
-        assert len(fails[0].to_dict()["counterexamples"]) == len(fails[0].counterexamples)
-        assert len(built) == len(fails) + len(fails[0].counterexamples)
+        firsts = [v.first_counterexample() for v in fails]
+        assert fails and built == []  # the first index is read without building one
+        records = fails[0].to_dict()["counterexamples"]
+        assert built == [r["index"] for r in records]
+        assert len(built) == len(fails[0].counterexamples)
+        assert firsts == [v.counterexamples[0].index for v in fails]
 
 
 def integer_stream(a, b, init, count):
