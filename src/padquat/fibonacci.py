@@ -67,7 +67,7 @@ def entry_point(p: int) -> int:
     return _entry_pair(p)[0]
 
 
-@dataclass
+@dataclass(slots=True)
 class FibProfile:
     """Entry point and Pisano period of an odd prime, with the powers
     r^j mod p, j = 1 .. pi(p)/z(p), of r = F_{z+1}."""

@@ -127,7 +127,7 @@ def _reduce(red: NormReduction, f2: int, p: int) -> int:
     return red.value(f % p, p)
 
 
-@dataclass
+@dataclass(slots=True)
 class TheoremCase:
     """One claim instantiated at one twin prime."""
 
@@ -158,16 +158,9 @@ class TheoremCase:
             # {(jz - 3) mod pi : j = 1..4} is this range, as pi = z ord(r), ord(r) <= 4
             holds = claim.side_condition(p)
             classes = tuple(range(z - 3, profile.pisano_period, z)) if holds else ()
-        return cls(
-            claim_id=claim_id,
-            p=p,
-            profile=profile,
-            parity=claim.parity,
-            hypothesis_class=z - 3,  # z(p) >= 5 for p >= 5
-            family=claim.family,
-            predicted_classes=classes,
-            claims_invertibility=claim.classes == (),
-        )
+        # z(p) >= 5 for p >= 5, so the hypothesis class z - 3 is positive
+        return cls(claim_id, p, profile, claim.parity, z - 3, claim.family, classes,
+                   claim.classes == ())
 
     def k_of(self, m: int) -> int:
         return (m - self.parity) // 2
@@ -237,11 +230,19 @@ def _jump_terms(family: str, parity: int) -> tuple[tuple[int, int], ...]:
     return tuple(terms)
 
 
+def _norm_quadratic(terms: tuple[tuple[int, int], ...]) -> tuple[int, int, int]:
+    # sum (A + D R)^2 = sum A^2 + 2 (sum A D) R + (sum D^2) R^2
+    return (sum(a * a for a, _ in terms), 2 * sum(a * d for a, d in terms),
+            sum(d * d for _, d in terms))
+
+
 # (family, parity) -> (the terms t_m .. t_{m+3} of quaternion m = 2k + parity
 # at k = j z(p) - 3, each (A, D) with t = A + D r^j up to sign; the norm
-# reduction of the row's cases)
+# reduction of the row's cases; the norm as the integer quadratic
+# (c0, c1, c2) in R = r^j, N(R) = c0 + c1 R + c2 R^2, from those terms)
 CASE_ROWS = {
-    (family, parity): (_jump_terms(family, parity), NORM_REDUCTIONS[kind])
+    (family, parity): (_jump_terms(family, parity), NORM_REDUCTIONS[kind],
+                       _norm_quadratic(_jump_terms(family, parity)))
     for family, parity, kind in (("QP", 0, "padovan-even"), ("QP", 1, "padovan-odd"),
                                  ("QR", 0, "perrin-even"), ("QR", 1, "perrin-odd"))
 }
@@ -254,15 +255,16 @@ def jump_oracle(case: TheoremCase) -> list[tuple[int, int, bool]]:
 
     There F_z = 0 makes Q^z = r I, so with R = r^j, the j-th of
     `case.profile.powers`, F_{k+2} = R and each term is affine in R
-    (`CASE_ROWS`).  As r^{pi/z} = 1 the reads repeat with period pi(p)/z(p)
-    in j.
+    (`CASE_ROWS`).  The norm is then the row's integer quadratic
+    c0 + c1 R + c2 R^2 mod p; only where it vanishes are the terms read, to
+    tell a zero divisor from the zero quaternion.  As r^{pi/z} = 1 the reads
+    repeat with period pi(p)/z(p) in j.
     """
-    p, (terms, _) = case.p, CASE_ROWS[case.family, case.parity]
+    p, (terms, _, (c0, c1, c2)) = case.p, CASE_ROWS[case.family, case.parity]
     reads = []
     for power in case.profile.powers:
-        t0, t1, t2, t3 = [(a + d * power) % p for a, d in terms]
-        norm = (t0 * t0 + t1 * t1 + t2 * t2 + t3 * t3) % p
-        reads.append((power, norm, norm == 0 and any((t0, t1, t2, t3))))
+        norm = (c0 + (c1 + c2 * power) * power) % p
+        reads.append((power, norm, norm == 0 and any((a + d * power) % p for a, d in terms)))
     return reads
 
 
@@ -313,7 +315,7 @@ class Counterexamples(Sequence):
         return hash(tuple(self))
 
 
-@dataclass
+@dataclass(slots=True)
 class TheoremVerdict:
     """Predicted vs observed zero-divisor index sets for one case."""
 
@@ -378,13 +380,14 @@ def verify_case(case: TheoremCase, scan_multiplier: int = 2) -> TheoremVerdict:
     """
     if scan_multiplier < 2:
         raise ValueError("scan multiplier must be >= 2")
-    pi = case.profile.pisano_period
+    profile, parity, classes = case.profile, case.parity, case.predicted_classes
+    pi = profile.pisano_period
     window = 2 * pi
-    hypothesis = range(case.hypothesis_class, pi, case.profile.entry_point)
+    hypothesis = range(case.hypothesis_class, pi, profile.entry_point)
     predicted, observed, disagreements = [], [], []
     for k, (f2, norm, zero) in zip(hypothesis, jump_oracle(case), strict=True):
-        m = 2 * k + case.parity
-        predicts = k in case.predicted_classes
+        m = 2 * k + parity
+        predicts = k in classes
         if predicts:
             predicted.append(m)
         if zero:
@@ -401,16 +404,8 @@ def verify_case(case: TheoremCase, scan_multiplier: int = 2) -> TheoremVerdict:
     else:
         classification = HOLDS_VACUOUSLY
 
-    return TheoremVerdict(
-        case=case,
-        scan_multiplier=scan_multiplier,
-        window_modulus=window,
-        scan_limit=scan_multiplier * window,
-        predicted=tuple(predicted),
-        observed=tuple(observed),
-        classification=classification,
-        counterexamples=counterexamples,
-    )
+    return TheoremVerdict(case, scan_multiplier, window, scan_multiplier * window,
+                          tuple(predicted), tuple(observed), classification, counterexamples)
 
 
 def verify_prime(

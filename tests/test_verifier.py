@@ -20,6 +20,7 @@ from padquat.modular import PrimeModulus, jacobi, legendre, twin_primes_upto
 from padquat.quaternion import qp_elements, qr_elements
 from padquat.sequences import NotTwinPrime, SeqParams, padovan_fib_form
 from padquat.verifier import (
+    CASE_ROWS,
     FAILS,
     FIB_FORMS,
     HOLDS,
@@ -41,6 +42,7 @@ from padquat.verifier import (
 
 TWINS_200 = [p for _, p in twin_primes_upto(200)]
 TWINS_2000 = [p for _, p in twin_primes_upto(2000)]
+THEOREM_IDS = ("thm-padovan-even", "thm-padovan-odd", "thm-perrin-even", "thm-perrin-odd")
 
 
 def hypothesis_ks(p, periods=2):
@@ -541,6 +543,31 @@ class TestJumpOracle:
                     {m for m, (_, _, zd) in zip(indices, reads) if zd},
                 ) == matrix_jump_oracle(params, case.family, case.profile, indices), (cid, p)
 
+    def test_matches_matrix_reference_at_every_prime_to_2000(self):
+        # the closed form needs only (a, b) = (-2, 0) mod p, so it holds at
+        # every prime, twin or not; this reaches the zero-norm branch at
+        # real zero divisors, which the twin primes give only at 5, 7, 13
+        zero_divisor_primes = {cid: set() for cid in THEOREM_IDS}
+        for p in primes_upto(2000)[2:]:  # 5, 7, ..., 1999
+            params, profile = SeqParams(p - 2, p, modulus=p), FibProfile.of(p)
+            for cid in THEOREM_IDS:
+                case = TheoremCase.trusted(cid, profile)
+                indices = hypothesis_indices(case, 2 * profile.pisano_period)
+                reads = jump_oracle(case)
+                norms, zero_divisors = matrix_jump_oracle(params, case.family, profile, indices)
+                assert [norm for _, norm, _ in reads] == [norms[m] for m in indices], (cid, p)
+                assert {
+                    m for m, (_, _, zd) in zip(indices, reads, strict=True) if zd
+                } == zero_divisors, (cid, p)
+                if zero_divisors:
+                    zero_divisor_primes[cid].add(p)
+        assert zero_divisor_primes == {
+            "thm-padovan-even": {5},
+            "thm-padovan-odd": {13, 37},
+            "thm-perrin-even": {5, 7},
+            "thm-perrin-odd": {47, 89, 797},
+        }
+
     def test_wrong_window_fails_the_certificate(self):
         # z(5) = 5 and pi(5) = 20; a claimed pi of 5 makes the window 10,
         # which the QP stream mod 5 (minimal period 40) does not repeat in
@@ -649,6 +676,41 @@ def integer_stream(a, b, init, count):
 FIB = [0, 1]
 while len(FIB) < 210:
     FIB.append(FIB[-1] + FIB[-2])
+
+
+class TestRowQuadratics:
+    """The norm of each `CASE_ROWS` row as N(R) = c0 + c1 R + c2 R^2."""
+
+    @staticmethod
+    def is_sum_of_squared_terms(terms, quadratic):
+        c0, c1, c2 = quadratic
+        return all(
+            c0 + c1 * r + c2 * r * r == sum((a + d * r) ** 2 for a, d in terms)
+            for r in range(-5, 6)
+        )
+
+    def test_quadratic_is_the_sum_of_squared_terms(self):
+        for row, (terms, _, quadratic) in CASE_ROWS.items():
+            assert self.is_sum_of_squared_terms(terms, quadratic), row
+
+    def test_values_at_the_reachable_powers(self):
+        # r^2 = (-1)^z by Cassini, so R = r^j is +-1, or +-i when z(p) is
+        # odd: a zero norm needs p to divide N(1), N(-1) or N(i) N(-i)
+        assert {
+            row: (c0 + c1 + c2, c0 - c1 + c2, (c0 - c2) ** 2 + c1**2)
+            for row, (_, _, (c0, c1, c2)) in CASE_ROWS.items()
+        } == {
+            ("QP", 0): (2, 10, 20),
+            ("QP", 1): (1, 13, 37),
+            ("QR", 0): (98, 210, 5636),
+            ("QR", 1): (89, 141, 797),
+        }
+
+    def test_a_wrong_coefficient_is_not_a_sum_of_squares(self):
+        # c1 = sum A D drops the cross term's factor 2
+        for row, (terms, _, (c0, c1, c2)) in CASE_ROWS.items():
+            for wrong in ((c0, c1 // 2, c2), (c0 + 1, c1, c2), (c0, c1, c2 - 1)):
+                assert not self.is_sum_of_squared_terms(terms, wrong), (row, wrong)
 
 
 class TestFibForms:
