@@ -31,11 +31,13 @@ from .sequences import (
     perrin_sym_terms,
 )
 from .verifier import (
-    FAILS,
     CASE_IDS,
+    CLAIMS,
+    FAILS,
     ExcludedPrime,
     applicable_case_ids,
     check_claim,
+    decide_prime,
     verify_prime,
 )
 
@@ -43,11 +45,11 @@ from .verifier import (
 # Largest --p that fib, verify and seq accept: z(p) comes from trial division
 # of p - (5/p), whose cost grows with sqrt(p).
 MAX_PRIME = 10**12
-# Largest --upto that seq and scan accept; every term, and every verdict of a
+# Largest --upto that seq and scan accept; every term, and every row of a
 # scan, is held in memory.  Measured on a 2-vCPU Intel Xeon with Python 3.11:
 # seq --symbolic --upto 400 took 9.6 s and 359 MB (500: 19 s and 700 MB),
 # seq --p 5 --upto 10**6 3.1 s and 184 MB; measured later on the same machine
-# in a child process, scan --upto 10**7 --format csv 10.4 s and 251 MB.
+# in a child process, scan --upto 10**7 --format csv 5.1 s and 87 MB.
 MAX_SYMBOLIC_TERMS = 400
 MAX_TERMS = 10**6
 MAX_SCAN_BOUND = 10**7
@@ -187,20 +189,6 @@ def cmd_fib(args: argparse.Namespace) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-def _verdict_row(v) -> list:
-    first = v.first_counterexample()
-    return [
-        v.case.p,
-        v.case.claim_id,
-        "even" if v.case.parity == 0 else "odd",
-        v.case.hypothesis_class,
-        len(v.predicted),
-        len(v.observed),
-        v.classification,
-        "" if first is None else first,
-    ]
-
-
 _ROW_HEADER = [
     "prime",
     "case_id",
@@ -212,15 +200,29 @@ _ROW_HEADER = [
     "first_counterexample",
 ]
 
+_PARITY_NAMES = {cid: "odd" if claim.parity else "even" for cid, claim in CLAIMS.items()}
 
-def _verdicts_text(args: argparse.Namespace, verdicts: list, json_entry) -> tuple[str, int]:
-    """The report of `verdicts` in args.format, with exit status 2 when one
-    of them FAILS; `json_entry(verdict)` is a verdict's JSON record."""
-    status = 2 if any(v.classification == FAILS for v in verdicts) else 0
+
+def _rows(profile: FibProfile, case_ids: list[str]) -> list[list]:
+    """The report row of each claim of `case_ids` at p = profile.p, from its
+    `decide_prime` decision; the first counterexample is the first
+    disagreement's index."""
+    p, hypothesis_class = profile.p, profile.entry_point - 3
+    return [
+        [p, cid, _PARITY_NAMES[cid], hypothesis_class, len(predicted), len(observed),
+         classification, disagreements[0][0] if disagreements else ""]
+        for cid, predicted, observed, disagreements, classification
+        in decide_prime(profile, case_ids)
+    ]
+
+
+def _rows_text(args: argparse.Namespace, rows: list[list]) -> tuple[str, int]:
+    """The report of verdict `rows` in args.format, with exit status 2 when
+    one of them FAILS; JSON lists each row as a record."""
+    status = 2 if any(row[6] == FAILS for row in rows) else 0  # row[6]: classification
     if args.format == "json":
-        payload = {"verdicts": [json_entry(v) for v in verdicts]}
+        payload = {"verdicts": [dict(zip(_ROW_HEADER, row)) for row in rows]}
         return _json_document(args, payload), status
-    rows = [_verdict_row(v) for v in verdicts]
     if args.format == "csv":
         return _csv_text(_ROW_HEADER, rows), status
     return _table_text(_ROW_HEADER, rows), status
@@ -234,8 +236,11 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
             check_claim(cid, p)
     except (NotTwinPrime, ExcludedPrime) as exc:
         raise CliError(str(exc)) from exc
+    if args.format != "json":
+        return _rows_text(args, _rows(FibProfile.of(p), case_ids))
     verdicts = verify_prime(p, case_ids, args.scan_multiplier)
-    return _verdicts_text(args, verdicts, lambda v: v.to_dict())
+    status = 2 if any(v.classification == FAILS for v in verdicts) else 0
+    return _json_document(args, {"verdicts": [v.to_dict() for v in verdicts]}), status
 
 
 def cmd_scan(args: argparse.Namespace) -> tuple[str, int]:
@@ -243,12 +248,10 @@ def cmd_scan(args: argparse.Namespace) -> tuple[str, int]:
         raise CliError(f"--upto must be at most {MAX_SCAN_BOUND}, got {args.upto}")
     # in (p, claim id) order: the sieve yields p ascending, the ids come sorted;
     # bounds below 5 yield a header-only report
-    verdicts = [
-        verdict
-        for _, p in twin_primes_upto(args.upto)  # p from the sieve: no checks
-        for verdict in verify_prime(p, applicable_case_ids(p), args.scan_multiplier)
-    ]
-    return _verdicts_text(args, verdicts, lambda v: dict(zip(_ROW_HEADER, _verdict_row(v))))
+    rows = []
+    for _, p in twin_primes_upto(args.upto):  # p from the sieve: no checks
+        rows += _rows(FibProfile.of(p), applicable_case_ids(p))
+    return _rows_text(args, rows)
 
 
 # The commands, in the order the full parser lists them: (help, handler).

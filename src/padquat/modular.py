@@ -83,7 +83,18 @@ def _sieve(bound: int) -> bytearray:
 def twin_primes_upto(bound: int) -> list[tuple[int, int]]:
     """Twin prime pairs (p-2, p) with 5 <= p <= bound, ascending in p."""
     sieve = _sieve(bound)
-    return [(p - 2, p) for p in range(5, bound + 1) if sieve[p] and sieve[p - 2]]
+    # flag i of `both` is sieve[i + 3] & sieve[i + 5], the pair (i + 3, i + 5):
+    # every flag is 0 or 1, so the AND of the two views as integers is bytewise
+    n = bound - 4
+    if n <= 0:
+        return []
+    heads = int.from_bytes(sieve[5:], "little") & int.from_bytes(sieve[3:-2], "little")
+    both = heads.to_bytes(n, "little")
+    pairs, i = [], both.find(1)
+    while i >= 0:
+        pairs.append((i + 3, i + 5))
+        i = both.find(1, i + 1)
+    return pairs
 
 
 def mod_inverse(a: int, p: int) -> int:

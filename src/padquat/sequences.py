@@ -295,19 +295,3 @@ def padovan_fib_form(m: int, p: int) -> int:
         # k + 1, not k - 1: (-1) ** -1 is the float -1.0
         return (-1) ** (k + 1) * (fib_pair(k + 2, p)[0] - 1) % p
     return (-1) ** k * (fib_pair(k + 3, p)[0] - 1) % p
-
-
-def perrin_padovan_identity(n: int) -> bool:
-    """Exact symbolic check of the Perrin-from-Padovan relation at index n.
-
-    R_n(a,b) = 3 P_{n-3} + 2 P_{n-2}, taken at (a,b) for even n and at
-    (b,a) for odd n.  Fully symbolic, no evaluation involved.
-    """
-    if n < 3:
-        raise ValueError(f"the relation needs n >= 3, got {n}")
-    pad = padovan_sym_terms(n)
-    lhs = perrin_sym_terms(n + 1)[n]
-    rhs = 3 * pad[n - 3] + 2 * pad[n - 2]
-    if n % 2 == 1:
-        rhs = rhs.swap()
-    return lhs == rhs

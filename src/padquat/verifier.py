@@ -7,10 +7,12 @@ row of the `CLAIMS` table.  The engine reads only the hypothesis indices
 k = j z(p) - 3, where F_k .. F_{k+3} are r^j (2, -1, 1, 0) with
 r = F_{z+1} mod p, through the Fibonacci closed forms of the coefficients
 (`FIB_FORMS`).  As r^{pi/z} = 1, one period j = 1 .. pi(p)/z(p), the powers
-of r that `FibProfile.of` certifies, decides every window: HOLDS,
-HOLDS_VACUOUSLY, or FAILS with the full counterexample list, built only
-when read.  The linear, matrix and full-window references live in the
-tests.
+of r that `FibProfile.of` certifies, decides every window.  `decide_prime`
+decides each claim at one prime from one read of its (family, parity) row,
+as plain tuples: HOLDS, HOLDS_VACUOUSLY or FAILS with the disagreements.
+`scan` prints those; `verify_case` wraps one in a `TheoremVerdict` whose
+full counterexample list is built only when read.  The linear, matrix and
+full-window references live in the tests.
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ from dataclasses import asdict, dataclass
 from .fibonacci import FibProfile
 from .modular import is_prime, jacobi, legendre
 from .sequences import NotTwinPrime
-
-
-class HypothesisViolated(ValueError):
-    """Raised when an index breaks a claim's hypothesis congruence."""
 
 
 class ExcludedPrime(ValueError):
@@ -137,8 +135,6 @@ class TheoremCase:
     parity: int  # parity of the quaternion index m
     hypothesis_class: int  # k must be in this class mod z(p)
     family: str  # "QP" or "QR"
-    predicted_classes: tuple[int, ...]  # k classes mod pi(p) claimed zero divisors
-    claims_invertibility: bool = False
 
     @classmethod
     def build(cls, claim_id: str, p: int) -> "TheoremCase":
@@ -152,30 +148,12 @@ class TheoremCase:
         head a twin prime pair and `claim_id` be one of
         `applicable_case_ids(p)`, as for the p that `twin_primes_upto` gives."""
         claim = CLAIMS[claim_id]
-        p, z = profile.p, profile.entry_point
-        classes = claim.classes
-        if classes is None:
-            # {(jz - 3) mod pi : j = 1..4} is this range, as pi = z ord(r), ord(r) <= 4
-            holds = claim.side_condition(p)
-            classes = tuple(range(z - 3, profile.pisano_period, z)) if holds else ()
         # z(p) >= 5 for p >= 5, so the hypothesis class z - 3 is positive
-        return cls(claim_id, p, profile, claim.parity, z - 3, claim.family, classes,
-                   claim.classes == ())
+        return cls(claim_id, profile.p, profile, claim.parity, profile.entry_point - 3,
+                   claim.family)
 
     def k_of(self, m: int) -> int:
         return (m - self.parity) // 2
-
-    def predicts(self, m: int) -> bool:
-        """Whether the claim says quaternion m is a zero divisor.
-
-        Rejects indices of the wrong parity.  The z(p)-hypothesis
-        congruence on k is not checked, so callers may probe the class
-        condition at any k.  `verify_case` does not ask here: its k are
-        below pi(p), so it reads `predicted_classes` directly.
-        """
-        if m % 2 != self.parity:
-            raise HypothesisViolated(f"index {m} has the wrong parity for this claim")
-        return self.k_of(m) % self.profile.pisano_period in self.predicted_classes
 
 
 def check_claim(claim_id: str, p: int) -> None:
@@ -248,24 +226,71 @@ CASE_ROWS = {
 }
 
 
-def jump_oracle(case: TheoremCase) -> list[tuple[int, int, bool]]:
-    """(F_{k+2}, norm, is zero divisor) mod p for the quaternions m = 2k +
-    parity of the case at one period of its hypothesis indices k = j z(p) - 3,
-    j = 1 .. pi(p)/z(p), without building the coefficient stream.
+def jump_oracle(profile: FibProfile, family: str, parity: int) -> list[tuple[int, int, bool]]:
+    """(F_{k+2}, norm, is zero divisor) mod p = profile.p for the quaternions
+    m = 2k + parity of `family` at one period of the hypothesis indices
+    k = j z(p) - 3, j = 1 .. pi(p)/z(p), without building the coefficient
+    stream.
 
     There F_z = 0 makes Q^z = r I, so with R = r^j, the j-th of
-    `case.profile.powers`, F_{k+2} = R and each term is affine in R
+    `profile.powers`, F_{k+2} = R and each term is affine in R
     (`CASE_ROWS`).  The norm is then the row's integer quadratic
     c0 + c1 R + c2 R^2 mod p; only where it vanishes are the terms read, to
     tell a zero divisor from the zero quaternion.  As r^{pi/z} = 1 the reads
     repeat with period pi(p)/z(p) in j.
     """
-    p, (terms, _, (c0, c1, c2)) = case.p, CASE_ROWS[case.family, case.parity]
+    p, (terms, _, (c0, c1, c2)) = profile.p, CASE_ROWS[family, parity]
     reads = []
-    for power in case.profile.powers:
+    for power in profile.powers:
         norm = (c0 + (c1 + c2 * power) * power) % p
         reads.append((power, norm, norm == 0 and any((a + d * power) % p for a, d in terms)))
     return reads
+
+
+def decide_prime(profile: FibProfile, case_ids: Iterable[str]) -> list[tuple]:
+    """The decision of each claim of `case_ids` at p = profile.p, in order:
+    (claim id, predicted, observed, disagreements, classification).
+
+    Each claim must apply to p (see `verify_prime`); no two such claims
+    share a (family, parity) row, as each corollary stands in for the
+    theorem its prime excludes, so each row is read once.  One pass over
+    the first window's hypothesis indices k = j z(p) - 3 < pi(p) and their
+    `jump_oracle` reads decides a claim: m = 2k + parity is predicted when k
+    is one of its classes mod pi(p).  `predicted` and `observed` list those
+    m, `disagreements` each (m, F_{k+2}, norm, predicted) where prediction
+    and oracle differ.  FAILS when some index disagrees, else HOLDS when
+    the comparison has content (nonempty sets, or an invertibility claim)
+    and HOLDS_VACUOUSLY when nothing satisfies the claim.  Every window
+    repeats the first, so the scan multiplier changes none of it.
+    """
+    p, z = profile.p, profile.entry_point
+    # {(jz - 3) mod pi : j = 1..4} is this range, as pi = z ord(r), ord(r) <= 4
+    hypothesis = range(z - 3, z * len(profile.powers), z)
+    decisions = []
+    for cid in case_ids:
+        claim = CLAIMS[cid]
+        parity, classes = claim.parity, claim.classes
+        if classes is None:  # a theorem: every hypothesis class, if its side condition holds
+            classes = hypothesis if claim.side_condition(p) else ()
+        predicted, observed, disagreements = [], [], []
+        reads = jump_oracle(profile, claim.family, parity)
+        for k, (f2, norm, zero) in zip(hypothesis, reads, strict=True):
+            m = 2 * k + parity
+            predicts = k in classes
+            if predicts:
+                predicted.append(m)
+            if zero:
+                observed.append(m)
+            if predicts != zero:
+                disagreements.append((m, f2, norm, predicts))
+        if disagreements:
+            classification = FAILS
+        elif predicted or claim.classes == ():
+            classification = HOLDS
+        else:
+            classification = HOLDS_VACUOUSLY
+        decisions.append((cid, predicted, observed, disagreements, classification))
+    return decisions
 
 
 @dataclass(frozen=True)
@@ -353,57 +378,24 @@ class TheoremVerdict:
         }
 
     def first_counterexample(self) -> int | None:
-        """The least index of a counterexample, None unless FAILS.  From
-        `Counterexamples` it is the m of the first window's first
-        disagreement, read without building a `Counterexample`."""
-        cexs = self.counterexamples
-        if isinstance(cexs, Counterexamples):
-            return cexs.first_window[0][0]
-        return cexs[0].index if cexs else None
+        """The least index of a counterexample, None unless FAILS."""
+        return self.counterexamples[0].index if self.counterexamples else None
 
 
 def verify_case(case: TheoremCase, scan_multiplier: int = 2) -> TheoremVerdict:
-    """Compare a claim's predicted zero divisors against the quaternion norms.
-
-    The window is lcm(sequence period, 2*pi(p)), which is 2*pi(p): the
-    profile certifies Q^pi = I, so 2*pi(p) is a period of every coefficient
-    stream.  The scan covers scan_multiplier windows.  The reads and the
-    predicted classes of k mod pi(p) repeat in every window, so one pass
-    over the first window's hypothesis indices k = j z(p) - 3 < pi(p), each
-    paired with its `jump_oracle` read, decides the verdict: quaternion
-    m = 2k + parity is predicted exactly when k is one of
-    `case.predicted_classes`, since k < pi(p).  Classification: FAILS when
-    some index disagrees, with every disagreeing index of the scan in
-    `counterexamples`; otherwise HOLDS when the comparison has content
-    (nonempty sets, or an invertibility claim) and HOLDS_VACUOUSLY when a
-    zero-divisor claim matches the oracle only because nothing satisfies it.
-    """
+    """The verdict of `case` over scan_multiplier windows, from its
+    `decide_prime` decision.  The window lcm(sequence period, 2 pi(p)) is
+    2 pi(p): the profile certifies Q^pi = I, so 2 pi(p) is a period of every
+    coefficient stream.  A FAILS verdict lists every disagreeing index of
+    the scan, each built when read."""
     if scan_multiplier < 2:
         raise ValueError("scan multiplier must be >= 2")
-    profile, parity, classes = case.profile, case.parity, case.predicted_classes
-    pi = profile.pisano_period
-    window = 2 * pi
-    hypothesis = range(case.hypothesis_class, pi, profile.entry_point)
-    predicted, observed, disagreements = [], [], []
-    for k, (f2, norm, zero) in zip(hypothesis, jump_oracle(case), strict=True):
-        m = 2 * k + parity
-        predicts = k in classes
-        if predicts:
-            predicted.append(m)
-        if zero:
-            observed.append(m)
-        if predicts != zero:
-            disagreements.append((m, f2, norm, predicts))
-
+    _, predicted, observed, disagreements, classification = decide_prime(
+        case.profile, (case.claim_id,))[0]
+    window = 2 * case.profile.pisano_period
     counterexamples: Sequence[Counterexample] = ()
     if disagreements:
-        classification = FAILS
         counterexamples = Counterexamples(case, scan_multiplier, disagreements)
-    elif predicted or case.claims_invertibility:
-        classification = HOLDS
-    else:
-        classification = HOLDS_VACUOUSLY
-
     return TheoremVerdict(case, scan_multiplier, window, scan_multiplier * window,
                           tuple(predicted), tuple(observed), classification, counterexamples)
 

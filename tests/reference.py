@@ -1,7 +1,8 @@
 """Slow, independent references for the verifier's production oracle, and
 the number theory only the tests use (`primes_upto`, `sqrt_mod`,
-`solve_quadratic`, `reduced_norm_value` from fast doubling and
-`satisfies_hypothesis`).
+`solve_quadratic`, `reduced_norm_value` from fast doubling,
+`satisfies_hypothesis`, the per-index predicate `predicts` and the
+symbolic Perrin-from-Padovan check `perrin_padovan_identity`).
 
 - `sorted_case_ids`: the claim ids that apply at p, sorted out of
   `CLAIMS` at every call, the reference for the claim table that
@@ -17,8 +18,11 @@ the number theory only the tests use (`primes_upto`, `sqrt_mod`,
   two-step 3x3 map with general (a, b), so it relies on none of the
   twin-prime closed forms that the production oracle reads;
 - `full_window_verdict`: a verdict from every hypothesis index of the
-  scan, each read by its own step, the reference for the one-period
-  verdict of `verifier.verify_case`.
+  scan, each read by its own step, asking `predicts` at every index: the
+  reference for the one-period decisions of `verifier.decide_prime`, and
+  through `verdict_row` for the rows that `scan` prints;
+- `twin_primes_by_comprehension`: twin pairs by testing both sieve flags
+  at every n, the reference for `modular.twin_primes_upto`.
 """
 
 from __future__ import annotations
@@ -31,7 +35,14 @@ from typing import Sequence
 from padquat.fibonacci import FibProfile, entry_point, fib_pair
 from padquat.modular import PrimeModulus, _sieve, legendre, mod_inverse
 from padquat.quaternion import family_stream
-from padquat.sequences import SeqParams, _extend, padovan_mod, perrin_mod
+from padquat.sequences import (
+    SeqParams,
+    _extend,
+    padovan_mod,
+    padovan_sym_terms,
+    perrin_mod,
+    perrin_sym_terms,
+)
 from padquat.verifier import (
     CASE_ROWS,
     CLAIMS,
@@ -42,11 +53,38 @@ from padquat.verifier import (
     NORM_REDUCTIONS,
     PERRIN_EVEN_ADJUSTED,
     Counterexample,
-    HypothesisViolated,
     TheoremCase,
     TheoremVerdict,
     _reduce,
 )
+
+
+class HypothesisViolated(ValueError):
+    """Raised when an index breaks a claim's hypothesis congruence."""
+
+
+def predicted_classes(case: TheoremCase) -> tuple[int, ...]:
+    """The k classes mod pi(p) that the claim of `case` predicts: a
+    corollary's fixed classes, else the candidate classes
+    {(j z(p) - 3) mod pi(p) : j = 1..4} where the side condition holds."""
+    claim = CLAIMS[case.claim_id]
+    if claim.classes is not None:
+        return claim.classes
+    if not claim.side_condition(case.p):
+        return ()
+    z, pi = case.profile.entry_point, case.profile.pisano_period
+    return tuple(sorted({(j * z - 3) % pi for j in range(1, 5)}))
+
+
+def predicts(case: TheoremCase, m: int) -> bool:
+    """Whether the claim of `case` says quaternion m is a zero divisor.
+
+    Rejects indices of the wrong parity.  The z(p)-hypothesis congruence
+    on k is not checked, so callers may probe the class condition at any k.
+    """
+    if m % 2 != case.parity:
+        raise HypothesisViolated(f"index {m} has the wrong parity for this claim")
+    return case.k_of(m) % case.profile.pisano_period in predicted_classes(case)
 
 
 def sorted_case_ids(p: int) -> list[str]:
@@ -61,6 +99,13 @@ def sorted_case_ids(p: int) -> list[str]:
 def primes_upto(bound: int) -> list[int]:
     """All primes <= bound, by sieve."""
     return [i for i, flag in enumerate(_sieve(bound)) if flag]
+
+
+def twin_primes_by_comprehension(bound: int) -> list[tuple[int, int]]:
+    """Twin prime pairs (p-2, p) with 5 <= p <= bound, testing both sieve
+    flags at every p."""
+    sieve = _sieve(bound)
+    return [(p - 2, p) for p in range(5, bound + 1) if sieve[p] and sieve[p - 2]]
 
 
 class LeadingCoefficientNotInvertible(ValueError):
@@ -183,6 +228,22 @@ def satisfies_hypothesis(case: TheoremCase, m: int) -> bool:
     if m % 2 != case.parity:
         return False
     return case.k_of(m) % case.profile.entry_point == case.hypothesis_class
+
+
+def perrin_padovan_identity(n: int) -> bool:
+    """Exact symbolic check of the Perrin-from-Padovan relation at index n.
+
+    R_n(a,b) = 3 P_{n-3} + 2 P_{n-2}, taken at (a,b) for even n and at
+    (b,a) for odd n.  Fully symbolic, no evaluation involved.
+    """
+    if n < 3:
+        raise ValueError(f"the relation needs n >= 3, got {n}")
+    pad = padovan_sym_terms(n)
+    lhs = perrin_sym_terms(n + 1)[n]
+    rhs = 3 * pad[n - 3] + 2 * pad[n - 2]
+    if n % 2 == 1:
+        rhs = rhs.swap()
+    return lhs == rhs
 
 
 def pisano_by_candidates(p: int) -> int:
@@ -361,12 +422,12 @@ def full_window_verdict(case: TheoremCase, scan_multiplier: int) -> TheoremVerdi
         norm = sum(x * x for x in t) % p
         reads[m] = (fibs[2], norm, norm == 0 and any(t))
     observed = [m for m in hypothesis if reads[m][2]]
-    predicted = [m for m in hypothesis if case.predicts(m)]
+    predicted = [m for m in hypothesis if predicts(case, m)]
 
     if not hypothesis:
         classification = HOLDS_VACUOUSLY
     elif predicted == observed:
-        if predicted or case.claims_invertibility:
+        if predicted or CLAIMS[case.claim_id].classes == ():  # an invertibility claim
             classification = HOLDS
         else:
             classification = HOLDS_VACUOUSLY
@@ -400,3 +461,14 @@ def full_window_verdict(case: TheoremCase, scan_multiplier: int) -> TheoremVerdi
         classification=classification,
         counterexamples=tuple(counterexamples),
     )
+
+
+def verdict_row(verdict: TheoremVerdict) -> list:
+    """The `scan` report row of a verdict, as strings, as `csv` reads it."""
+    case = verdict.case
+    first = verdict.counterexamples[0].index if verdict.counterexamples else ""
+    return [str(x) for x in (
+        case.p, case.claim_id, "even" if case.parity == 0 else "odd",
+        case.hypothesis_class, len(verdict.predicted), len(verdict.observed),
+        verdict.classification, first,
+    )]

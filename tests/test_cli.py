@@ -5,6 +5,7 @@ import io
 import json
 
 import pytest
+from reference import full_window_verdict, verdict_row
 
 from padquat import __version__, cli, fibonacci, modular, quaternion, sequences, verifier
 from padquat.cli import (
@@ -277,6 +278,7 @@ class TestScan:
             raise AssertionError("verification ran")
 
         monkeypatch.setattr(cli, "verify_prime", refuse)
+        monkeypatch.setattr(cli, "decide_prime", refuse)
 
     def check_unwritable_out(self, tmp_path, capsys, monkeypatch, command, where):
         self.refuse_verify(monkeypatch)
@@ -382,6 +384,48 @@ class TestScan:
             "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"
         )
 
+    @pytest.mark.parametrize("argv, digest", [
+        (("scan", "--upto", "2000", "--format", "csv"),
+         "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"),
+        (("scan", "--upto", "2000", "--format", "json"),
+         "47527c3d076d843940b9b4000fa639f106f8129c5fcf8933c10cf0a6ded83497"),
+        (("scan", "--upto", "2000"),
+         "01e7c4e779c9c7f73c47933d0acae79bebb59a9649ce25891802cc4a845c5510"),
+        (("verify", "--p", "181", "--format", "csv"),
+         "2d1004d45878440841cc00ec85bcb357d71a8f7e47e3b29e39503cfd43c6c1ea"),
+        (("verify", "--p", "7"),
+         "7277fe96560f0073d2f9903f5b80777be1f36b2d46301b2ccbee69724e5bd436"),
+    ])
+    def test_rows_build_no_verdict_object(self, capsys, monkeypatch, argv, digest):
+        # scan in every format, and verify outside JSON, print the plain rows
+        # of decide_prime; digests measured when every row came from a verdict
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"a {type(self).__name__} built")
+
+        for cls in (verifier.TheoremCase, verifier.TheoremVerdict,
+                    verifier.Counterexample, verifier.Counterexamples):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        status, out, _ = run_cli(capsys, *argv)
+        assert status == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("multiplier", [2, 5])
+    def test_rows_match_full_window_reference_for_every_twin_prime_to_1e4(
+        self, capsys, multiplier
+    ):
+        status, out, _ = run_cli(capsys, "scan", "--upto", "10000", "--format", "csv",
+                                 "--scan-multiplier", str(multiplier))
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        expected = [
+            verdict_row(full_window_verdict(verifier.TheoremCase.build(cid, p), multiplier))
+            for _, p in modular.twin_primes_upto(10**4)
+            for cid in verifier.applicable_case_ids(p)
+        ]
+        assert len(rows) == len(expected) > 800
+        for row, reference_row in zip(rows, expected):
+            assert row == reference_row
+        assert status == 2
+
     def test_scan_takes_one_profile_and_one_pair_per_prime(self, capsys, monkeypatch):
         twins = [p for _, p in modular.twin_primes_upto(2000)]
         z = {p: fibonacci.entry_point(p) for p in twins}
@@ -413,8 +457,8 @@ class TestScan:
         for multiplier in (2, MAX_SCAN_MULTIPLIER):
             reads[multiplier] = 0
 
-            def counted(case, multiplier=multiplier):
-                out = jump_oracle(case)
+            def counted(*row, multiplier=multiplier):
+                out = jump_oracle(*row)
                 reads[multiplier] += len(out)
                 return out
 
@@ -453,6 +497,13 @@ class TestGoldenBytes:
          "2cf052bbaf03dcaacaa87a68840a8928d7aa213a637c890f885ff8e60a49ab00", 2),
         (("verify", "--p", "1000213", "--format", "json"),
          "e46e46a87b81db86ace9bdd7380097e3ee3b6ecfb41d36134de64cc7e03e5142", 2),
+        # the table and csv rows of scan and verify, made from plain row tuples
+        (("scan", "--upto", "2000"),
+         "01e7c4e779c9c7f73c47933d0acae79bebb59a9649ce25891802cc4a845c5510", 2),
+        (("verify", "--p", "181", "--format", "csv"),
+         "2d1004d45878440841cc00ec85bcb357d71a8f7e47e3b29e39503cfd43c6c1ea", 2),
+        (("verify", "--p", "7"),
+         "7277fe96560f0073d2f9903f5b80777be1f36b2d46301b2ccbee69724e5bd436", 2),
         # 32,676 verdicts, the scale the scan's speed is quoted at
         (("scan", "--upto", "1000000", "--format", "csv"),
          "b4e45c6bca4ace086c832f2dcbe0aad2b6188a52811f9635a357c58dd6bc6e82", 2),

@@ -1,0 +1,65 @@
+"""Where a hypothesis-index quaternion can be a zero divisor.
+
+At k = j z(p) - 3 the norm of each (family, parity) row is the integer
+quadratic N(R) = c0 + c1 R + c2 R^2 of `CASE_ROWS` in R = r^j, with
+r = F_{z+1} mod p.  Cassini's identity with F_z = 0 gives r^2 = (-1)^z, so
+R is +-1, or also +-i (R^2 = -1) when z(p) is odd.  A zero norm therefore
+needs p | N(1), p | N(-1) or p | N(i) N(-i) = (c0 - c2)^2 + c1^2.  The
+candidate primes of a row are the prime factors of those three integers;
+every other prime has no zero divisor at any hypothesis index of that row.
+"""
+
+from reference import primes_upto
+
+from padquat.fibonacci import FibProfile
+from padquat.verifier import CASE_ROWS, jump_oracle
+
+
+def prime_factors(n):
+    n, q, out = abs(n), 2, set()
+    while q * q <= n:
+        while n % q == 0:
+            out.add(q)
+            n //= q
+        q += 1
+    return out | ({n} if n > 1 else set())
+
+
+def candidates(quadratic):
+    c0, c1, c2 = quadratic
+    values = (c0 + c1 + c2, c0 - c1 + c2, (c0 - c2) ** 2 + c1**2)
+    return set().union(*(prime_factors(v) for v in values))
+
+
+CANDIDATES = {row: candidates(quadratic) for row, (_, _, quadratic) in CASE_ROWS.items()}
+
+
+def test_candidates_come_from_the_row_quadratics():
+    # 1409 divides N(i) N(-i) of QR even, but z(1409) is even
+    assert CANDIDATES == {
+        ("QP", 0): {2, 5},
+        ("QP", 1): {13, 37},
+        ("QR", 0): {2, 3, 5, 7, 1409},
+        ("QR", 1): {3, 47, 89, 797},
+    }
+    assert FibProfile.of(1409).powers == (1408, 1)
+
+
+def test_zero_norms_only_at_candidate_primes_to_1e5():
+    # every prime 5 <= p <= 10^5, twin or not: the closed form needs only
+    # (a, b) = (-2, 0) mod p
+    realised = {row: set() for row in CASE_ROWS}
+    for p in primes_upto(10**5)[2:]:
+        profile = FibProfile.of(p)
+        for family, parity in CASE_ROWS:
+            reads = jump_oracle(profile, family, parity)
+            if any(norm == 0 for _, norm, _ in reads):
+                assert p in CANDIDATES[family, parity], (family, parity, p)
+            if any(zero for _, _, zero in reads):
+                realised[family, parity].add(p)
+    assert realised == {
+        ("QP", 0): {5},
+        ("QP", 1): {13, 37},
+        ("QR", 0): {5, 7},
+        ("QR", 1): {47, 89, 797},
+    }

@@ -8,6 +8,7 @@ from reference import (
     primes_upto,
     solve_quadratic,
     sqrt_mod,
+    twin_primes_by_comprehension,
 )
 
 from padquat.modular import (
@@ -117,6 +118,11 @@ class TestTwinPrimes:
         pairs = [(p - 2, p) for p in sorted(prime) if p >= 5 and p - 2 in prime]
         for bound in range(5001):
             assert twin_primes_upto(bound) == [t for t in pairs if t[1] <= bound], bound
+
+    def test_matches_the_comprehension_every_bound_to_5000_and_at_1e6(self):
+        # the per-n sieve test that the bytes AND of the shifted views replaced
+        for bound in [*range(-2, 5001), 10**6]:
+            assert twin_primes_upto(bound) == twin_primes_by_comprehension(bound), bound
 
 
 class TestPrimeModulus:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import seq_period
+from reference import perrin_padovan_identity, seq_period
 
 from padquat.fibonacci import FibProfile
 from padquat.modular import twin_primes_upto
@@ -16,7 +16,6 @@ from padquat.sequences import (
     padovan_mod,
     padovan_sym_terms,
     perrin_mod,
-    perrin_padovan_identity,
     perrin_sym_terms,
 )
 

@@ -1,7 +1,9 @@
 import math
 
 import pytest
+import reference
 from reference import (
+    HypothesisViolated,
     QuadCongruence,
     family_period,
     full_window_verdict,
@@ -21,6 +23,7 @@ from padquat.quaternion import qp_elements, qr_elements
 from padquat.sequences import NotTwinPrime, SeqParams, padovan_fib_form
 from padquat.verifier import (
     CASE_ROWS,
+    CLAIMS,
     FAILS,
     FIB_FORMS,
     HOLDS,
@@ -30,10 +33,10 @@ from padquat.verifier import (
     Counterexample,
     Counterexamples,
     ExcludedPrime,
-    HypothesisViolated,
     TheoremCase,
     TheoremVerdict,
     applicable_case_ids,
+    decide_prime,
     jump_oracle,
     perrin_even_side_condition,
     verify_case,
@@ -105,7 +108,14 @@ class TestCaseConstruction:
 
 
 def predicts(claim_id, p, m):
-    return TheoremCase.build(claim_id, p).predicts(m)
+    return reference.predicts(TheoremCase.build(claim_id, p), m)
+
+
+def predicted_ks(claim_id, p):
+    """The k of the quaternions m = 2k + parity that `decide_prime`
+    predicts in the first window of `claim_id` at p."""
+    _, predicted, _, _, _ = decide_prime(FibProfile.of(p), [claim_id])[0]
+    return tuple(m // 2 for m in predicted)
 
 
 class TestPredicates:
@@ -113,18 +123,18 @@ class TestPredicates:
         # p = 3 (mod 4) predicts nothing
         case7 = TheoremCase.build("thm-padovan-even", 7)
         m = next(m for m in range(0, 200, 2) if satisfies_hypothesis(case7, m))
-        assert case7.predicts(m) is False
+        assert reference.predicts(case7, m) is False
         # p = 1 (mod 4) predicts every candidate class
         case13 = TheoremCase.build("thm-padovan-even", 13)
         for m in range(0, 120, 2):
             if satisfies_hypothesis(case13, m):
-                assert case13.predicts(m) is True
+                assert reference.predicts(case13, m) is True
 
     def test_padovan_odd_side_condition(self):
         assert predicts("thm-padovan-odd", 5, 2 * 2 + 1) is False  # 5 = 2 (mod 3), k=2 = -3 mod 5
         case7 = TheoremCase.build("thm-padovan-odd", 7)
         m = next(m for m in range(1, 200, 2) if satisfies_hypothesis(case7, m))
-        assert case7.predicts(m) is True
+        assert reference.predicts(case7, m) is True
 
     def test_parity_rejected(self):
         for claim_id, p, m in (
@@ -147,7 +157,7 @@ class TestPredicates:
         case = TheoremCase.build("cor-13", 13)
         for m in range(1, 300, 2):
             if satisfies_hypothesis(case, m):
-                assert case.predicts(m) is False
+                assert reference.predicts(case, m) is False
 
     def test_perrin_even_condition_equals_discriminant_symbol(self):
         for p in primes_upto(500):
@@ -156,8 +166,7 @@ class TestPredicates:
             assert perrin_even_side_condition(p) == (legendre(-8 * 181, p) == 1), p
         for _, p in twin_primes_upto(500):
             if p != 181:
-                case = TheoremCase.build("thm-perrin-even", p)
-                assert bool(case.predicted_classes) == (legendre(-8 * 181, p) == 1), p
+                assert bool(predicted_ks("thm-perrin-even", p)) == (legendre(-8 * 181, p) == 1), p
 
     def test_perrin_odd_jacobi_equals_discriminant_symbol(self):
         for _, p in twin_primes_upto(500):
@@ -165,8 +174,7 @@ class TestPredicates:
                 continue
             assert (jacobi(p, 3107) == 1) == (legendre(-4 * 13 * 239, p) == 1), p
             # the claim table predicts classes exactly when the symbol is +1
-            case = TheoremCase.build("thm-perrin-odd", p)
-            assert bool(case.predicted_classes) == (jacobi(p, 3107) == 1), p
+            assert bool(predicted_ks("thm-perrin-odd", p)) == (jacobi(p, 3107) == 1), p
 
     def test_theorem_classes_are_the_candidate_formula(self):
         # the candidate classes {(j z - 3) mod pi(p) : j = 1..4} when the side
@@ -186,8 +194,9 @@ class TestPredicates:
                 if side_conditions[cid](p):
                     expected = tuple(sorted({(j * z - 3) % pi for j in range(1, 5)}))
                     seen.add(cid)
-                case = TheoremCase.trusted(cid, profile)
-                assert case.predicted_classes == expected, (cid, p)
+                # k < pi(p) in the first window, so its k are the classes
+                assert predicted_ks(cid, p) == expected, (cid, p)
+                assert reference.predicted_classes(TheoremCase.trusted(cid, profile)) == expected
         assert seen == set(side_conditions)
 
     def test_side_condition_congruence_equivalences(self):
@@ -449,7 +458,7 @@ def hypothesis_indices(case, limit):
 def tiled_reads(case, count):
     """The first `count` hypothesis-index reads, taking `jump_oracle`'s one
     period of r to repeat: the references check that it does."""
-    reads = jump_oracle(case)
+    reads = jump_oracle(case.profile, case.family, case.parity)
     return [reads[i % len(reads)] for i in range(count)]
 
 
@@ -461,11 +470,11 @@ def linear_verdict(case, scan_multiplier, linear):
     scan_limit = scan_multiplier * window
     hypothesis = hypothesis_indices(case, scan_limit)
     observed = [m for m in hypothesis if m in zero_divisors]
-    predicted = [m for m in hypothesis if case.predicts(m)]
+    predicted = [m for m in hypothesis if reference.predicts(case, m)]
     if not hypothesis:
         classification = HOLDS_VACUOUSLY
     elif predicted == observed:
-        has_content = predicted or case.claims_invertibility
+        has_content = predicted or CLAIMS[case.claim_id].classes == ()
         classification = HOLDS if has_content else HOLDS_VACUOUSLY
     else:
         classification = FAILS
@@ -553,7 +562,7 @@ class TestJumpOracle:
             for cid in THEOREM_IDS:
                 case = TheoremCase.trusted(cid, profile)
                 indices = hypothesis_indices(case, 2 * profile.pisano_period)
-                reads = jump_oracle(case)
+                reads = jump_oracle(case.profile, case.family, case.parity)
                 norms, zero_divisors = matrix_jump_oracle(params, case.family, profile, indices)
                 assert [norm for _, norm, _ in reads] == [norms[m] for m in indices], (cid, p)
                 assert {
@@ -593,11 +602,11 @@ class TestOnePeriodVerdict:
             ids = applicable_case_ids(p)
             for cid, verdict in zip(ids, verify_prime(p, ids, multiplier), strict=True):
                 case = TheoremCase.build(cid, p)
-                reference = full_window_verdict(case, multiplier)
-                expected = reference.to_dict()
+                full = full_window_verdict(case, multiplier)
+                expected = full.to_dict()
                 assert verdict.to_dict() == expected, (cid, p, multiplier)
-                # from the first window on one side, from a tuple on the other
-                assert verdict.first_counterexample() == reference.first_counterexample(), (
+                # from the lazy list on one side, from a tuple on the other
+                assert verdict.first_counterexample() == full.first_counterexample(), (
                     cid, p, multiplier)
                 assert verify_case(case, multiplier).to_dict() == expected, (cid, p, multiplier)
 
@@ -615,7 +624,7 @@ class TestOnePeriodVerdict:
             raise AssertionError("a per-index predicate asked")
 
         k_of = TheoremCase.k_of
-        monkeypatch.setattr(TheoremCase, "predicts", refuse)
+        monkeypatch.setattr(reference, "predicts", refuse)
         monkeypatch.setattr(TheoremCase, "k_of", refuse)
         verdicts = {p: verify_prime(p, applicable_case_ids(p)) for p in primes}
         monkeypatch.setattr(TheoremCase, "k_of", k_of)  # counterexamples read k when built
@@ -654,14 +663,61 @@ class TestOnePeriodVerdict:
             return Counterexample(**fields)
 
         monkeypatch.setattr(verifier, "Counterexample", counted)
-        verdicts = verify_prime(13, applicable_case_ids(13), 4)
+        ids = applicable_case_ids(13)
+        verdicts = verify_prime(13, ids, 4)
         fails = [v for v in verdicts if v.classification == FAILS]
-        firsts = [v.first_counterexample() for v in fails]
-        assert fails and built == []  # the first index is read without building one
+        # the decisions give the first index without building one
+        firsts = [d[3][0][0] for d in decide_prime(FibProfile.of(13), ids) if d[3]]
+        assert fails and built == []
         records = fails[0].to_dict()["counterexamples"]
         assert built == [r["index"] for r in records]
         assert len(built) == len(fails[0].counterexamples)
         assert firsts == [v.counterexamples[0].index for v in fails]
+        assert firsts == [v.first_counterexample() for v in fails]
+
+
+class TestDecidePrime:
+    """`decide_prime`, the one decision path under `scan` and `verify`."""
+
+    @staticmethod
+    def count_reads(monkeypatch):
+        reads = []
+        read = verifier.jump_oracle
+
+        def counted(profile, family, parity):
+            reads.append((profile.p, family, parity))
+            return read(profile, family, parity)
+
+        monkeypatch.setattr(verifier, "jump_oracle", counted)
+        return reads
+
+    @staticmethod
+    def rows(p, case_ids):
+        return sorted({(p, CLAIMS[cid].family, CLAIMS[cid].parity) for cid in case_ids})
+
+    def test_each_row_is_read_once_per_prime(self, monkeypatch):
+        # the corollaries read the rows of the theorems that 7, 13 and 181
+        # exclude; 239 heads no twin pair, and only thm-perrin-odd excludes it
+        reads = self.count_reads(monkeypatch)
+        counts = {}
+        for p in (7, 13, 181, 239):
+            ids = applicable_case_ids(p)
+            for decide in (lambda: decide_prime(FibProfile.of(p), ids),
+                           lambda: verify_prime(p, ids, 3)):
+                reads.clear()
+                decide()
+                assert sorted(reads) == self.rows(p, ids), p
+            counts[p] = len(reads)
+        assert counts == {7: 4, 13: 4, 181: 4, 239: 3}
+
+    def test_each_row_is_read_once_at_every_twin_prime_to_2000(self, monkeypatch):
+        reads = self.count_reads(monkeypatch)
+        expected = []
+        for p in TWINS_2000:
+            ids = applicable_case_ids(p)
+            decide_prime(FibProfile.of(p), ids)
+            expected += self.rows(p, ids)
+        assert sorted(reads) == expected
 
 
 def integer_stream(a, b, init, count):
