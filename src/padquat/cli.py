@@ -8,6 +8,10 @@ Subcommands:
 
 Exit codes: 0 success (no FAILS), 1 usage/validation error, 2 at least
 one FAILS verdict.  All output is deterministic for a given invocation.
+
+A command followed by plain `--option value` pairs is read straight from its
+option table; argparse reads anything else (help, version, abbreviations,
+`--option=value`, values that start with "-") and reports every usage error.
 """
 
 from __future__ import annotations
@@ -67,6 +71,27 @@ class CliError(Exception):
 # every command's JSON config records these two, whether it takes them or not
 _CONFIG_DEFAULTS = {"symbolic": False, "scan_multiplier": 2}
 
+# Each command's options, in help order: option -> (type, choices, default,
+# required, help); a bool option is a flag.  build_parser adds them to
+# argparse, and _plain_args reads a plain argv from the same rows.
+_OUTPUT_OPTIONS = {"--format": (str, ("table", "json", "csv"), "table", False, None),
+                   "--out": (str, None, None, False, "output path (default: stdout)")}
+_OPTIONS = {
+    "seq": {
+        "--kind": (str, ("padovan", "perrin"), None, False, "which sequence (default: both)"),
+        "--symbolic": (bool, None, False, False, "exact polynomials in a, b instead of residues"),
+        "--p": (int, None, None, False, "twin prime modulus; coefficients are (p-2, p)"),
+        "--upto": (int, None, None, True, "number of terms (indices 0..N-1)"), **_OUTPUT_OPTIONS},
+    "fib": {"--p": (int, None, None, True, None), **_OUTPUT_OPTIONS},
+    "verify": {
+        "--p": (int, None, None, True, None),
+        "--case": (str, CASE_IDS, None, False, "a single claim id (default: all applicable)"),
+        "--scan-multiplier": (int, None, 2, False, None), **_OUTPUT_OPTIONS},
+    "scan": {
+        "--upto": (int, None, None, True, "inclusive bound on the twin prime p"),
+        "--scan-multiplier": (int, None, 2, False, None), **_OUTPUT_OPTIONS},
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse default exits 2; we reserve 2 for FAILS
@@ -75,29 +100,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
-    """Add the options of `command` to `parser`."""
-    if command == "seq":
-        parser.add_argument("--kind", choices=["padovan", "perrin"], default=None,
-                            help="which sequence (default: both)")
-        parser.add_argument("--symbolic", action="store_true",
-                            help="exact polynomials in a, b instead of residues")
-        parser.add_argument("--p", type=int, default=None,
-                            help="twin prime modulus; coefficients are (p-2, p)")
-        parser.add_argument("--upto", type=int, required=True,
-                            help="number of terms (indices 0..N-1)")
-    elif command == "fib":
-        parser.add_argument("--p", type=int, required=True)
-    elif command == "verify":
-        parser.add_argument("--p", type=int, required=True)
-        parser.add_argument("--case", choices=list(CASE_IDS), default=None,
-                            help="a single claim id (default: all applicable)")
-        parser.add_argument("--scan-multiplier", type=int, default=2)
-    else:  # scan
-        parser.add_argument("--upto", type=int, required=True,
-                            help="inclusive bound on the twin prime p")
-        parser.add_argument("--scan-multiplier", type=int, default=2)
-    parser.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+    """Add the options of `command` to `parser`, from `_OPTIONS`."""
+    for name, (kind, choices, default, required, help_text) in _OPTIONS[command].items():
+        if kind is bool:
+            parser.add_argument(name, action="store_true", help=help_text)
+        else:
+            parser.add_argument(name, type=kind, choices=choices, default=default,
+                                required=required, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,12 +150,9 @@ def cmd_seq(args: argparse.Namespace) -> tuple[str, int]:
     if n > cap:
         raise CliError(f"--upto must be at most {cap}, got {n}")
     kinds = [args.kind] if args.kind else ["padovan", "perrin"]
-    columns: dict[str, list] = {}
     if args.symbolic:
-        if "padovan" in kinds:
-            columns["padovan"] = [str(t) for t in padovan_sym_terms(n)]
-        if "perrin" in kinds:
-            columns["perrin"] = [str(t) for t in perrin_sym_terms(n)]
+        of_kind = {"padovan": padovan_sym_terms, "perrin": perrin_sym_terms}
+        columns = {k: [str(t) for t in of_kind[k](n)] for k in kinds}
     else:
         if args.p is None:
             raise CliError("seq needs --symbolic or a twin prime --p")
@@ -154,10 +160,8 @@ def cmd_seq(args: argparse.Namespace) -> tuple[str, int]:
             params = SeqParams.twin_prime(args.p)
         except NotTwinPrime as exc:
             raise CliError(str(exc)) from exc
-        if "padovan" in kinds:
-            columns["padovan"] = padovan_mod(params, n)
-        if "perrin" in kinds:
-            columns["perrin"] = perrin_mod(params, n)
+        of_kind = {"padovan": padovan_mod, "perrin": perrin_mod}
+        columns = {k: of_kind[k](params, n) for k in kinds}
 
     header = ["n"] + kinds
     rows = [[i] + [columns[k][i] for k in kinds] for i in range(n)]
@@ -182,23 +186,13 @@ def cmd_fib(args: argparse.Namespace) -> tuple[str, int]:
     }
     if args.format == "json":
         return _json_document(args, {"profile": payload}), 0
-    header = list(payload.keys())
     if args.format == "csv":
-        return _csv_text(header, [list(payload.values())]), 0
-    lines = [f"{k}: {v}" for k, v in payload.items()]
-    return "\n".join(lines) + "\n", 0
+        return _csv_text(list(payload), [list(payload.values())]), 0
+    return "".join(f"{k}: {v}\n" for k, v in payload.items()), 0
 
 
-_ROW_HEADER = [
-    "prime",
-    "case_id",
-    "parity",
-    "hypothesis_class",
-    "predicted_count",
-    "observed_count",
-    "classification",
-    "first_counterexample",
-]
+_ROW_HEADER = ["prime", "case_id", "parity", "hypothesis_class", "predicted_count",
+               "observed_count", "classification", "first_counterexample"]
 
 _PARITY_NAMES = {cid: "odd" if claim.parity else "even" for cid, claim in CLAIMS.items()}
 
@@ -278,26 +272,47 @@ def _check_writable(path: str) -> None:
     raise CliError(f"cannot write --out {path}: {reason}")
 
 
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace of a plain argv, else None: a command, then only its own
+    exact options, each a flag alone or `--option value` with a value that
+    does not start with "-" and passes the option's type and choices, every
+    required one given.  argparse reads such an argv the same way."""
+    options = _OPTIONS.get(argv[0]) if argv else None
+    if options is None:
+        return None
+    given, tokens = {}, iter(argv[1:])
+    for name in tokens:
+        if name not in options:
+            return None
+        kind, choices = options[name][:2]
+        if kind is bool:
+            given[name] = True
+            continue
+        value = next(tokens, "-")  # a missing value is argparse's error
+        if value.startswith("-"):
+            return None
+        try:
+            given[name] = value = kind(value)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+    args = argparse.Namespace(command=argv[0], **_CONFIG_DEFAULTS)
+    for name, (_, _, default, required, _) in options.items():
+        if required and name not in given:
+            return None
+        setattr(args, name[2:].replace("-", "_"), given.get(name, default))
+    return args
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """argv parsed as build_parser() parses it.  A leading command's options
-    alone, parsed as the subparser action parses them, give the full parser's
-    namespace, help and errors; the full parser is built only for --help,
-    --version, no command, an unknown one or arguments left over."""
-    if argv and argv[0] in _COMMANDS:
-        parser = _Parser(prog=f"padquat {argv[0]}")
-        parser.set_defaults(command=argv[0], **_CONFIG_DEFAULTS)
-        _add_options(parser, argv[0])
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+    """argv parsed as build_parser() parses it: a plain argv from the option
+    table, anything else, with every help and error message, by argparse."""
+    return _plain_args(argv) or build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # the leading command's own parser when it reads all of argv, else the full one
-    args = _parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         p = getattr(args, "p", None)  # scan has no --p
         if p is not None and p > MAX_PRIME:

@@ -1,10 +1,15 @@
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import full_window_verdict, verdict_row
 
 from padquat import __version__, cli, fibonacci, modular, quaternion, sequences, verifier
@@ -514,6 +519,53 @@ class TestGoldenBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _unique_prefixes(options):
+    """The shortest proper prefix of each option that no other of `options`
+    starts with, for the options that have one."""
+    return [next(name[:end] for end in range(3, len(name))
+                 if sum(other.startswith(name[:end]) for other in options) == 1)
+            for name in options if len(name) > 3]
+
+
+# The alphabet argv is drawn from: every option string of every command, a
+# unique prefix and an --option=value form of each, then values: help,
+# version, `--` and others that start with "-", underscored, space-led,
+# empty and non-integer ones, valid and invalid choices, an extra positional
+_VALUES = ["-h", "--help", "--version", "--", "-", "-5", "13", "200", "1_000", " 13", "x",
+           "", "1.5", "csv", "json", "nope", "perrin", "cor-13", "cor-7", "extra"]
+_TOKENS = sorted({token for options in cli._OPTIONS.values()
+                  for token in (*options, *_unique_prefixes(options),
+                                *(f"{name}=13" for name in options))}) + _VALUES
+
+
+def _good_values(row):
+    """Values that the option of table row `row` takes."""
+    kind, choices = row[:2]
+    if choices:
+        return list(choices)
+    return ["13", "200", " 13", "1_000"] if kind is int else ["report.csv", ""]
+
+
+@st.composite
+def _argvs(draw):
+    """A command with its required options, then more of its options, most
+    with values they take, and a few tokens of the alphabet inserted
+    anywhere, before the command too."""
+    command = draw(st.sampled_from(list(cli._OPTIONS)))
+    options = cli._OPTIONS[command]
+    required = [name for name, row in options.items()
+                if row[3] and draw(st.sampled_from([True, True, True, False]))]
+    argv = [command]
+    for name in required + draw(st.lists(st.sampled_from(list(options)), max_size=4)):
+        row = options[name]
+        argv.append(name)
+        if row[0] is not bool:
+            argv.append(draw(st.sampled_from(_good_values(row) * 3 + _VALUES)))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_TOKENS)))
+    return argv
+
+
 class TestParser:
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
@@ -525,7 +577,7 @@ class TestParser:
             main(["frobnicate"])
         assert exc.value.code == 1
 
-    # main parses a leading command with that command's own parser; every
+    # main reads a plain argv from the option table without argparse; every
     # message, and the namespace the JSON config comes from, must be those of
     # the full four-command parser
     CORPUS = [
@@ -570,6 +622,11 @@ class TestParser:
         ("verify", "--p", "13", "-h", "--bogus"),
         ("scan", "--upto", "200", "--out"),
         ("seq", "--symbolic", "--upto", "5", "--kind", "perrin", "--format", "json"),
+        ("fib", "--p", "-5"),
+        ("scan", "--upto", "1_000"),
+        ("verify", "--p", "13", "--case", "cor-13", "--case", "cor-7"),
+        ("seq", "--symbolic", "--symbolic", "--upto", "3"),
+        ("fib", "--p", "13", "--out", ""),
     ]
 
     @staticmethod
@@ -602,12 +659,13 @@ class TestParser:
         # both sides parsed argv to the same namespace, or neither parsed it
         assert parsed[:1] == parsed[1:]
 
+    # a plain argv builds no parser; anything else builds the full one alone
     @pytest.mark.parametrize("argv, parsers", [
-        (("fib", "--p", "13"), 1),
-        (("scan", "--upto", "200"), 1),
+        (("fib", "--p", "13"), 0),
+        (("scan", "--upto", "200"), 0),
         (("--help",), 5),
         (("frobnicate",), 5),
-        (("scan", "--upto", "200", "--bogus"), 6),
+        (("scan", "--upto", "200", "--bogus"), 5),
     ])
     def test_builds_only_the_invoked_subparser(self, capsys, monkeypatch, argv, parsers):
         built = []
@@ -620,6 +678,26 @@ class TestParser:
         monkeypatch.setattr(cli, "_Parser", Counted)
         self.outcome(capsys, argv)
         assert len(built) == parsers
+
+    @staticmethod
+    def parse_outcome(parse, argv):
+        """The namespace's attributes with the repr of each value (True is not
+        1), or the exit status; then stdout and stderr."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = sorted((k, repr(v)) for k, v in vars(parse(list(argv))).items())
+            except SystemExit as exc:
+                result = ("exit", exc.code)
+        return result, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("columns", ["80", "30"])
+    @settings(max_examples=500, deadline=None)
+    @given(argv=_argvs())
+    def test_parse_matches_full_parser_on_drawn_argv(self, columns, argv):
+        with mock.patch.dict(os.environ, {"COLUMNS": columns}):
+            assert self.parse_outcome(cli._parse_args, argv) == self.parse_outcome(
+                lambda argv: cli.build_parser().parse_args(argv), argv)
 
     @pytest.mark.parametrize("argv, message", [
         ((), "the following arguments are required: command"),

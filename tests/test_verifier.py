@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -767,6 +768,31 @@ class TestRowQuadratics:
         for row, (terms, _, (c0, c1, c2)) in CASE_ROWS.items():
             for wrong in ((c0, c1 // 2, c2), (c0 + 1, c1, c2), (c0, c1, c2 - 1)):
                 assert not self.is_sum_of_squared_terms(terms, wrong), (row, wrong)
+
+
+class TestZeroQuaternion:
+    """`jump_oracle` tells a zero divisor from the zero quaternion."""
+
+    @pytest.mark.parametrize("row", sorted(CASE_ROWS))
+    def test_no_hypothesis_index_quaternion_is_zero(self, row):
+        # A_i + D_i R = 0 (mod p) for all four terms makes p divide every
+        # 2x2 minor A_i D_j - A_j D_i; a row whose minors are coprime has a
+        # nonzero term at every p and R, so on a real row the zero-quaternion
+        # test in jump_oracle never decides, and only the patched row below
+        # exercises it
+        terms = CASE_ROWS[row][0]
+        minors = [a1 * d2 - a2 * d1 for (a1, d1), (a2, d2) in itertools.combinations(terms, 2)]
+        assert math.gcd(*minors) == 1
+
+    def test_zero_quaternion_is_not_a_zero_divisor(self, monkeypatch):
+        # terms that all vanish mod 7 at R = 1, and whose norm also vanishes
+        # at R = 6 (2, 4, 6, 0 there); 7's profile: z = 8, r = F_9 = 6
+        terms = ((1, -1), (2, -2), (3, 4), (7, 0))
+        reduction = CASE_ROWS["QP", 0][1]
+        monkeypatch.setitem(CASE_ROWS, ("QP", 0),
+                            (terms, reduction, verifier._norm_quadratic(terms)))
+        reads = jump_oracle(FibProfile(7, 8, (6, 1)), "QP", 0)
+        assert reads == [(6, 0, True), (1, 0, False)]
 
 
 class TestFibForms:
