@@ -42,7 +42,7 @@ from .verifier import (
     applicable_case_ids,
     check_claim,
     decide_prime,
-    verify_prime,
+    verdict_record,
 )
 
 
@@ -59,8 +59,8 @@ MAX_TERMS = 10**6
 MAX_SCAN_BOUND = 10**7
 # Largest --scan-multiplier that verify and scan accept: verify lists every
 # counterexample of every window, up to 16 per window.  On the same machine,
-# verify --p 95233 (16 per window) --format json took 0.55 s, 41 MB and wrote
-# 2.9 MB at 1000 (10**4: 3.7 s, 264 MB, 30 MB); scan does not depend on it.
+# verify --p 95233 (16 per window) --format json took 0.27 s, 39 MB and wrote
+# 2.9 MB at 1000 (10**4: 1.8 s, 261 MB, 30 MB); scan does not depend on it.
 MAX_SCAN_MULTIPLIER = 1000
 
 
@@ -197,16 +197,14 @@ _ROW_HEADER = ["prime", "case_id", "parity", "hypothesis_class", "predicted_coun
 _PARITY_NAMES = {cid: "odd" if claim.parity else "even" for cid, claim in CLAIMS.items()}
 
 
-def _rows(profile: FibProfile, case_ids: list[str]) -> list[list]:
-    """The report row of each claim of `case_ids` at p = profile.p, from its
-    `decide_prime` decision; the first counterexample is the first
-    disagreement's index."""
+def _rows(profile: FibProfile, decisions: list[tuple]) -> list[list]:
+    """The report row of each `decide_prime` decision at p = profile.p; the
+    first counterexample is the first disagreement's index."""
     p, hypothesis_class = profile.p, profile.entry_point - 3
     return [
         [p, cid, _PARITY_NAMES[cid], hypothesis_class, len(predicted), len(observed),
          classification, disagreements[0][0] if disagreements else ""]
-        for cid, predicted, observed, disagreements, classification
-        in decide_prime(profile, case_ids)
+        for cid, predicted, observed, disagreements, classification in decisions
     ]
 
 
@@ -230,11 +228,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
             check_claim(cid, p)
     except (NotTwinPrime, ExcludedPrime) as exc:
         raise CliError(str(exc)) from exc
+    profile = FibProfile.of(p)
+    decisions = decide_prime(profile, case_ids)
     if args.format != "json":
-        return _rows_text(args, _rows(FibProfile.of(p), case_ids))
-    verdicts = verify_prime(p, case_ids, args.scan_multiplier)
-    status = 2 if any(v.classification == FAILS for v in verdicts) else 0
-    return _json_document(args, {"verdicts": [v.to_dict() for v in verdicts]}), status
+        return _rows_text(args, _rows(profile, decisions))
+    status = 2 if any(d[4] == FAILS for d in decisions) else 0  # d[4]: classification
+    records = [verdict_record(profile, d, args.scan_multiplier) for d in decisions]
+    return _json_document(args, {"verdicts": records}), status
 
 
 def cmd_scan(args: argparse.Namespace) -> tuple[str, int]:
@@ -244,7 +244,8 @@ def cmd_scan(args: argparse.Namespace) -> tuple[str, int]:
     # bounds below 5 yield a header-only report
     rows = []
     for _, p in twin_primes_upto(args.upto):  # p from the sieve: no checks
-        rows += _rows(FibProfile.of(p), applicable_case_ids(p))
+        profile = FibProfile.of(p)
+        rows += _rows(profile, decide_prime(profile, applicable_case_ids(p)))
     return _rows_text(args, rows)
 
 
@@ -261,7 +262,9 @@ def _check_writable(path: str) -> None:
     """Raise CliError unless `path` can be opened for writing.  Creates and
     truncates nothing, so a command that fails later leaves it as it was."""
     full = os.path.abspath(path)
-    if os.path.isdir(full):
+    if not path:
+        reason = "empty path"
+    elif os.path.isdir(full):
         reason = "is a directory"
     elif not os.path.isdir(os.path.dirname(full)):
         reason = "no such directory"
@@ -317,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
         p = getattr(args, "p", None)  # scan has no --p
         if p is not None and p > MAX_PRIME:
             raise CliError(f"--p must be at most {MAX_PRIME}, got {p}")
-        if args.out:
+        if args.out is not None:
             _check_writable(args.out)
         n = args.scan_multiplier  # 2 for the commands without the flag
         if n < 2:
@@ -328,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:

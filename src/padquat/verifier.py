@@ -10,15 +10,16 @@ r = F_{z+1} mod p, through the Fibonacci closed forms of the coefficients
 of r that `FibProfile.of` certifies, decides every window.  `decide_prime`
 decides each claim at one prime from one read of its (family, parity) row,
 as plain tuples: HOLDS, HOLDS_VACUOUSLY or FAILS with the disagreements.
-`scan` prints those; `verify_case` wraps one in a `TheoremVerdict` whose
-full counterexample list is built only when read.  The linear, matrix and
-full-window references live in the tests.
+`scan` and csv/table `verify` print rows from those; `verdict_record` turns
+one into the `verify --format json` record, every counterexample of the
+scan included.  The linear, matrix and full-window references live in the
+tests.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import asdict, dataclass
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 
 from .fibonacci import FibProfile
 from .modular import is_prime, jacobi, legendre
@@ -125,37 +126,6 @@ def _reduce(red: NormReduction, f2: int, p: int) -> int:
     return red.value(f % p, p)
 
 
-@dataclass(slots=True)
-class TheoremCase:
-    """One claim instantiated at one twin prime."""
-
-    claim_id: str
-    p: int
-    profile: FibProfile
-    parity: int  # parity of the quaternion index m
-    hypothesis_class: int  # k must be in this class mod z(p)
-    family: str  # "QP" or "QR"
-
-    @classmethod
-    def build(cls, claim_id: str, p: int) -> "TheoremCase":
-        """The case of `claim_id` at p, after `check_claim`."""
-        check_claim(claim_id, p)
-        return cls.trusted(claim_id, FibProfile.of(p))
-
-    @classmethod
-    def trusted(cls, claim_id: str, profile: FibProfile) -> "TheoremCase":
-        """The case of `claim_id` at p = profile.p with no checks: p must
-        head a twin prime pair and `claim_id` be one of
-        `applicable_case_ids(p)`, as for the p that `twin_primes_upto` gives."""
-        claim = CLAIMS[claim_id]
-        # z(p) >= 5 for p >= 5, so the hypothesis class z - 3 is positive
-        return cls(claim_id, profile.p, profile, claim.parity, profile.entry_point - 3,
-                   claim.family)
-
-    def k_of(self, m: int) -> int:
-        return (m - self.parity) // 2
-
-
 def check_claim(claim_id: str, p: int) -> None:
     """Raise unless `claim_id` names a claim, p heads a twin prime pair and
     the claim applies to p."""
@@ -251,7 +221,8 @@ def decide_prime(profile: FibProfile, case_ids: Iterable[str]) -> list[tuple]:
     """The decision of each claim of `case_ids` at p = profile.p, in order:
     (claim id, predicted, observed, disagreements, classification).
 
-    Each claim must apply to p (see `verify_prime`); no two such claims
+    Each claim must apply to p, as `applicable_case_ids(p)` at a p from
+    `twin_primes_upto` or ids that passed `check_claim` do; no two such claims
     share a (family, parity) row, as each corollary stands in for the
     theorem its prime excludes, so each row is read once.  One pass over
     the first window's hypothesis indices k = j z(p) - 3 < pi(p) and their
@@ -293,120 +264,40 @@ def decide_prime(profile: FibProfile, case_ids: Iterable[str]) -> list[tuple]:
     return decisions
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    """One index where prediction and oracle disagree."""
-
-    index: int
-    k: int
-    norm: int
-    reduced: int
-    predicted: bool
-    observed: bool
-
-
-class Counterexamples(Sequence):
-    """The counterexamples of a FAILS verdict, each built when it is read:
-    the disagreements (m, F_{k+2}, norm, predicted) of the first window,
-    ascending in m and never empty, recur in window t = 0 .. multiplier-1
-    at index m + 2 pi t and k + pi t, with the same norm and reduced value.
-    Item 0 is the first window's first disagreement, at index m itself."""
-
-    def __init__(self, case: TheoremCase, multiplier: int, first_window: list[tuple]):
-        self.case, self.multiplier, self.first_window = case, multiplier, first_window
-
-    def __len__(self) -> int:
-        return self.multiplier * len(self.first_window)
-
-    def __getitem__(self, i: int | slice) -> Counterexample | tuple[Counterexample, ...]:
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(len(self))[i])
-        t, s = divmod(range(len(self))[i], len(self.first_window))
-        m, f2, norm, predicted = self.first_window[s]
-        case, pi = self.case, self.case.profile.pisano_period
-        return Counterexample(
-            index=m + 2 * pi * t,
-            k=case.k_of(m) + pi * t,
-            norm=norm,
-            reduced=_reduce(CASE_ROWS[case.family, case.parity][1], f2, case.p),
-            predicted=predicted,
-            observed=not predicted,
-        )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-
-@dataclass(slots=True)
-class TheoremVerdict:
-    """Predicted vs observed zero-divisor index sets for one case."""
-
-    case: TheoremCase
-    scan_multiplier: int
-    window_modulus: int  # lcm(sequence period, 2*pi(p)), certified to be 2*pi(p)
-    scan_limit: int
-    predicted: tuple[int, ...]  # canonical residues mod window_modulus
-    observed: tuple[int, ...]
-    classification: str
-    counterexamples: Sequence[Counterexample]
-
-    def to_dict(self) -> dict:
-        return {
-            "case": {
-                "claim_id": self.case.claim_id,
-                "p": self.case.p,
-                "family": self.case.family,
-                "parity": "even" if self.case.parity == 0 else "odd",
-                "entry_point": self.case.profile.entry_point,
-                "pisano_period": self.case.profile.pisano_period,
-                "hypothesis_class": self.case.hypothesis_class,
-            },
-            "scan": {
-                "multiplier": self.scan_multiplier,
-                "window_modulus": self.window_modulus,
-                "scan_limit": self.scan_limit,
-            },
-            "predicted_classes": list(self.predicted),
-            "observed_classes": list(self.observed),
-            "predicted_count": len(self.predicted),
-            "observed_count": len(self.observed),
-            "classification": self.classification,
-            "counterexamples": [asdict(c) for c in self.counterexamples],
-        }
-
-    def first_counterexample(self) -> int | None:
-        """The least index of a counterexample, None unless FAILS."""
-        return self.counterexamples[0].index if self.counterexamples else None
-
-
-def verify_case(case: TheoremCase, scan_multiplier: int = 2) -> TheoremVerdict:
-    """The verdict of `case` over scan_multiplier windows, from its
-    `decide_prime` decision.  The window lcm(sequence period, 2 pi(p)) is
-    2 pi(p): the profile certifies Q^pi = I, so 2 pi(p) is a period of every
-    coefficient stream.  A FAILS verdict lists every disagreeing index of
-    the scan, each built when read."""
-    if scan_multiplier < 2:
-        raise ValueError("scan multiplier must be >= 2")
-    _, predicted, observed, disagreements, classification = decide_prime(
-        case.profile, (case.claim_id,))[0]
-    window = 2 * case.profile.pisano_period
-    counterexamples: Sequence[Counterexample] = ()
-    if disagreements:
-        counterexamples = Counterexamples(case, scan_multiplier, disagreements)
-    return TheoremVerdict(case, scan_multiplier, window, scan_multiplier * window,
-                          tuple(predicted), tuple(observed), classification, counterexamples)
-
-
-def verify_prime(
-    p: int, case_ids: Iterable[str], scan_multiplier: int = 2
-) -> list[TheoremVerdict]:
-    """The verdicts of the claims `case_ids` at p, in order, from one
-    FibProfile.  Each claim must apply to p, as `applicable_case_ids(p)` at
-    a p from `twin_primes_upto` or ids that passed `check_claim` do."""
-    profile = FibProfile.of(p)
-    return [
-        verify_case(TheoremCase.trusted(cid, profile), scan_multiplier) for cid in case_ids
-    ]
+def verdict_record(profile: FibProfile, decision: tuple, multiplier: int) -> dict:
+    """The `verify --format json` record of one `decide_prime` decision at
+    p = profile.p, over `multiplier` windows of 2 pi(p).  The window
+    lcm(sequence period, 2 pi(p)) is 2 pi(p): the profile certifies
+    Q^pi = I, so 2 pi(p) is a period of every coefficient stream.  Each
+    first-window disagreement (m, F_{k+2}, norm, predicted) recurs in window
+    t = 0 .. multiplier-1 at index m + 2 pi t and k + pi t, with the same
+    norm and reduced value; the counterexamples list every one, ascending."""
+    claim_id, predicted, observed, disagreements, classification = decision
+    claim, p, pi = CLAIMS[claim_id], profile.p, profile.pisano_period
+    reduction = CASE_ROWS[claim.family, claim.parity][1]
+    first_window = [(m, (m - claim.parity) // 2, norm, _reduce(reduction, f2, p), predicts)
+                    for m, f2, norm, predicts in disagreements]
+    return {
+        "case": {
+            "claim_id": claim_id,
+            "p": p,
+            "family": claim.family,
+            "parity": "odd" if claim.parity else "even",
+            "entry_point": profile.entry_point,
+            "pisano_period": pi,
+            # z(p) >= 5 for p >= 5, so the hypothesis class z - 3 is positive
+            "hypothesis_class": profile.entry_point - 3,
+        },
+        "scan": {"multiplier": multiplier, "window_modulus": 2 * pi,
+                 "scan_limit": multiplier * 2 * pi},
+        "predicted_classes": predicted,
+        "observed_classes": observed,
+        "predicted_count": len(predicted),
+        "observed_count": len(observed),
+        "classification": classification,
+        "counterexamples": [
+            {"index": m + 2 * pi * t, "k": k + pi * t, "norm": norm, "reduced": reduced,
+             "predicted": predicts, "observed": not predicts}
+            for t in range(multiplier) for m, k, norm, reduced, predicts in first_window
+        ],
+    }

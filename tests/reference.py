@@ -17,10 +17,14 @@ symbolic Perrin-from-Padovan check `perrin_padovan_identity`).
 - `matrix_jump_oracle`: each recurrence stream stepped through the
   two-step 3x3 map with general (a, b), so it relies on none of the
   twin-prime closed forms that the production oracle reads;
-- `full_window_verdict`: a verdict from every hypothesis index of the
-  scan, each read by its own step, asking `predicts` at every index: the
-  reference for the one-period decisions of `verifier.decide_prime`, and
-  through `verdict_row` for the rows that `scan` prints;
+- `full_window_verdict`: the `verify --format json` record from every
+  hypothesis index of the scan, each read by its own step, asking
+  `predicts` at every index: the reference for `verifier.decide_prime` and
+  `verifier.verdict_record`, and through `verdict_row` for the rows that
+  `scan` prints;
+- `closed_form_rows`: the `scan` rows from the side conditions, z(p) and
+  pi(p)/z(p) alone, with no norm read, outside the primes 5, 7 and 13
+  where a hypothesis-index zero divisor exists;
 - `twin_primes_by_comprehension`: twin pairs by testing both sieve flags
   at every n, the reference for `modular.twin_primes_upto`.
 """
@@ -52,9 +56,6 @@ from padquat.verifier import (
     HOLDS_VACUOUSLY,
     NORM_REDUCTIONS,
     PERRIN_EVEN_ADJUSTED,
-    Counterexample,
-    TheoremCase,
-    TheoremVerdict,
     _reduce,
 )
 
@@ -63,28 +64,29 @@ class HypothesisViolated(ValueError):
     """Raised when an index breaks a claim's hypothesis congruence."""
 
 
-def predicted_classes(case: TheoremCase) -> tuple[int, ...]:
-    """The k classes mod pi(p) that the claim of `case` predicts: a
-    corollary's fixed classes, else the candidate classes
+def predicted_classes(claim_id: str, profile: FibProfile) -> tuple[int, ...]:
+    """The k classes mod pi(p) that claim `claim_id` predicts at
+    p = profile.p: a corollary's fixed classes, else the candidate classes
     {(j z(p) - 3) mod pi(p) : j = 1..4} where the side condition holds."""
-    claim = CLAIMS[case.claim_id]
+    claim = CLAIMS[claim_id]
     if claim.classes is not None:
         return claim.classes
-    if not claim.side_condition(case.p):
+    if not claim.side_condition(profile.p):
         return ()
-    z, pi = case.profile.entry_point, case.profile.pisano_period
+    z, pi = profile.entry_point, profile.pisano_period
     return tuple(sorted({(j * z - 3) % pi for j in range(1, 5)}))
 
 
-def predicts(case: TheoremCase, m: int) -> bool:
-    """Whether the claim of `case` says quaternion m is a zero divisor.
+def predicts(claim_id: str, profile: FibProfile, m: int) -> bool:
+    """Whether claim `claim_id` says quaternion m is a zero divisor at
+    p = profile.p.
 
     Rejects indices of the wrong parity.  The z(p)-hypothesis congruence
     on k is not checked, so callers may probe the class condition at any k.
     """
-    if m % 2 != case.parity:
+    if m % 2 != CLAIMS[claim_id].parity:
         raise HypothesisViolated(f"index {m} has the wrong parity for this claim")
-    return case.k_of(m) % case.profile.pisano_period in predicted_classes(case)
+    return m // 2 % profile.pisano_period in predicted_classes(claim_id, profile)
 
 
 def sorted_case_ids(p: int) -> list[str]:
@@ -222,12 +224,13 @@ def reduced_norm_value(kind: str, k: int, p: int) -> int:
     return _reduce(red, fib_pair(k + 2, p)[0], p)
 
 
-def satisfies_hypothesis(case: TheoremCase, m: int) -> bool:
-    """Whether m has the parity of `case` and k = (m - parity)/2 lies in its
-    hypothesis class mod z(p)."""
-    if m % 2 != case.parity:
+def satisfies_hypothesis(claim_id: str, profile: FibProfile, m: int) -> bool:
+    """Whether m has the parity of claim `claim_id` and k = (m - parity)/2
+    lies in the hypothesis class z(p) - 3 mod z(p), p = profile.p."""
+    if m % 2 != CLAIMS[claim_id].parity:
         return False
-    return case.k_of(m) % case.profile.entry_point == case.hypothesis_class
+    z = profile.entry_point
+    return m // 2 % z == z - 3
 
 
 def perrin_padovan_identity(n: int) -> bool:
@@ -399,35 +402,36 @@ def matrix_jump_oracle(
     return norms, zero_divisors
 
 
-def full_window_verdict(case: TheoremCase, scan_multiplier: int) -> TheoremVerdict:
-    """The verdict of `case` over scan_multiplier windows of 2 pi(p) that
-    reads every hypothesis index k = j z(p) - 3 of the scan, stepping
-    F_k .. F_{k+3} by r = F_{z+1} from one index to the next, and lists
-    every disagreeing index; it uses no periodicity of the reads."""
-    p = case.p
-    z, pi = case.profile.entry_point, case.profile.pisano_period
+def full_window_verdict(claim_id: str, profile: FibProfile, scan_multiplier: int) -> dict:
+    """The `verify --format json` record of claim `claim_id` at p = profile.p
+    over scan_multiplier windows of 2 pi(p), from every hypothesis index
+    k = j z(p) - 3 of the scan, stepping F_k .. F_{k+3} by r = F_{z+1} from
+    one index to the next, with every disagreeing index; it uses no
+    periodicity of the reads."""
+    claim, p = CLAIMS[claim_id], profile.p
+    z, pi = profile.entry_point, profile.pisano_period
     window = 2 * pi
     scan_limit = scan_multiplier * window
-    hypothesis = range(2 * case.hypothesis_class + case.parity, scan_limit, 2 * z)
+    hypothesis = range(2 * (z - 3) + claim.parity, scan_limit, 2 * z)
     r = fib_pair(z, p)[1]
-    forms = FIB_FORMS[case.family]
+    forms = FIB_FORMS[claim.family]
     fibs = [2, p - 1, 1, 0]  # F_{-3} .. F_0
     reads = {}
     for m in hypothesis:
         fibs = [r * f % p for f in fibs]
         t = []
-        for j in range(case.parity, case.parity + 4):
+        for j in range(claim.parity, claim.parity + 4):
             a, b, c = forms[j % 2]
             t.append((a + b * fibs[j // 2] + c * fibs[j // 2 + 1]) % p)
         norm = sum(x * x for x in t) % p
         reads[m] = (fibs[2], norm, norm == 0 and any(t))
     observed = [m for m in hypothesis if reads[m][2]]
-    predicted = [m for m in hypothesis if predicts(case, m)]
+    predicted = [m for m in hypothesis if predicts(claim_id, profile, m)]
 
     if not hypothesis:
         classification = HOLDS_VACUOUSLY
     elif predicted == observed:
-        if predicted or CLAIMS[case.claim_id].classes == ():  # an invertibility claim
+        if predicted or claim.classes == ():  # an invertibility claim
             classification = HOLDS
         else:
             classification = HOLDS_VACUOUSLY
@@ -436,39 +440,76 @@ def full_window_verdict(case: TheoremCase, scan_multiplier: int) -> TheoremVerdi
 
     counterexamples = []
     if classification == FAILS:
-        pred_set, obs_set = set(predicted), set(observed)
-        red = CASE_ROWS[case.family, case.parity][1]
-        for m in sorted(pred_set ^ obs_set):
+        red = CASE_ROWS[claim.family, claim.parity][1]
+        for m in sorted(set(predicted) ^ set(observed)):
             f2, norm, _ = reads[m]
-            counterexamples.append(
-                Counterexample(
-                    index=m,
-                    k=case.k_of(m),
-                    norm=norm,
-                    reduced=_reduce(red, f2, p),
-                    predicted=m in pred_set,
-                    observed=m in obs_set,
-                )
-            )
+            counterexamples.append({
+                "index": m, "k": m // 2, "norm": norm, "reduced": _reduce(red, f2, p),
+                "predicted": m in predicted, "observed": m in observed,
+            })
 
-    return TheoremVerdict(
-        case=case,
-        scan_multiplier=scan_multiplier,
-        window_modulus=window,
-        scan_limit=scan_limit,
-        predicted=tuple(sorted({m % window for m in predicted})),
-        observed=tuple(sorted({m % window for m in observed})),
-        classification=classification,
-        counterexamples=tuple(counterexamples),
-    )
+    predicted_classes = sorted({m % window for m in predicted})
+    observed_classes = sorted({m % window for m in observed})
+    return {
+        "case": {
+            "claim_id": claim_id, "p": p, "family": claim.family,
+            "parity": "even" if claim.parity == 0 else "odd",
+            "entry_point": z, "pisano_period": pi, "hypothesis_class": z - 3,
+        },
+        "scan": {"multiplier": scan_multiplier, "window_modulus": window,
+                 "scan_limit": scan_limit},
+        "predicted_classes": predicted_classes,
+        "observed_classes": observed_classes,
+        "predicted_count": len(predicted_classes),
+        "observed_count": len(observed_classes),
+        "classification": classification,
+        "counterexamples": counterexamples,
+    }
 
 
-def verdict_row(verdict: TheoremVerdict) -> list:
-    """The `scan` report row of a verdict, as strings, as `csv` reads it."""
-    case = verdict.case
-    first = verdict.counterexamples[0].index if verdict.counterexamples else ""
+def verdict_row(record: dict) -> list[str]:
+    """The `scan` report row of a `verify --format json` record, as strings,
+    as `csv` reads it."""
+    case, counterexamples = record["case"], record["counterexamples"]
     return [str(x) for x in (
-        case.p, case.claim_id, "even" if case.parity == 0 else "odd",
-        case.hypothesis_class, len(verdict.predicted), len(verdict.observed),
-        verdict.classification, first,
+        case["p"], case["claim_id"], case["parity"], case["hypothesis_class"],
+        record["predicted_count"], record["observed_count"], record["classification"],
+        counterexamples[0]["index"] if counterexamples else "",
     )]
+
+
+# The twin primes with a zero divisor at some hypothesis index: the only
+# prime factors of the row norms N(1), N(-1) and N(i) N(-i) that head a
+# twin pair (tests/test_exceptional.py)
+EXCEPTIONAL_PRIMES = (5, 7, 13)
+
+
+def closed_form_rows(bound: int) -> list[list[str]]:
+    """The `scan --upto bound` rows, as strings, from the claims' side
+    conditions, z(p) and pi(p)/z(p) alone.  Outside `EXCEPTIONAL_PRIMES` no
+    hypothesis index holds a zero divisor, so a claim FAILS exactly when it
+    predicts one of the first window's hypothesis classes k = j z(p) - 3 <
+    pi(p), first at m = 2 k + parity for the least; else it HOLDS as an
+    invertibility claim or HOLDS_VACUOUSLY.  The exceptional rows come from
+    `full_window_verdict`."""
+    rows = []
+    for _, p in twin_primes_by_comprehension(bound):
+        profile = FibProfile.of(p)
+        for cid in sorted_case_ids(p):
+            if p in EXCEPTIONAL_PRIMES:
+                rows.append(verdict_row(full_window_verdict(cid, profile, 2)))
+                continue
+            claim, z = CLAIMS[cid], profile.entry_point
+            hypothesis = range(z - 3, profile.pisano_period, z)
+            if claim.classes is None:
+                predicted = list(hypothesis) if claim.side_condition(p) else []
+            else:
+                predicted = [k for k in hypothesis if k in claim.classes]
+            if predicted:
+                classification, first = FAILS, 2 * predicted[0] + claim.parity
+            else:
+                classification, first = HOLDS if claim.classes == () else HOLDS_VACUOUSLY, ""
+            rows.append([str(x) for x in (
+                p, cid, "odd" if claim.parity else "even", z - 3, len(predicted), 0,
+                classification, first)])
+    return rows

@@ -52,9 +52,9 @@ from padquat.sequences import (
 )
 from padquat.verifier import (
     HOLDS,
-    TheoremCase,
     applicable_case_ids,
-    verify_case,
+    check_claim,
+    decide_prime,
 )
 
 TWINS_200 = [p for _, p in twin_primes_upto(200)]
@@ -255,13 +255,13 @@ def test_criterion_8_anchor_values():
 
 @criterion(9, "p = 13 invertibility", 5.0)
 def test_criterion_9_cor_13():
-    params = SeqParams.twin_prime(13)
-    case = TheoremCase.build("cor-13", 13)
-    window = 2 * math.lcm(family_period(params, "QR"), 2 * FibProfile.of(13).pisano_period)
+    check_claim("cor-13", 13)
+    params, profile = SeqParams.twin_prime(13), FibProfile.of(13)
+    window = 2 * math.lcm(family_period(params, "QR"), 2 * profile.pisano_period)
     found = norm_oracle(params, "QR", window)[1]
-    assert not {m for m in found if satisfies_hypothesis(case, m)}
-    verdict = verify_case(case)
-    assert verdict.classification == HOLDS
+    assert not {m for m in found if satisfies_hypothesis("cor-13", profile, m)}
+    (_, _, _, _, classification), = decide_prime(profile, ["cor-13"])
+    assert classification == HOLDS
 
 
 @criterion(10, "deterministic full scan", 120.0)

@@ -149,6 +149,20 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["verdicts"][0]["scan"]["multiplier"] == 3
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_decides_once_in_every_format(self, capsys, monkeypatch, fmt):
+        calls = []
+        decide_prime = cli.decide_prime
+
+        def counted(profile, case_ids):
+            calls.append((profile.p, list(case_ids)))
+            return decide_prime(profile, case_ids)
+
+        monkeypatch.setattr(cli, "decide_prime", counted)
+        status, _, _ = run_cli(capsys, "verify", "--p", "13", "--format", fmt,
+                               "--scan-multiplier", "4")
+        assert status == 2
+        assert calls == [(13, verifier.applicable_case_ids(13))]
 
     def test_large_prime_qp_norms_match_fib_form(self, capsys):
         # above 10^6 the jump oracle's QP norms at every hypothesis index of
@@ -223,7 +237,7 @@ class TestInputBound:
         def refuse(*args):
             raise AssertionError("work ran")
 
-        for name in ("verify_prime", "check_claim", "twin_primes_upto"):
+        for name in ("verdict_record", "decide_prime", "check_claim", "twin_primes_upto"):
             monkeypatch.setattr(cli, name, refuse)
         n = MAX_SCAN_MULTIPLIER + 1
         status, out, err = run_cli(capsys, *argv, "--scan-multiplier", str(n))
@@ -282,7 +296,7 @@ class TestScan:
         def refuse(*args):
             raise AssertionError("verification ran")
 
-        monkeypatch.setattr(cli, "verify_prime", refuse)
+        monkeypatch.setattr(cli, "verdict_record", refuse)
         monkeypatch.setattr(cli, "decide_prime", refuse)
 
     def check_unwritable_out(self, tmp_path, capsys, monkeypatch, command, where):
@@ -312,6 +326,18 @@ class TestScan:
         self, tmp_path, capsys, monkeypatch, where
     ):
         self.check_unwritable_out(tmp_path, capsys, monkeypatch, ("verify", "--p", "13"), where)
+
+    @pytest.mark.parametrize("command", [
+        ("fib", "--p", "13"), ("scan", "--upto", "200"), ("verify", "--p", "13"),
+    ])
+    def test_empty_out_fails_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        # "" names no file: it fails as an unwritable path does, not as no --out
+        self.refuse_verify(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        status, out, err = run_cli(capsys, *command, "--out", "")
+        assert status == 1 and out == ""
+        assert err == "error: cannot write --out : empty path\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_command_leaves_out_untouched(self, tmp_path, monkeypatch):
         self.check_out_untouched(tmp_path, monkeypatch, ("scan", "--upto", "200"))
@@ -378,11 +404,12 @@ class TestScan:
             "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"
         )
 
-    def test_scan_builds_no_counterexample(self, capsys, monkeypatch):
-        def refuse(**fields):
-            raise AssertionError("a Counterexample built")
+    def test_scan_reduces_no_norm(self, capsys, monkeypatch):
+        # a counterexample's reduced norm value is read only by verify's JSON
+        def refuse(*args):
+            raise AssertionError("a norm reduced")
 
-        monkeypatch.setattr(verifier, "Counterexample", refuse)
+        monkeypatch.setattr(verifier, "_reduce", refuse)
         status, out, _ = run_cli(capsys, "scan", "--upto", "2000", "--format", "csv")
         assert status == 2
         assert hashlib.sha256(out.encode()).hexdigest() == (
@@ -404,12 +431,11 @@ class TestScan:
     def test_rows_build_no_verdict_object(self, capsys, monkeypatch, argv, digest):
         # scan in every format, and verify outside JSON, print the plain rows
         # of decide_prime; digests measured when every row came from a verdict
-        def refuse(self, *args, **kwargs):
-            raise AssertionError(f"a {type(self).__name__} built")
+        def refuse(*args):
+            raise AssertionError("a JSON record built")
 
-        for cls in (verifier.TheoremCase, verifier.TheoremVerdict,
-                    verifier.Counterexample, verifier.Counterexamples):
-            monkeypatch.setattr(cls, "__init__", refuse)
+        monkeypatch.setattr(verifier, "verdict_record", refuse)
+        monkeypatch.setattr(cli, "verdict_record", refuse)
         status, out, _ = run_cli(capsys, *argv)
         assert status == 2
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -422,7 +448,7 @@ class TestScan:
                                  "--scan-multiplier", str(multiplier))
         rows = list(csv.reader(io.StringIO(out)))[1:]
         expected = [
-            verdict_row(full_window_verdict(verifier.TheoremCase.build(cid, p), multiplier))
+            verdict_row(full_window_verdict(cid, FibProfile.of(p), multiplier))
             for _, p in modular.twin_primes_upto(10**4)
             for cid in verifier.applicable_case_ids(p)
         ]

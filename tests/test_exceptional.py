@@ -7,11 +7,18 @@ R is +-1, or also +-i (R^2 = -1) when z(p) is odd.  A zero norm therefore
 needs p | N(1), p | N(-1) or p | N(i) N(-i) = (c0 - c2)^2 + c1^2.  The
 candidate primes of a row are the prime factors of those three integers;
 every other prime has no zero divisor at any hypothesis index of that row.
+Among the twin primes only 5, 7 and 13 are candidates, so everywhere else a
+claim's verdict follows from its prediction alone (`closed_form_rows`).
 """
 
-from reference import primes_upto
+import csv
+import hashlib
+import io
+
+from reference import EXCEPTIONAL_PRIMES, closed_form_rows, primes_upto
 
 from padquat.fibonacci import FibProfile
+from padquat import verifier
 from padquat.verifier import CASE_ROWS, jump_oracle
 
 
@@ -63,3 +70,27 @@ def test_zero_norms_only_at_candidate_primes_to_1e5():
         ("QR", 0): {5, 7},
         ("QR", 1): {47, 89, 797},
     }
+
+
+def test_exceptional_primes_are_the_twin_candidates():
+    primes = set(primes_upto(2000))
+    candidates = set().union(*CANDIDATES.values())
+    assert {p for p in candidates if p >= 5 and p - 2 in primes} == set(EXCEPTIONAL_PRIMES)
+
+
+def test_closed_form_rows_reproduce_the_scan_to_1e6(monkeypatch):
+    # the rows of every twin prime but 5, 7 and 13 come from the predictions
+    # alone; the digest is the one pinned for `scan --upto 1000000 --format csv`
+    def refuse(*args):
+        raise AssertionError("the verifier decided a row")
+
+    for name in ("jump_oracle", "decide_prime", "verdict_record"):
+        monkeypatch.setattr(verifier, name, refuse)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["prime", "case_id", "parity", "hypothesis_class", "predicted_count",
+                     "observed_count", "classification", "first_counterexample"])
+    writer.writerows(closed_form_rows(10**6))
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+        "b4e45c6bca4ace086c832f2dcbe0aad2b6188a52811f9635a357c58dd6bc6e82"
+    )

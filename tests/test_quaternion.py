@@ -291,7 +291,7 @@ class TestOracleSmoke:
     @pytest.mark.parametrize("p", [p for _, p in twin_primes_upto(200)])
     def test_brute_force_matches_pointwise_check(self, p, family):
         # the one-pass int oracle against the QuatElem algebra, over the
-        # scan window verify_case uses
+        # scan window of verify --format json
         params = SeqParams.twin_prime(p)
         limit = 2 * math.lcm(family_period(params, family), 2 * FibProfile.of(p).pisano_period)
         elems = (qp_elements if family == "QP" else qr_elements)(params, limit)

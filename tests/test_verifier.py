@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import pytest
@@ -17,7 +18,7 @@ from reference import (
     sorted_case_ids,
 )
 
-from padquat import verifier
+from padquat import cli, verifier
 from padquat.fibonacci import FibProfile, entry_point, fib_pair
 from padquat.modular import PrimeModulus, jacobi, legendre, twin_primes_upto
 from padquat.quaternion import qp_elements, qr_elements
@@ -31,17 +32,13 @@ from padquat.verifier import (
     HOLDS_VACUOUSLY,
     NORM_REDUCTIONS,
     PERRIN_EVEN_ADJUSTED,
-    Counterexample,
-    Counterexamples,
     ExcludedPrime,
-    TheoremCase,
-    TheoremVerdict,
     applicable_case_ids,
+    check_claim,
     decide_prime,
     jump_oracle,
     perrin_even_side_condition,
-    verify_case,
-    verify_prime,
+    verdict_record,
 )
 
 TWINS_200 = [p for _, p in twin_primes_upto(200)]
@@ -84,32 +81,40 @@ class TestCaseConstruction:
 
     def test_build_validates_twin_prime(self):
         with pytest.raises(NotTwinPrime):
-            TheoremCase.build("thm-padovan-even", 9)
+            check_claim("thm-padovan-even", 9)
         with pytest.raises(NotTwinPrime):
-            TheoremCase.build("thm-padovan-even", 11)
+            check_claim("thm-padovan-even", 11)
 
     def test_exclusions(self):
         with pytest.raises(ExcludedPrime):
-            TheoremCase.build("thm-perrin-even", 181)
+            check_claim("thm-perrin-even", 181)
         with pytest.raises(ExcludedPrime):
-            TheoremCase.build("thm-perrin-odd", 7)
+            check_claim("thm-perrin-odd", 7)
         with pytest.raises(ExcludedPrime):
-            TheoremCase.build("thm-perrin-odd", 13)
+            check_claim("thm-perrin-odd", 13)
         with pytest.raises(ExcludedPrime):
-            TheoremCase.build("cor-7", 13)
+            check_claim("cor-7", 13)
         with pytest.raises(ValueError):
-            TheoremCase.build("cor-99", 5)
+            check_claim("cor-99", 5)
 
     def test_hypothesis_class(self):
-        case = TheoremCase.build("thm-padovan-even", 13)
-        assert case.hypothesis_class == 4  # -3 mod z(13)=7
-        assert satisfies_hypothesis(case, 8)  # m=8 -> k=4
-        assert not satisfies_hypothesis(case, 9)  # odd
-        assert not satisfies_hypothesis(case, 10)  # k=5
+        assert record("thm-padovan-even", 13)["case"]["hypothesis_class"] == 4  # -3 mod z(13)=7
+        profile = FibProfile.of(13)
+        assert satisfies_hypothesis("thm-padovan-even", profile, 8)  # m=8 -> k=4
+        assert not satisfies_hypothesis("thm-padovan-even", profile, 9)  # odd
+        assert not satisfies_hypothesis("thm-padovan-even", profile, 10)  # k=5
+
+
+def record(claim_id, p, multiplier=2):
+    """The `verify --format json` record of `claim_id` at p, after `check_claim`."""
+    check_claim(claim_id, p)
+    profile = FibProfile.of(p)
+    return verdict_record(profile, decide_prime(profile, [claim_id])[0], multiplier)
 
 
 def predicts(claim_id, p, m):
-    return reference.predicts(TheoremCase.build(claim_id, p), m)
+    check_claim(claim_id, p)
+    return reference.predicts(claim_id, FibProfile.of(p), m)
 
 
 def predicted_ks(claim_id, p):
@@ -122,20 +127,20 @@ def predicted_ks(claim_id, p):
 class TestPredicates:
     def test_padovan_even_side_condition(self):
         # p = 3 (mod 4) predicts nothing
-        case7 = TheoremCase.build("thm-padovan-even", 7)
-        m = next(m for m in range(0, 200, 2) if satisfies_hypothesis(case7, m))
-        assert reference.predicts(case7, m) is False
+        cid, profile7 = "thm-padovan-even", FibProfile.of(7)
+        m = next(m for m in range(0, 200, 2) if satisfies_hypothesis(cid, profile7, m))
+        assert reference.predicts(cid, profile7, m) is False
         # p = 1 (mod 4) predicts every candidate class
-        case13 = TheoremCase.build("thm-padovan-even", 13)
+        profile13 = FibProfile.of(13)
         for m in range(0, 120, 2):
-            if satisfies_hypothesis(case13, m):
-                assert reference.predicts(case13, m) is True
+            if satisfies_hypothesis(cid, profile13, m):
+                assert reference.predicts(cid, profile13, m) is True
 
     def test_padovan_odd_side_condition(self):
         assert predicts("thm-padovan-odd", 5, 2 * 2 + 1) is False  # 5 = 2 (mod 3), k=2 = -3 mod 5
-        case7 = TheoremCase.build("thm-padovan-odd", 7)
-        m = next(m for m in range(1, 200, 2) if satisfies_hypothesis(case7, m))
-        assert reference.predicts(case7, m) is True
+        cid, profile7 = "thm-padovan-odd", FibProfile.of(7)
+        m = next(m for m in range(1, 200, 2) if satisfies_hypothesis(cid, profile7, m))
+        assert reference.predicts(cid, profile7, m) is True
 
     def test_parity_rejected(self):
         for claim_id, p, m in (
@@ -155,10 +160,10 @@ class TestPredicates:
         assert predicts("cor-7", 7, 2 * 4 + 1) is True
         assert predicts("cor-7", 7, 2 * 20 + 1) is True
         assert predicts("cor-7", 7, 2 * 5 + 1) is False
-        case = TheoremCase.build("cor-13", 13)
+        profile = FibProfile.of(13)
         for m in range(1, 300, 2):
-            if satisfies_hypothesis(case, m):
-                assert reference.predicts(case, m) is False
+            if satisfies_hypothesis("cor-13", profile, m):
+                assert reference.predicts("cor-13", profile, m) is False
 
     def test_perrin_even_condition_equals_discriminant_symbol(self):
         for p in primes_upto(500):
@@ -197,7 +202,7 @@ class TestPredicates:
                     seen.add(cid)
                 # k < pi(p) in the first window, so its k are the classes
                 assert predicted_ks(cid, p) == expected, (cid, p)
-                assert reference.predicted_classes(TheoremCase.trusted(cid, profile)) == expected
+                assert reference.predicted_classes(cid, profile) == expected
         assert seen == set(side_conditions)
 
     def test_side_condition_congruence_equivalences(self):
@@ -325,11 +330,10 @@ class TestBruteForce:
         assert norm_oracle(params, "QP", 1)[1] == set()
 
     def test_cor_13_oracle_empty_on_hypothesis(self):
-        params = SeqParams.twin_prime(13)
-        case = TheoremCase.build("cor-13", 13)
-        limit = 2 * math.lcm(family_period(params, "QR"), 2 * FibProfile.of(13).pisano_period)
+        params, profile = SeqParams.twin_prime(13), FibProfile.of(13)
+        limit = 2 * math.lcm(family_period(params, "QR"), 2 * profile.pisano_period)
         found = norm_oracle(params, "QR", limit)[1]
-        assert not {m for m in found if satisfies_hypothesis(case, m)}
+        assert not {m for m in found if satisfies_hypothesis("cor-13", profile, m)}
 
     def test_zero_divisors_are_periodic(self):
         params = SeqParams.twin_prime(7)
@@ -354,187 +358,197 @@ class TestFamilyPeriod:
             assert all(qp[n + qp_period] == qp[n] for n in range(qp_period))
 
 
-class TestVerifyCase:
+class TestVerdictRecord:
     def test_cor_13_holds(self):
-        verdict = verify_case(TheoremCase.build("cor-13", 13))
-        assert verdict.classification == HOLDS
-        assert verdict.predicted == () and verdict.observed == ()
-        assert verdict.counterexamples == ()
+        rec = record("cor-13", 13)
+        assert rec["classification"] == HOLDS
+        assert rec["predicted_classes"] == [] and rec["observed_classes"] == []
+        assert rec["counterexamples"] == []
 
     def test_cor_181_vacuous(self):
         # hypothesis class 87 mod 90 never meets the predicted class 47
-        verdict = verify_case(TheoremCase.build("cor-181", 181))
-        assert verdict.classification == HOLDS_VACUOUSLY
-        assert verdict.predicted == () and verdict.observed == ()
+        rec = record("cor-181", 181)
+        assert rec["classification"] == HOLDS_VACUOUSLY
+        assert rec["predicted_classes"] == [] and rec["observed_classes"] == []
 
     def test_cor_7_vacuous(self):
-        verdict = verify_case(TheoremCase.build("cor-7", 7))
-        assert verdict.classification == HOLDS_VACUOUSLY
-        assert verdict.predicted == () and verdict.observed == ()
+        rec = record("cor-7", 7)
+        assert rec["classification"] == HOLDS_VACUOUSLY
+        assert rec["predicted_classes"] == [] and rec["observed_classes"] == []
 
     def test_perrin_even_holds_at_7(self):
         # nonvacuous agreement: all four candidate classes carry zero divisors
-        verdict = verify_case(TheoremCase.build("thm-perrin-even", 7))
-        assert verdict.classification == HOLDS
-        assert verdict.predicted == verdict.observed != ()
-        case = verdict.case
-        assert all(satisfies_hypothesis(case, m) for m in verdict.observed)
+        rec = record("thm-perrin-even", 7)
+        assert rec["classification"] == HOLDS
+        assert rec["predicted_classes"] == rec["observed_classes"] != []
+        profile = FibProfile.of(7)
+        assert all(satisfies_hypothesis("thm-perrin-even", profile, m)
+                   for m in rec["observed_classes"])
 
     def test_padovan_even_fails_at_13_with_counterexamples(self):
         # side condition is on (13 = 1 mod 4) but the oracle finds no zero
         # divisors at hypothesis indices: honest FAILS with full detail
-        verdict = verify_case(TheoremCase.build("thm-padovan-even", 13))
-        assert verdict.classification == FAILS
-        assert verdict.observed == ()
-        assert len(verdict.predicted) == 4
-        assert verdict.counterexamples
-        first = verdict.counterexamples[0]
-        assert first.index == min(c.index for c in verdict.counterexamples)
-        assert first.predicted and not first.observed
-        assert first.norm != 0
+        rec = record("thm-padovan-even", 13)
+        assert rec["classification"] == FAILS
+        assert rec["observed_classes"] == []
+        assert rec["predicted_count"] == 4
+        cexs = rec["counterexamples"]
+        assert cexs
+        assert cexs[0]["index"] == min(c["index"] for c in cexs)
+        assert cexs[0]["predicted"] and not cexs[0]["observed"]
+        assert cexs[0]["norm"] != 0
 
     def test_perrin_even_fails_at_5_observed_only(self):
         # zero divisors exist although the predicted side condition is off
-        verdict = verify_case(TheoremCase.build("thm-perrin-even", 5))
-        assert verdict.classification == FAILS
-        assert verdict.predicted == ()
-        assert verdict.observed != ()
-        for c in verdict.counterexamples:
-            assert c.observed and not c.predicted
-            assert c.norm == 0
+        rec = record("thm-perrin-even", 5)
+        assert rec["classification"] == FAILS
+        assert rec["predicted_classes"] == []
+        assert rec["observed_classes"] != []
+        for c in rec["counterexamples"]:
+            assert c["observed"] and not c["predicted"]
+            assert c["norm"] == 0
 
     def test_determinism(self):
-        case = TheoremCase.build("thm-padovan-odd", 7)
-        assert verify_case(case) == verify_case(case)
-        assert verify_case(case).to_dict() == verify_case(case).to_dict()
+        assert record("thm-padovan-odd", 7) == record("thm-padovan-odd", 7)
 
     def test_window_covers_both_periodicities(self):
-        case = TheoremCase.build("thm-padovan-even", 5)
-        verdict = verify_case(case, scan_multiplier=3)
-        assert verdict.scan_limit == 3 * verdict.window_modulus
-        assert verdict.window_modulus % (2 * FibProfile.of(5).pisano_period) == 0
-        assert verdict.window_modulus % family_period(SeqParams.twin_prime(5), "QP") == 0
-
-    def test_multiplier_validated(self):
-        with pytest.raises(ValueError):
-            verify_case(TheoremCase.build("cor-13", 13), scan_multiplier=1)
+        scan = record("thm-padovan-even", 5, multiplier=3)["scan"]
+        assert scan["scan_limit"] == 3 * scan["window_modulus"]
+        assert scan["window_modulus"] % (2 * FibProfile.of(5).pisano_period) == 0
+        assert scan["window_modulus"] % family_period(SeqParams.twin_prime(5), "QP") == 0
 
     def test_classes_stable_under_multiplier(self):
-        case = TheoremCase.build("thm-padovan-even", 5)
-        v2 = verify_case(case, 2)
-        v4 = verify_case(case, 4)
-        assert v2.predicted == v4.predicted
-        assert v2.observed == v4.observed
-        assert v2.classification == v4.classification
+        v2 = record("thm-padovan-even", 5, 2)
+        v4 = record("thm-padovan-even", 5, 4)
+        for key in ("predicted_classes", "observed_classes", "classification"):
+            assert v2[key] == v4[key], key
 
     def test_counterexample_reduced_values_trace_the_chain(self):
-        verdict = verify_case(TheoremCase.build("thm-padovan-even", 13))
-        for c in verdict.counterexamples:
-            expected = reduced_norm_value("padovan-even", c.k, 13)
-            assert c.reduced == expected
+        for c in record("thm-padovan-even", 13)["counterexamples"]:
+            expected = reduced_norm_value("padovan-even", c["k"], 13)
+            assert c["reduced"] == expected
             # biconditional: nonzero norm must pair with nonzero reduced value
-            assert (c.norm == 0) == (c.reduced == 0)
+            assert (c["norm"] == 0) == (c["reduced"] == 0)
 
     def test_full_scan_emits_verdict_for_every_case(self):
         for p in (5, 7, 13):
             for cid in applicable_case_ids(p):
-                verdict = verify_case(TheoremCase.build(cid, p))
-                assert verdict.classification in (HOLDS, HOLDS_VACUOUSLY, FAILS)
+                assert record(cid, p)["classification"] in (HOLDS, HOLDS_VACUOUSLY, FAILS)
 
-    def test_to_dict_shape(self):
-        d = verify_case(TheoremCase.build("cor-13", 13)).to_dict()
+    def test_record_shape(self):
+        d = record("cor-13", 13)
         assert d["case"]["claim_id"] == "cor-13"
         assert d["case"]["parity"] == "odd"
         assert d["classification"] == HOLDS
         assert d["predicted_count"] == 0
         assert isinstance(d["counterexamples"], list)
 
+    def test_reduces_each_disagreement_once(self, monkeypatch):
+        # the windows repeat the first window's disagreements, so a record
+        # reduces each of them once, whatever the multiplier
+        reduced = []
+        reduce = verifier._reduce
 
-def hypothesis_indices(case, limit):
-    """The case's hypothesis indices m < limit, as `verify_case` reads them."""
-    z = case.profile.entry_point
-    return range(2 * case.hypothesis_class + case.parity, limit, 2 * z)
+        def counted(red, f2, p):
+            reduced.append(f2)
+            return reduce(red, f2, p)
+
+        monkeypatch.setattr(verifier, "_reduce", counted)
+        profile = FibProfile.of(13)
+        decision = decide_prime(profile, ["thm-padovan-even"])[0]
+        for multiplier in (2, 7):
+            reduced.clear()
+            rec = verdict_record(profile, decision, multiplier)
+            assert reduced == [f2 for _, f2, _, _ in decision[3]] != []
+            assert len(rec["counterexamples"]) == multiplier * len(reduced)
 
 
-def tiled_reads(case, count):
+def hypothesis_indices(claim_id, profile, limit):
+    """The claim's hypothesis indices m < limit, as `decide_prime` reads them."""
+    z = profile.entry_point
+    return range(2 * (z - 3) + CLAIMS[claim_id].parity, limit, 2 * z)
+
+
+def tiled_reads(claim_id, profile, count):
     """The first `count` hypothesis-index reads, taking `jump_oracle`'s one
     period of r to repeat: the references check that it does."""
-    reads = jump_oracle(case.profile, case.family, case.parity)
+    claim = CLAIMS[claim_id]
+    reads = jump_oracle(profile, claim.family, claim.parity)
     return [reads[i % len(reads)] for i in range(count)]
 
 
-def linear_verdict(case, scan_multiplier, linear):
-    """The verdict the linear reference gives: `linear` holds the window
-    lcm(family_period, 2 pi(p)) and the `norm_oracle` norms and zero
-    divisors over at least scan_multiplier such windows."""
+def linear_verdict(claim_id, profile, scan_multiplier, linear):
+    """The `verify --format json` record the linear reference gives: `linear`
+    holds the window lcm(family_period, 2 pi(p)) and the `norm_oracle` norms
+    and zero divisors over at least scan_multiplier such windows."""
     window, norms, zero_divisors = linear
+    claim, p = CLAIMS[claim_id], profile.p
     scan_limit = scan_multiplier * window
-    hypothesis = hypothesis_indices(case, scan_limit)
+    hypothesis = hypothesis_indices(claim_id, profile, scan_limit)
     observed = [m for m in hypothesis if m in zero_divisors]
-    predicted = [m for m in hypothesis if reference.predicts(case, m)]
+    predicted = [m for m in hypothesis if reference.predicts(claim_id, profile, m)]
     if not hypothesis:
         classification = HOLDS_VACUOUSLY
     elif predicted == observed:
-        has_content = predicted or CLAIMS[case.claim_id].classes == ()
+        has_content = predicted or claim.classes == ()
         classification = HOLDS if has_content else HOLDS_VACUOUSLY
     else:
         classification = FAILS
-    counterexamples = ()
+    counterexamples = []
     if classification == FAILS:
-        kind = ("padovan" if case.family == "QP" else "perrin") + (
-            "-odd" if case.parity else "-even"
+        kind = ("padovan" if claim.family == "QP" else "perrin") + (
+            "-odd" if claim.parity else "-even"
         )
-        counterexamples = tuple(
-            Counterexample(
-                index=m,
-                k=case.k_of(m),
-                norm=norms[m],
-                reduced=reduced_norm_value(kind, case.k_of(m), case.p),
-                predicted=m in predicted,
-                observed=m in observed,
-            )
+        counterexamples = [
+            {"index": m, "k": m // 2, "norm": norms[m],
+             "reduced": reduced_norm_value(kind, m // 2, p),
+             "predicted": m in predicted, "observed": m in observed}
             for m in sorted(set(predicted) ^ set(observed))
-        )
-    return TheoremVerdict(
-        case=case,
-        scan_multiplier=scan_multiplier,
-        window_modulus=window,
-        scan_limit=scan_limit,
-        predicted=tuple(sorted({m % window for m in predicted})),
-        observed=tuple(sorted({m % window for m in observed})),
-        classification=classification,
-        counterexamples=counterexamples,
-    )
+        ]
+    predicted_classes = sorted({m % window for m in predicted})
+    observed_classes = sorted({m % window for m in observed})
+    z = profile.entry_point
+    return {
+        "case": {"claim_id": claim_id, "p": p, "family": claim.family,
+                 "parity": "odd" if claim.parity else "even", "entry_point": z,
+                 "pisano_period": profile.pisano_period, "hypothesis_class": z - 3},
+        "scan": {"multiplier": scan_multiplier, "window_modulus": window,
+                 "scan_limit": scan_limit},
+        "predicted_classes": predicted_classes,
+        "observed_classes": observed_classes,
+        "predicted_count": len(predicted_classes),
+        "observed_count": len(observed_classes),
+        "classification": classification,
+        "counterexamples": counterexamples,
+    }
 
 
 class TestJumpOracle:
     @pytest.mark.parametrize("p", TWINS_2000)
     def test_verdicts_match_linear_reference(self, p):
-        params = SeqParams.twin_prime(p)
+        params, profile = SeqParams.twin_prime(p), FibProfile.of(p)
         linear = {}
         for family in ("QP", "QR"):
-            window = math.lcm(family_period(params, family), 2 * FibProfile.of(p).pisano_period)
+            window = math.lcm(family_period(params, family), 2 * profile.pisano_period)
             linear[family] = (window, *norm_oracle(params, family, 4 * window))
-        for cid in applicable_case_ids(p):
-            case = TheoremCase.build(cid, p)
-            for multiplier in (2, 3, 4):
-                verdict = verify_case(case, multiplier)
-                assert verdict.window_modulus == linear[case.family][0], (cid, p)
-                expected = linear_verdict(case, multiplier, linear[case.family])
-                assert verdict.to_dict() == expected.to_dict(), (cid, p, multiplier)
+        ids = applicable_case_ids(p)
+        for multiplier in (2, 3, 4):
+            for cid, decision in zip(ids, decide_prime(profile, ids), strict=True):
+                expected = linear_verdict(cid, profile, multiplier, linear[CLAIMS[cid].family])
+                assert verdict_record(profile, decision, multiplier) == expected, (
+                    cid, p, multiplier)
 
     def test_norms_match_linear_reference_at_every_hypothesis_index(self):
         # every read against the linear norm pass over six Pisano periods,
         # and F_{k+2} against fast doubling
         for p in TWINS_200:
-            params = SeqParams.twin_prime(p)
+            params, profile = SeqParams.twin_prime(p), FibProfile.of(p)
             for cid in applicable_case_ids(p):
-                case = TheoremCase.build(cid, p)
-                limit = 6 * case.profile.pisano_period
-                norms, zero_divisors = norm_oracle(params, case.family, limit)
-                indices = hypothesis_indices(case, limit)
-                assert tiled_reads(case, len(indices)) == [
-                    (fib_pair(case.k_of(m) + 2, p)[0], norms[m], m in zero_divisors)
+                limit = 6 * profile.pisano_period
+                norms, zero_divisors = norm_oracle(params, CLAIMS[cid].family, limit)
+                indices = hypothesis_indices(cid, profile, limit)
+                assert tiled_reads(cid, profile, len(indices)) == [
+                    (fib_pair(m // 2 + 2, p)[0], norms[m], m in zero_divisors)
                     for m in indices
                 ], (cid, p)
 
@@ -545,13 +559,12 @@ class TestJumpOracle:
         for _, p in twin_primes_upto(10**5):
             params, profile = SeqParams.twin_prime(p), FibProfile.of(p)
             for cid in applicable_case_ids(p):
-                case = TheoremCase.trusted(cid, profile)
-                indices = hypothesis_indices(case, 4 * case.profile.pisano_period)
-                reads = tiled_reads(case, len(indices))
+                indices = hypothesis_indices(cid, profile, 4 * profile.pisano_period)
+                reads = tiled_reads(cid, profile, len(indices))
                 assert (
                     {m: norm for m, (_, norm, _) in zip(indices, reads)},
                     {m for m, (_, _, zd) in zip(indices, reads) if zd},
-                ) == matrix_jump_oracle(params, case.family, case.profile, indices), (cid, p)
+                ) == matrix_jump_oracle(params, CLAIMS[cid].family, profile, indices), (cid, p)
 
     def test_matches_matrix_reference_at_every_prime_to_2000(self):
         # the closed form needs only (a, b) = (-2, 0) mod p, so it holds at
@@ -561,10 +574,10 @@ class TestJumpOracle:
         for p in primes_upto(2000)[2:]:  # 5, 7, ..., 1999
             params, profile = SeqParams(p - 2, p, modulus=p), FibProfile.of(p)
             for cid in THEOREM_IDS:
-                case = TheoremCase.trusted(cid, profile)
-                indices = hypothesis_indices(case, 2 * profile.pisano_period)
-                reads = jump_oracle(case.profile, case.family, case.parity)
-                norms, zero_divisors = matrix_jump_oracle(params, case.family, profile, indices)
+                family = CLAIMS[cid].family
+                indices = hypothesis_indices(cid, profile, 2 * profile.pisano_period)
+                reads = jump_oracle(profile, family, CLAIMS[cid].parity)
+                norms, zero_divisors = matrix_jump_oracle(params, family, profile, indices)
                 assert [norm for _, norm, _ in reads] == [norms[m] for m in indices], (cid, p)
                 assert {
                     m for m, (_, _, zd) in zip(indices, reads, strict=True) if zd
@@ -593,45 +606,45 @@ class TestJumpOracle:
             matrix_jump_oracle(params7, "QR", FibProfile(7, 8, (1,)), range(10, 64, 16))
 
 
+def verify_json(p, multiplier):
+    """The records and exit status of `verify --p p --format json`."""
+    text, status = cli.cmd_verify(cli._parse_args(
+        ["verify", "--p", str(p), "--format", "json", "--scan-multiplier", str(multiplier)]))
+    return json.loads(text)["verdicts"], status
+
+
 class TestOnePeriodVerdict:
-    """Verdicts from one period of r against `full_window_verdict`, which
+    """Records from one period of r against `full_window_verdict`, which
     reads every hypothesis index of the scan."""
 
     @pytest.mark.parametrize("multiplier", [2, 3, 4, 5])
     def test_matches_full_window_reference_for_every_twin_prime_to_1e4(self, multiplier):
+        # whole records, every counterexample included, as verify prints them
         for _, p in twin_primes_upto(10**4):
-            ids = applicable_case_ids(p)
-            for cid, verdict in zip(ids, verify_prime(p, ids, multiplier), strict=True):
-                case = TheoremCase.build(cid, p)
-                full = full_window_verdict(case, multiplier)
-                expected = full.to_dict()
-                assert verdict.to_dict() == expected, (cid, p, multiplier)
-                # from the lazy list on one side, from a tuple on the other
-                assert verdict.first_counterexample() == full.first_counterexample(), (
-                    cid, p, multiplier)
-                assert verify_case(case, multiplier).to_dict() == expected, (cid, p, multiplier)
+            profile = FibProfile.of(p)
+            expected = [full_window_verdict(cid, profile, multiplier)
+                        for cid in applicable_case_ids(p)]
+            records, status = verify_json(p, multiplier)
+            assert records == expected, (p, multiplier)
+            assert status == (2 if any(r["classification"] == FAILS for r in expected) else 0)
 
     def test_verdicts_ask_no_per_index_predicate(self, monkeypatch):
         # the full-window reference asks `predicts` at every index; the
-        # production pass reads the claim table and calls neither it nor k_of
+        # production pass reads the claim table and calls no per-index test
         primes = (5, 7, 13, 181)
         expected = {
-            p: [full_window_verdict(TheoremCase.build(cid, p), 2).to_dict()
-                for cid in applicable_case_ids(p)]
+            p: [full_window_verdict(cid, FibProfile.of(p), 2) for cid in applicable_case_ids(p)]
             for p in primes
         }
 
-        def refuse(self, m):
+        def refuse(*args):
             raise AssertionError("a per-index predicate asked")
 
-        k_of = TheoremCase.k_of
         monkeypatch.setattr(reference, "predicts", refuse)
-        monkeypatch.setattr(TheoremCase, "k_of", refuse)
-        verdicts = {p: verify_prime(p, applicable_case_ids(p)) for p in primes}
-        monkeypatch.setattr(TheoremCase, "k_of", k_of)  # counterexamples read k when built
-        for p in primes:
-            assert [v.to_dict() for v in verdicts[p]] == expected[p], p
-        assert {v.classification for vs in verdicts.values() for v in vs} == {
+        monkeypatch.setattr(reference, "satisfies_hypothesis", refuse)
+        records = {p: verify_json(p, 2)[0] for p in primes}
+        assert records == expected
+        assert {r["classification"] for rs in records.values() for r in rs} == {
             HOLDS, HOLDS_VACUOUSLY, FAILS
         }
 
@@ -642,39 +655,6 @@ class TestOnePeriodVerdict:
             r = fib_pair(z + 1, p)[0]
             assert profile.powers == tuple(pow(r, j, p) for j in range(1, pi // z + 1)), p
             assert profile.powers[-1] == 1, p
-
-    def test_counterexamples_behave_as_the_reference_tuple(self):
-        case = TheoremCase.build("thm-padovan-even", 13)
-        verdict = verify_case(case, 3)
-        cexs = verdict.counterexamples
-        expected = full_window_verdict(case, 3).counterexamples
-        assert isinstance(cexs, Counterexamples) and len(cexs) == len(expected) > 3
-        assert cexs == expected and expected == cexs and hash(cexs) == hash(expected)
-        assert cexs[-1] == expected[-1] and cexs[2] == expected[2]
-        assert cexs[1:4] == expected[1:4] and cexs[-3:] == expected[-3:]
-        assert cexs[::-1] == expected[::-1]
-        with pytest.raises(IndexError):
-            cexs[len(expected)]
-
-    def test_counterexamples_are_built_only_when_read(self, monkeypatch):
-        built = []
-
-        def counted(**fields):
-            built.append(fields["index"])
-            return Counterexample(**fields)
-
-        monkeypatch.setattr(verifier, "Counterexample", counted)
-        ids = applicable_case_ids(13)
-        verdicts = verify_prime(13, ids, 4)
-        fails = [v for v in verdicts if v.classification == FAILS]
-        # the decisions give the first index without building one
-        firsts = [d[3][0][0] for d in decide_prime(FibProfile.of(13), ids) if d[3]]
-        assert fails and built == []
-        records = fails[0].to_dict()["counterexamples"]
-        assert built == [r["index"] for r in records]
-        assert len(built) == len(fails[0].counterexamples)
-        assert firsts == [v.counterexamples[0].index for v in fails]
-        assert firsts == [v.first_counterexample() for v in fails]
 
 
 class TestDecidePrime:
@@ -703,12 +683,16 @@ class TestDecidePrime:
         counts = {}
         for p in (7, 13, 181, 239):
             ids = applicable_case_ids(p)
-            for decide in (lambda: decide_prime(FibProfile.of(p), ids),
-                           lambda: verify_prime(p, ids, 3)):
-                reads.clear()
-                decide()
-                assert sorted(reads) == self.rows(p, ids), p
+            reads.clear()
+            decide_prime(FibProfile.of(p), ids)
+            assert sorted(reads) == self.rows(p, ids), p
             counts[p] = len(reads)
+            if p != 239:  # verify reads each row once too, in every format
+                for fmt in ("json", "csv", "table"):
+                    reads.clear()
+                    cli.cmd_verify(cli._parse_args(
+                        ["verify", "--p", str(p), "--format", fmt, "--scan-multiplier", "3"]))
+                    assert sorted(reads) == self.rows(p, ids), (p, fmt)
         assert counts == {7: 4, 13: 4, 181: 4, 239: 3}
 
     def test_each_row_is_read_once_at_every_twin_prime_to_2000(self, monkeypatch):
