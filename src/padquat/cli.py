@@ -25,9 +25,8 @@ import sys
 
 from . import __version__
 from .fibonacci import FibProfile
-from .modular import twin_primes_upto
+from .modular import NotTwinPrime, require_odd_prime, require_twin_prime, twin_primes_upto
 from .sequences import (
-    NotTwinPrime,
     SeqParams,
     padovan_mod,
     padovan_sym_terms,
@@ -38,9 +37,7 @@ from .verifier import (
     CASE_IDS,
     CLAIMS,
     FAILS,
-    ExcludedPrime,
     applicable_case_ids,
-    check_claim,
     decide_prime,
     verdict_record,
 )
@@ -142,6 +139,16 @@ def _table_text(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _report(args: argparse.Namespace, key: str, header: list[str], rows: list[list]) -> str:
+    """`rows` under `header` in args.format; JSON lists each row as a record
+    under `key`."""
+    if args.format == "json":
+        return _json_document(args, {key: [dict(zip(header, row)) for row in rows]})
+    if args.format == "csv":
+        return _csv_text(header, rows)
+    return _table_text(header, rows)
+
+
 def cmd_seq(args: argparse.Namespace) -> tuple[str, int]:
     n = args.upto
     if n < 0:
@@ -163,21 +170,16 @@ def cmd_seq(args: argparse.Namespace) -> tuple[str, int]:
         of_kind = {"padovan": padovan_mod, "perrin": perrin_mod}
         columns = {k: of_kind[k](params, n) for k in kinds}
 
-    header = ["n"] + kinds
     rows = [[i] + [columns[k][i] for k in kinds] for i in range(n)]
-    if args.format == "json":
-        terms = [dict(zip(header, row)) for row in rows]
-        return _json_document(args, {"terms": terms}), 0
-    if args.format == "csv":
-        return _csv_text(header, rows), 0
-    return _table_text(header, rows), 0
+    return _report(args, "terms", ["n"] + kinds, rows), 0
 
 
 def cmd_fib(args: argparse.Namespace) -> tuple[str, int]:
     try:
-        profile = FibProfile.of(args.p)  # validates p
+        require_odd_prime(args.p)
     except ValueError as exc:
         raise CliError(f"--p must be an odd prime >= 3, got {args.p}") from exc
+    profile = FibProfile.of(args.p)
     payload = {
         "p": profile.p,
         "entry_point": profile.entry_point,
@@ -208,31 +210,21 @@ def _rows(profile: FibProfile, decisions: list[tuple]) -> list[list]:
     ]
 
 
-def _rows_text(args: argparse.Namespace, rows: list[list]) -> tuple[str, int]:
-    """The report of verdict `rows` in args.format, with exit status 2 when
-    one of them FAILS; JSON lists each row as a record."""
-    status = 2 if any(row[6] == FAILS for row in rows) else 0  # row[6]: classification
-    if args.format == "json":
-        payload = {"verdicts": [dict(zip(_ROW_HEADER, row)) for row in rows]}
-        return _json_document(args, payload), status
-    if args.format == "csv":
-        return _csv_text(_ROW_HEADER, rows), status
-    return _table_text(_ROW_HEADER, rows), status
-
-
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
-    p = args.p
-    case_ids = applicable_case_ids(p) if args.case is None else [args.case]
+    p, case_ids = args.p, applicable_case_ids(args.p)
     try:
-        for cid in case_ids:
-            check_claim(cid, p)
-    except (NotTwinPrime, ExcludedPrime) as exc:
+        require_twin_prime(p)
+    except NotTwinPrime as exc:
         raise CliError(str(exc)) from exc
+    if args.case is not None:
+        if args.case not in case_ids:
+            raise CliError(f"{args.case} does not apply at p = {p}")
+        case_ids = [args.case]
     profile = FibProfile.of(p)
     decisions = decide_prime(profile, case_ids)
-    if args.format != "json":
-        return _rows_text(args, _rows(profile, decisions))
     status = 2 if any(d[4] == FAILS for d in decisions) else 0  # d[4]: classification
+    if args.format != "json":
+        return _report(args, "verdicts", _ROW_HEADER, _rows(profile, decisions)), status
     records = [verdict_record(profile, d, args.scan_multiplier) for d in decisions]
     return _json_document(args, {"verdicts": records}), status
 
@@ -246,7 +238,8 @@ def cmd_scan(args: argparse.Namespace) -> tuple[str, int]:
     for _, p in twin_primes_upto(args.upto):  # p from the sieve: no checks
         profile = FibProfile.of(p)
         rows += _rows(profile, decide_prime(profile, applicable_case_ids(p)))
-    return _rows_text(args, rows)
+    status = 2 if any(row[6] == FAILS for row in rows) else 0  # row[6]: classification
+    return _report(args, "verdicts", _ROW_HEADER, rows), status
 
 
 # The commands, in the order the full parser lists them: (help, handler).
@@ -328,14 +321,19 @@ def main(argv: list[str] | None = None) -> int:
         if n > MAX_SCAN_MULTIPLIER:
             raise CliError(f"--scan-multiplier must be at most {MAX_SCAN_MULTIPLIER}, got {n}")
         text, status = _COMMANDS[args.command][1](args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            # the system can still refuse a path _check_writable passed, such
+            # as one that ends in a separator
+            try:
+                with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise CliError(f"cannot write --out {args.out}: {exc.strerror.lower()}") from exc
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return status
 
 

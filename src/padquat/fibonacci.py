@@ -6,14 +6,15 @@ p - (5/p) (Wall 1960, Vinson 1963), so it is found by order reduction over
 the prime factors of that number.  F_z = 0 makes Q^z = r I for the
 Fibonacci matrix Q and r = F_{z+1}, so pi(p) = z(p) ord_p(r), with
 ord_p(r) one of 1, 2, 4: `FibProfile.of` reads it from one fast-doubling
-pair (F_z, F_{z+1}), which the order reduction hands over.
+pair (F_z, F_{z+1}), which the order reduction hands over.  Functions of a
+prime p take it as given; `modular.require_odd_prime` is the check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modular import legendre, require_odd_prime
+from .modular import legendre
 
 
 def fib_pair(n: int, m: int) -> tuple[int, int]:
@@ -50,8 +51,7 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _entry_pair(p: int) -> tuple[int, tuple[int, int]]:
-    """z(p) and (F_z, F_{z+1}) mod p, for an odd prime p >= 3."""
-    require_odd_prime(p)  # validates p once; every other function goes through here
+    """z(p) and (F_z, F_{z+1}) mod p, for an odd prime p >= 3 (unchecked)."""
     # the indices n with p | F_n are the multiples of z(p), and z(p) divides
     # p - (5/p) (which is p itself for p = 5): divide out each prime factor
     # while the quotient still indexes a zero, keeping that zero's pair
@@ -78,8 +78,9 @@ class FibProfile:
 
     @classmethod
     def of(cls, p: int) -> "FibProfile":
-        """The profile of p, certified: raises AssertionError unless
-        F_z = 0, r^j = 1 for some j <= 4 and pi(p) is even."""
+        """The profile of an odd prime p >= 3 (unchecked), certified:
+        raises AssertionError unless F_z = 0, r^j = 1 for some j <= 4 and
+        pi(p) is even."""
         z, (f_z, r) = _entry_pair(p)
         powers = [r]
         while powers[-1] != 1 and len(powers) < 4:

@@ -1,7 +1,7 @@
 """Exact modular arithmetic over odd prime moduli.
 
-Primality testing, twin-prime enumeration, modular inverses and
-Legendre/Jacobi symbols.  Residues and moduli are plain ints; everything
+Primality and twin-prime tests, twin-prime enumeration, modular inverses
+and Legendre/Jacobi symbols.  Residues and moduli are plain ints; everything
 is deterministic and exact, no floats.
 """
 
@@ -13,6 +13,10 @@ from dataclasses import dataclass
 
 class ZeroNotInvertible(ZeroDivisionError):
     """Raised when asking for the inverse of 0 mod p."""
+
+
+class NotTwinPrime(ValueError):
+    """Raised when a twin-prime parameter set is required but absent."""
 
 
 # Miller-Rabin bases, each with psi_k, the least strong pseudoprime to all of
@@ -110,6 +114,12 @@ def require_odd_prime(p: int) -> None:
         raise ValueError(f"modulus must be an odd prime in [3, 2^63), got {p}")
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
+
+
+def require_twin_prime(p: int) -> None:
+    """Raise NotTwinPrime unless p - 2 and p are both prime, p >= 5."""
+    if p < 5 or not (is_prime(p) and is_prime(p - 2)):
+        raise NotTwinPrime(f"{p} does not head a twin prime pair (p-2, p)")
 
 
 @dataclass(frozen=True)

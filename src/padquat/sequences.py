@@ -12,11 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .modular import is_prime
-
-
-class NotTwinPrime(ValueError):
-    """Raised when a twin-prime parameter set is required but absent."""
+from .modular import require_twin_prime
 
 
 class BiPoly:
@@ -199,8 +195,7 @@ class SeqParams:
     @classmethod
     def twin_prime(cls, p: int) -> "SeqParams":
         """Params (p-2, p) mod p; raises NotTwinPrime unless both are prime."""
-        if p < 5 or not (is_prime(p) and is_prime(p - 2)):
-            raise NotTwinPrime(f"{p} does not head a twin prime pair (p-2, p)")
+        require_twin_prime(p)
         return cls(p - 2, p, modulus=p)
 
     def swapped(self) -> "SeqParams":

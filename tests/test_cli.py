@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import full_window_verdict, verdict_row
+from reference import full_window_verdict, sorted_case_ids, verdict_row
 
 from padquat import __version__, cli, fibonacci, modular, quaternion, sequences, verifier
 from padquat.cli import (
@@ -109,13 +109,32 @@ class TestVerify:
         assert status == 0
         assert "HOLDS" in out and "FAILS" not in out
 
-    def test_not_twin_prime(self, capsys):
-        status, _, err = run_cli(capsys, "verify", "--p", "9")
-        assert status == 1 and "twin prime" in err
+    def test_case_applies_exactly_where_the_claim_table_says(self, capsys):
+        for _, p in modular.twin_primes_upto(300):
+            for cid in verifier.CASE_IDS:
+                status, out, err = run_cli(capsys, "verify", "--p", str(p), "--case", cid)
+                if cid in sorted_case_ids(p):
+                    assert status in (0, 2) and err == "" and out, (p, cid)
+                else:
+                    assert (status, out) == (1, ""), (p, cid)
+                    assert err == f"error: {cid} does not apply at p = {p}\n"
+        for p in (9, 11):  # 11 is prime but 9 is not
+            for case in ((), *(("--case", cid) for cid in verifier.CASE_IDS)):
+                status, out, err = run_cli(capsys, "verify", "--p", str(p), *case)
+                assert (status, out) == (1, "") and "twin prime" in err, (p, case)
 
-    def test_excluded_case_is_usage_error(self, capsys):
-        status, _, err = run_cli(capsys, "verify", "--p", "13", "--case", "cor-7")
-        assert status == 1 and "error:" in err
+    def test_checks_primality_of_the_pair_only(self, capsys, monkeypatch):
+        calls = []
+        is_prime = modular.is_prime
+
+        def counted(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(modular, "is_prime", counted)
+        status, _, _ = run_cli(capsys, "verify", "--p", "10009")
+        assert status == 2
+        assert sorted(calls) == [10007, 10009]
 
     def test_unknown_case_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -205,10 +224,9 @@ class TestInputBound:
         def refuse(n):
             raise AssertionError("validation work ran")
 
-        # every command checks primality before it does anything else; fib
-        # through FibProfile.of, whose PrimeModulus calls modular.is_prime
-        for module in (modular, sequences, verifier):
-            monkeypatch.setattr(module, "is_prime", refuse)
+        # every primality check goes through modular.is_prime: fib's
+        # require_odd_prime and the require_twin_prime of seq and verify
+        monkeypatch.setattr(modular, "is_prime", refuse)
         status, out, err = run_cli(capsys, *argv, str(self.P))
         assert status == 1 and out == ""
         assert err == f"error: --p must be at most {MAX_PRIME}, got {self.P}\n"
@@ -237,7 +255,7 @@ class TestInputBound:
         def refuse(*args):
             raise AssertionError("work ran")
 
-        for name in ("verdict_record", "decide_prime", "check_claim", "twin_primes_upto"):
+        for name in ("verdict_record", "decide_prime", "require_twin_prime", "twin_primes_upto"):
             monkeypatch.setattr(cli, name, refuse)
         n = MAX_SCAN_MULTIPLIER + 1
         status, out, err = run_cli(capsys, *argv, "--scan-multiplier", str(n))
@@ -339,6 +357,19 @@ class TestScan:
         assert err == "error: cannot write --out : empty path\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("make_file", [False, True])
+    def test_out_ending_in_separator_fails_at_the_write(self, tmp_path, capsys, make_file):
+        # "newdir/" or "afile/": the system refuses either only once opened
+        base = tmp_path / ("afile" if make_file else "newdir")
+        if make_file:
+            base.write_bytes(b"kept\n")
+        path = str(base) + os.sep
+        status, out, err = run_cli(capsys, "fib", "--p", "5", "--out", path)
+        assert status == 1 and out == ""
+        assert err.startswith(f"error: cannot write --out {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert base.read_bytes() == b"kept\n" if make_file else not base.exists()
+
     def test_failed_command_leaves_out_untouched(self, tmp_path, monkeypatch):
         self.check_out_untouched(tmp_path, monkeypatch, ("scan", "--upto", "200"))
 
@@ -394,11 +425,16 @@ class TestScan:
         )
 
     def test_scan_builds_cases_without_primality_checks(self, capsys, monkeypatch):
+        # the sieve is the only source of primality a scan has
+        argv = ("scan", "--upto", "2000", "--format", "csv")
+        unpatched = run_cli(capsys, *argv)
+
         def refuse(n):
             raise AssertionError("twin primality checked again")
 
-        monkeypatch.setattr(verifier, "is_prime", refuse)
-        status, out, _ = run_cli(capsys, "scan", "--upto", "2000", "--format", "csv")
+        monkeypatch.setattr(modular, "is_prime", refuse)
+        status, out, _ = run_cli(capsys, *argv)
+        assert (status, out) == unpatched[:2]
         assert status == 2
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"

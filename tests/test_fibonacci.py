@@ -80,7 +80,8 @@ class TestEntryPoint:
         assert entry_point(181) == 90
 
     def test_rejects_non_prime(self):
-        for fn in (entry_point, FibProfile.of):
+        # entry_point and FibProfile.of take p as given; the CLI checks it first
+        for fn in (PrimeModulus, require_odd_prime):
             for bad in (1, 9, 15):
                 with pytest.raises(ValueError):
                     fn(bad)
@@ -95,7 +96,7 @@ class TestEntryPoint:
         (2**63 + 1, "modulus must be an odd prime in [3, 2^63), got 9223372036854775809"),
     ])
     def test_shares_the_prime_modulus_message(self, p, message):
-        for fn in (entry_point, FibProfile.of, PrimeModulus, require_odd_prime):
+        for fn in (PrimeModulus, require_odd_prime):
             with pytest.raises(ValueError) as exc:
                 fn(p)
             assert str(exc.value) == message, fn

@@ -4,10 +4,9 @@ from hypothesis import strategies as st
 from reference import perrin_padovan_identity, seq_period
 
 from padquat.fibonacci import FibProfile
-from padquat.modular import twin_primes_upto
+from padquat.modular import NotTwinPrime, twin_primes_upto
 from padquat.sequences import (
     BiPoly,
-    NotTwinPrime,
     SeqParams,
     gf_expand,
     padovan_even_binomial,

@@ -22,7 +22,7 @@ from padquat import cli, verifier
 from padquat.fibonacci import FibProfile, entry_point, fib_pair
 from padquat.modular import PrimeModulus, jacobi, legendre, twin_primes_upto
 from padquat.quaternion import qp_elements, qr_elements
-from padquat.sequences import NotTwinPrime, SeqParams, padovan_fib_form
+from padquat.sequences import SeqParams, padovan_fib_form
 from padquat.verifier import (
     CASE_ROWS,
     CLAIMS,
@@ -32,9 +32,7 @@ from padquat.verifier import (
     HOLDS_VACUOUSLY,
     NORM_REDUCTIONS,
     PERRIN_EVEN_ADJUSTED,
-    ExcludedPrime,
     applicable_case_ids,
-    check_claim,
     decide_prime,
     jump_oracle,
     perrin_even_side_condition,
@@ -79,24 +77,6 @@ class TestCaseConstruction:
             ids.clear()
             assert applicable_case_ids(p) == sorted_case_ids(p) != [], p
 
-    def test_build_validates_twin_prime(self):
-        with pytest.raises(NotTwinPrime):
-            check_claim("thm-padovan-even", 9)
-        with pytest.raises(NotTwinPrime):
-            check_claim("thm-padovan-even", 11)
-
-    def test_exclusions(self):
-        with pytest.raises(ExcludedPrime):
-            check_claim("thm-perrin-even", 181)
-        with pytest.raises(ExcludedPrime):
-            check_claim("thm-perrin-odd", 7)
-        with pytest.raises(ExcludedPrime):
-            check_claim("thm-perrin-odd", 13)
-        with pytest.raises(ExcludedPrime):
-            check_claim("cor-7", 13)
-        with pytest.raises(ValueError):
-            check_claim("cor-99", 5)
-
     def test_hypothesis_class(self):
         assert record("thm-padovan-even", 13)["case"]["hypothesis_class"] == 4  # -3 mod z(13)=7
         profile = FibProfile.of(13)
@@ -106,14 +86,14 @@ class TestCaseConstruction:
 
 
 def record(claim_id, p, multiplier=2):
-    """The `verify --format json` record of `claim_id` at p, after `check_claim`."""
-    check_claim(claim_id, p)
+    """The `verify --format json` record of `claim_id`, which applies at p."""
+    assert claim_id in applicable_case_ids(p)
     profile = FibProfile.of(p)
     return verdict_record(profile, decide_prime(profile, [claim_id])[0], multiplier)
 
 
 def predicts(claim_id, p, m):
-    check_claim(claim_id, p)
+    assert claim_id in applicable_case_ids(p)
     return reference.predicts(claim_id, FibProfile.of(p), m)
 
 
