@@ -254,10 +254,10 @@ _COMMANDS = {
 def _check_writable(path: str) -> None:
     """Raise CliError unless `path` can be opened for writing.  Creates and
     truncates nothing, so a command that fails later leaves it as it was."""
-    full = os.path.abspath(path)
+    full = os.path.abspath(path)  # drops a trailing separator
     if not path:
         reason = "empty path"
-    elif os.path.isdir(full):
+    elif os.path.isdir(full) or path[-1] in (os.sep, os.altsep):
         reason = "is a directory"
     elif not os.path.isdir(os.path.dirname(full)):
         reason = "no such directory"
@@ -325,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(text)
         else:
             # the system can still refuse a path _check_writable passed, such
-            # as one that ends in a separator
+            # as one whose directory went away in between
             try:
                 with open(args.out, "w", encoding="utf-8", newline="") as fh:
                     fh.write(text)

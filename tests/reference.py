@@ -7,6 +7,10 @@ symbolic Perrin-from-Padovan check `perrin_padovan_identity`).
 - `sorted_case_ids`: the claim ids that apply at p, sorted out of
   `CLAIMS` at every call, the reference for the claim table that
   `verifier.applicable_case_ids` reads;
+- `entry_pair_by_fib_pair`: z(p) and (F_z, F_{z+1}) by trial division
+  and a fast-doubling pair at every order test, the reference for
+  `fibonacci._entry_pair`, which tests a split prime by a power of
+  -phi^2 and builds its pair from Binet;
 - `pisano_by_candidates`: pi(p) as the first of z, 2z, 4z at which the
   pair (F_L, F_{L+1}) returns to (0, 1), the reference for the order of
   r = F_{z+1} that `FibProfile.of` reads;
@@ -247,6 +251,26 @@ def perrin_padovan_identity(n: int) -> bool:
     if n % 2 == 1:
         rhs = rhs.swap()
     return lhs == rhs
+
+
+def entry_pair_by_fib_pair(p: int) -> tuple[int, tuple[int, int]]:
+    """z(p) and (F_z, F_{z+1}) mod p for an odd prime p, by order reduction:
+    divide each prime factor out of p - (5/p) while the quotient still
+    indexes a zero, testing every quotient by its fast-doubling pair."""
+    z, pair = p - legendre(5, p), None
+    n, factors, q = z, [], 2
+    while q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1 if q == 2 else 2
+    if n > 1:
+        factors.append(n)
+    for q in factors:
+        while z % q == 0 and (below := fib_pair(z // q, p))[0] == 0:
+            z, pair = z // q, below
+    return z, pair or fib_pair(z, p)
 
 
 def pisano_by_candidates(p: int) -> int:

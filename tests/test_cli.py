@@ -358,16 +358,21 @@ class TestScan:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("make_file", [False, True])
-    def test_out_ending_in_separator_fails_at_the_write(self, tmp_path, capsys, make_file):
-        # "newdir/" or "afile/": the system refuses either only once opened
+    def test_out_ending_in_separator_fails_before_any_work(
+        self, tmp_path, capsys, monkeypatch, make_file
+    ):
+        # "newdir/" or "afile/": no file can be written at either
+        def refuse(cls, p):
+            raise AssertionError("profile computed")
+
+        monkeypatch.setattr(FibProfile, "of", classmethod(refuse))
         base = tmp_path / ("afile" if make_file else "newdir")
         if make_file:
             base.write_bytes(b"kept\n")
         path = str(base) + os.sep
-        status, out, err = run_cli(capsys, "fib", "--p", "5", "--out", path)
+        status, out, err = run_cli(capsys, "fib", "--p", "13", "--out", path)
         assert status == 1 and out == ""
-        assert err.startswith(f"error: cannot write --out {path}: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert err == f"error: cannot write --out {path}: is a directory\n"
         assert base.read_bytes() == b"kept\n" if make_file else not base.exists()
 
     def test_failed_command_leaves_out_untouched(self, tmp_path, monkeypatch):
@@ -493,15 +498,21 @@ class TestScan:
             assert row == reference_row
         assert status == 2
 
-    def test_scan_takes_one_profile_and_one_pair_per_prime(self, capsys, monkeypatch):
+    def test_scan_takes_one_profile_per_prime_and_pairs_only_when_inert(
+        self, capsys, monkeypatch
+    ):
+        # a split prime, (5/p) = 1, gets its entry point and pair from powers
+        # of -phi^2 and asks for no fast-doubling pair at all; an inert one
+        # and 5 ask for the pair at z(p) once
         twins = [p for _, p in modular.twin_primes_upto(2000)]
         z = {p: fibonacci.entry_point(p) for p in twins}
         calls = {"fib_pair": [], "of": []}
         fib_pair, of = fibonacci.fib_pair, FibProfile.of.__func__
 
         def counted_pair(n, p):
-            # every pair at z(p) itself, whichever code asks for it
-            if n == z[p]:
+            # every pair at z(p) itself, and every pair at a split prime,
+            # whichever code asks for it
+            if n == z[p] or modular.legendre(5, p) == 1:
                 calls["fib_pair"].append((p, n))
             return fib_pair(n, p)
 
@@ -516,7 +527,9 @@ class TestScan:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"
         )
-        assert calls == {"fib_pair": [(p, z[p]) for p in twins], "of": twins}
+        inert = [p for p in twins if modular.legendre(5, p) != 1]
+        assert 5 in inert and len(inert) < len(twins)
+        assert calls == {"fib_pair": [(p, z[p]) for p in inert], "of": twins}
 
     def test_scan_reads_do_not_grow_with_the_multiplier(self, capsys, monkeypatch):
         reads = {}

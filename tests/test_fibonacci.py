@@ -1,9 +1,11 @@
 import pytest
-from reference import pisano_by_candidates, primes_upto
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import entry_pair_by_fib_pair, pisano_by_candidates, primes_upto
 
 from padquat import fibonacci
 from padquat.fibonacci import FibProfile, entry_point, fib_pair
-from padquat.modular import PrimeModulus, legendre, require_odd_prime
+from padquat.modular import PrimeModulus, is_prime, legendre, require_odd_prime
 
 ODD_PRIMES = [p for p in primes_upto(1000) if p > 2]
 
@@ -116,6 +118,43 @@ class TestEntryPoint:
             seq = fib_list(z + 1, p)
             assert seq[z] == 0
             assert all(seq[j] != 0 for j in range(1, z))
+
+
+class TestEntryPair:
+    """`_entry_pair` against the order reduction by fast-doubling pairs: the
+    split primes take another path (a power of -phi^2 per order test and a
+    Binet pair), the inert ones and 5 the same loop."""
+
+    def test_matches_reference_for_every_odd_prime_to_1e6(self):
+        for p in primes_upto(10**6)[1:]:
+            assert fibonacci._entry_pair(p) == entry_pair_by_fib_pair(p), p
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=3, max_value=10**9))
+    def test_matches_reference_at_drawn_primes_to_1e9(self, n):
+        p = n
+        while not is_prime(p):
+            p -= 1
+        if p > 2:
+            assert fibonacci._entry_pair(p) == entry_pair_by_fib_pair(p), p
+
+    def test_matches_reference_at_split_primes_deep_in_two(self):
+        # 2^12 | p - 1: the square root of 5 takes Tonelli-Shanks, whose
+        # rounds each lower the 2-power order of the error
+        primes = [p for p in (k * 2**12 + 1 for k in range(25_000, 25_400))
+                  if is_prime(p) and legendre(5, p) == 1]
+        assert len(primes) >= 10
+        for p in primes:
+            assert fibonacci._entry_pair(p) == entry_pair_by_fib_pair(p), p
+
+    def test_wrong_square_root_fails_the_certificate(self, monkeypatch):
+        # at a wrong root of 5 the pair still has F_z = 0, r^4 = 1 and an
+        # even pi, so the root itself is checked
+        sqrt5 = fibonacci._sqrt5
+        monkeypatch.setattr(fibonacci, "_sqrt5", lambda p: sqrt5(p) + 1 if p == 61 else sqrt5(p))
+        with pytest.raises(AssertionError):
+            FibProfile.of(61)
+        assert FibProfile.of(11).pisano_period == 10
 
 
 class TestPisanoPeriod:
