@@ -50,7 +50,8 @@ MAX_PRIME = 10**12
 # scan, is held in memory.  Measured on a 2-vCPU Intel Xeon with Python 3.11:
 # seq --symbolic --upto 400 took 9.6 s and 359 MB (500: 19 s and 700 MB),
 # seq --p 5 --upto 10**6 3.1 s and 184 MB; measured later on the same machine
-# in a child process, scan --upto 10**7 --format csv 5.1 s and 87 MB.
+# in a child process, scan --upto 10**7 --format csv 4.4-4.9 s and 87 MB over
+# four runs (the host's speed drifts by up to 2x).
 MAX_SYMBOLIC_TERMS = 400
 MAX_TERMS = 10**6
 MAX_SCAN_BOUND = 10**7
@@ -151,6 +152,8 @@ def _report(args: argparse.Namespace, key: str, header: list[str], rows: list[li
 
 def cmd_seq(args: argparse.Namespace) -> tuple[str, int]:
     n = args.upto
+    if args.symbolic and args.p is not None:
+        raise CliError("--p does not apply to --symbolic terms")
     if n < 0:
         raise CliError("--upto must be nonnegative")
     cap = MAX_SYMBOLIC_TERMS if args.symbolic else MAX_TERMS
@@ -205,7 +208,7 @@ def _rows(profile: FibProfile, decisions: list[tuple]) -> list[list]:
     p, hypothesis_class = profile.p, profile.entry_point - 3
     return [
         [p, cid, _PARITY_NAMES[cid], hypothesis_class, len(predicted), len(observed),
-         classification, disagreements[0][0] if disagreements else ""]
+         classification, disagreements[0] if disagreements else ""]
         for cid, predicted, observed, disagreements, classification in decisions
     ]
 

@@ -7,14 +7,21 @@ row of the `CLAIMS` table.  The engine reads only the hypothesis indices
 k = j z(p) - 3, where F_k .. F_{k+3} are r^j (2, -1, 1, 0) with
 r = F_{z+1} mod p, through the Fibonacci closed forms of the coefficients
 (`FIB_FORMS`).  As r^{pi/z} = 1, one period j = 1 .. pi(p)/z(p), the powers
-of r that `FibProfile.of` certifies, decides every window.  `decide_prime`
-decides each claim at one prime from one read of its (family, parity) row,
-as plain tuples: HOLDS, HOLDS_VACUOUSLY or FAILS with the disagreements.
-`scan` and csv/table `verify` print rows from those; `verdict_record` turns
-one into the `verify --format json` record, every counterexample of the
-scan included.  Nothing here checks its input: the CLI hands over twin
-primes and the claim ids that apply at them.  The linear, matrix and
-full-window references live in the tests.
+of r that `FibProfile.of` certifies, decides every window.
+
+There the norm of each (family, parity) row is an integer quadratic N(R)
+in R = r^j (`CASE_ROWS`).  Cassini's identity with F_z = 0 gives
+r^2 = (-1)^z, so R^4 = 1 and N(R) = 0 mod p needs p to divide the row's
+resultant N(1) N(-1) N(i) N(-i).  `decide_prime` reads a row with
+`jump_oracle` only at the primes that divide it (among twin primes 5, 7
+and 13); elsewhere no hypothesis index is a zero divisor, and it decides
+each claim from its prediction alone, as plain tuples: HOLDS,
+HOLDS_VACUOUSLY or FAILS with the disagreeing indices.  `scan` and
+csv/table `verify` print rows from those; `verdict_record` turns one into
+the `verify --format json` record, every counterexample of the scan
+included.  Nothing here checks its input: the CLI hands over twin primes
+and the claim ids that apply at them.  The linear, matrix and full-window
+references live in the tests.
 """
 
 from __future__ import annotations
@@ -178,6 +185,15 @@ CASE_ROWS = {
 }
 
 
+# (family, parity) -> the resultant of the row's norm N(R) and R^4 - 1,
+# N(1) N(-1) N(i) N(-i) with N(i) N(-i) = (c0 - c2)^2 + c1^2: a hypothesis
+# norm can vanish mod p only where p divides it
+_ROW_RESULTANTS = {
+    row: (c0 + c1 + c2) * (c0 - c1 + c2) * ((c0 - c2) ** 2 + c1 * c1)
+    for row, (_, _, (c0, c1, c2)) in CASE_ROWS.items()
+}
+
+
 def jump_oracle(profile: FibProfile, family: str, parity: int) -> list[tuple[int, int, bool]]:
     """(F_{k+2}, norm, is zero divisor) mod p = profile.p for the quaternions
     m = 2k + parity of `family` at one period of the hypothesis indices
@@ -206,15 +222,17 @@ def decide_prime(profile: FibProfile, case_ids: Iterable[str]) -> list[tuple]:
     Precondition, not checked: p heads a twin prime pair and each id is in
     `applicable_case_ids(p)`.  No two such claims share a (family, parity)
     row, as each corollary stands in for the theorem its prime excludes, so
-    each row is read once.  One pass over
-    the first window's hypothesis indices k = j z(p) - 3 < pi(p) and their
-    `jump_oracle` reads decides a claim: m = 2k + parity is predicted when k
-    is one of its classes mod pi(p).  `predicted` and `observed` list those
-    m, `disagreements` each (m, F_{k+2}, norm, predicted) where prediction
-    and oracle differ.  FAILS when some index disagrees, else HOLDS when
-    the comparison has content (nonempty sets, or an invertibility claim)
-    and HOLDS_VACUOUSLY when nothing satisfies the claim.  Every window
-    repeats the first, so the scan multiplier changes none of it.
+    each row is read at most once.  A claim is decided over the first
+    window's hypothesis indices k = j z(p) - 3 < pi(p): m = 2k + parity is
+    predicted when k is one of its classes mod pi(p), and observed when the
+    row's `jump_oracle` read finds a zero divisor there.  That read is taken
+    only when p divides the row's resultant (`_ROW_RESULTANTS`); otherwise
+    R^4 = 1 leaves no zero norm and nothing is observed.  `predicted`,
+    `observed` and `disagreements`, the indices where prediction and oracle
+    differ, list m ascending.  FAILS when some index disagrees, else HOLDS
+    when the comparison has content (nonempty sets, or an invertibility
+    claim) and HOLDS_VACUOUSLY when nothing satisfies the claim.  Every
+    window repeats the first, so the scan multiplier changes none of it.
     """
     p, z = profile.p, profile.entry_point
     # {(jz - 3) mod pi : j = 1..4} is this range, as pi = z ord(r), ord(r) <= 4
@@ -222,20 +240,17 @@ def decide_prime(profile: FibProfile, case_ids: Iterable[str]) -> list[tuple]:
     decisions = []
     for cid in case_ids:
         claim = CLAIMS[cid]
-        parity, classes = claim.parity, claim.classes
+        family, parity, classes = claim.family, claim.parity, claim.classes
         if classes is None:  # a theorem: every hypothesis class, if its side condition holds
             classes = hypothesis if claim.side_condition(p) else ()
-        predicted, observed, disagreements = [], [], []
-        reads = jump_oracle(profile, claim.family, parity)
-        for k, (f2, norm, zero) in zip(hypothesis, reads, strict=True):
-            m = 2 * k + parity
-            predicts = k in classes
-            if predicts:
-                predicted.append(m)
-            if zero:
-                observed.append(m)
-            if predicts != zero:
-                disagreements.append((m, f2, norm, predicts))
+        predicted = [2 * k + parity for k in hypothesis if k in classes]
+        if _ROW_RESULTANTS[family, parity] % p:
+            observed, disagreements = [], predicted
+        else:
+            reads = jump_oracle(profile, family, parity)
+            observed = [2 * k + parity
+                        for k, (_, _, zero) in zip(hypothesis, reads, strict=True) if zero]
+            disagreements = sorted(set(predicted).symmetric_difference(observed))
         if disagreements:
             classification = FAILS
         elif predicted or claim.classes == ():
@@ -250,25 +265,32 @@ def verdict_record(profile: FibProfile, decision: tuple, multiplier: int) -> dic
     """The `verify --format json` record of one `decide_prime` decision at
     p = profile.p, over `multiplier` windows of 2 pi(p).  The window
     lcm(sequence period, 2 pi(p)) is 2 pi(p): the profile certifies
-    Q^pi = I, so 2 pi(p) is a period of every coefficient stream.  Each
-    first-window disagreement (m, F_{k+2}, norm, predicted) recurs in window
+    Q^pi = I, so 2 pi(p) is a period of every coefficient stream.  A
+    decision with disagreements reads its row once with `jump_oracle`, for
+    F_{k+2} and the norm at each disagreeing index m = 2k + parity, the
+    read j = (k + 3)/z(p).  Each first-window disagreement recurs in window
     t = 0 .. multiplier-1 at index m + 2 pi t and k + pi t, with the same
     norm and reduced value; the counterexamples list every one, ascending."""
     claim_id, predicted, observed, disagreements, classification = decision
     claim, p, pi = CLAIMS[claim_id], profile.p, profile.pisano_period
-    reduction = CASE_ROWS[claim.family, claim.parity][1]
-    first_window = [(m, (m - claim.parity) // 2, norm, _reduce(reduction, f2, p), predicts)
-                    for m, f2, norm, predicts in disagreements]
+    z, parity = profile.entry_point, claim.parity
+    reduction = CASE_ROWS[claim.family, parity][1]
+    reads = jump_oracle(profile, claim.family, parity) if disagreements else ()
+    first_window = []
+    for m in disagreements:
+        k = (m - parity) // 2
+        f2, norm, _ = reads[(k + 3) // z - 1]
+        first_window.append((m, k, norm, _reduce(reduction, f2, p), m in predicted))
     return {
         "case": {
             "claim_id": claim_id,
             "p": p,
             "family": claim.family,
-            "parity": "odd" if claim.parity else "even",
-            "entry_point": profile.entry_point,
+            "parity": "odd" if parity else "even",
+            "entry_point": z,
             "pisano_period": pi,
             # z(p) >= 5 for p >= 5, so the hypothesis class z - 3 is positive
-            "hypothesis_class": profile.entry_point - 3,
+            "hypothesis_class": z - 3,
         },
         "scan": {"multiplier": multiplier, "window_modulus": 2 * pi,
                  "scan_limit": multiplier * 2 * pi},

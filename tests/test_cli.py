@@ -61,6 +61,24 @@ class TestSeq:
         status, _, err = run_cli(capsys, "seq", "--upto", "4")
         assert status == 1 and "error:" in err
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_symbolic_refuses_p(self, capsys, monkeypatch, tmp_path, fmt):
+        # symbolic terms take no modulus, so a --p beside --symbolic (here
+        # one that is not even prime) is refused, not recorded in the config
+        def refuse(n):
+            raise AssertionError("terms built")
+
+        monkeypatch.setattr(cli, "padovan_sym_terms", refuse)
+        monkeypatch.setattr(cli, "perrin_sym_terms", refuse)
+        kept = tmp_path / "kept.txt"
+        kept.write_bytes(b"earlier\n")
+        for out_args in ((), ("--out", str(kept))):
+            status, out, err = run_cli(capsys, "seq", "--symbolic", "--p", "4", "--upto", "3",
+                                       "--format", fmt, *out_args)
+            assert (status, out) == (1, "")
+            assert err == "error: --p does not apply to --symbolic terms\n"
+        assert kept.read_bytes() == b"earlier\n"
+
     def test_json_round_trip(self, capsys):
         status, out, _ = run_cli(capsys, "seq", "--symbolic", "--upto", "3", "--format", "json")
         assert status == 0
@@ -531,6 +549,27 @@ class TestScan:
         assert 5 in inert and len(inert) < len(twins)
         assert calls == {"fib_pair": [(p, z[p]) for p in inert], "of": twins}
 
+    def test_scan_reads_rows_only_where_p_divides_the_resultant(self, capsys, monkeypatch):
+        # outside the prime factors of a row's norm resultant no hypothesis
+        # norm vanishes, so scan never reads that row; among twin primes the
+        # factors are 5, 7 and 13
+        read = []
+        jump_oracle = verifier.jump_oracle
+
+        def gated(profile, family, parity):
+            if verifier._ROW_RESULTANTS[family, parity] % profile.p:
+                raise AssertionError(f"row {family} {parity} read at p = {profile.p}")
+            read.append((profile.p, family, parity))
+            return jump_oracle(profile, family, parity)
+
+        monkeypatch.setattr(verifier, "jump_oracle", gated)
+        status, out, _ = run_cli(capsys, "scan", "--upto", "2000", "--format", "csv")
+        assert status == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"
+        )
+        assert read == [(5, "QP", 0), (5, "QR", 0), (7, "QR", 0), (13, "QP", 1)]
+
     def test_scan_reads_do_not_grow_with_the_multiplier(self, capsys, monkeypatch):
         reads = {}
         jump_oracle = verifier.jump_oracle
@@ -550,7 +589,10 @@ class TestScan:
             assert hashlib.sha256(out.encode()).hexdigest() == (
                 "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"
             )
-        assert reads[2] == reads[MAX_SCAN_MULTIPLIER] > 0
+        # one period of r for each row read: QP even and QR even at 5, QR
+        # even at 7, QP odd at 13
+        period = {p: len(FibProfile.of(p).powers) for p in (5, 7, 13)}
+        assert reads[2] == reads[MAX_SCAN_MULTIPLIER] == 2 * period[5] + period[7] + period[13] > 0
 
 
 class TestGoldenBytes:

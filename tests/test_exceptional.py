@@ -52,9 +52,16 @@ def test_candidates_come_from_the_row_quadratics():
     assert FibProfile.of(1409).powers == (1408, 1)
 
 
+def test_production_resultants_have_the_candidate_primes():
+    # the gate of decide_prime reads a row only at the prime factors of its
+    # resultant N(1) N(-1) N(i) N(-i)
+    assert {row: prime_factors(d) for row, d in verifier._ROW_RESULTANTS.items()} == CANDIDATES
+
+
 def test_zero_norms_only_at_candidate_primes_to_1e5():
     # every prime 5 <= p <= 10^5, twin or not: the closed form needs only
-    # (a, b) = (-2, 0) mod p
+    # (a, b) = (-2, 0) mod p.  A row whose resultant p does not divide, one
+    # that decide_prime does not read, has no zero norm.
     realised = {row: set() for row in CASE_ROWS}
     for p in primes_upto(10**5)[2:]:
         profile = FibProfile.of(p)
@@ -62,6 +69,7 @@ def test_zero_norms_only_at_candidate_primes_to_1e5():
             reads = jump_oracle(profile, family, parity)
             if any(norm == 0 for _, norm, _ in reads):
                 assert p in CANDIDATES[family, parity], (family, parity, p)
+                assert verifier._ROW_RESULTANTS[family, parity] % p == 0, (family, parity, p)
             if any(zero for _, _, zero in reads):
                 realised[family, parity].add(p)
     assert realised == {

@@ -436,10 +436,13 @@ class TestVerdictRecord:
         monkeypatch.setattr(verifier, "_reduce", counted)
         profile = FibProfile.of(13)
         decision = decide_prime(profile, ["thm-padovan-even"])[0]
+        # F_{k+2} = r^j at each disagreeing index m = 2k, k = j z(p) - 3
+        z = profile.entry_point
+        f2s = [profile.powers[(m // 2 + 3) // z - 1] for m in decision[3]]
         for multiplier in (2, 7):
             reduced.clear()
             rec = verdict_record(profile, decision, multiplier)
-            assert reduced == [f2 for _, f2, _, _ in decision[3]] != []
+            assert reduced == f2s != []
             assert len(rec["counterexamples"]) == multiplier * len(reduced)
 
 
@@ -653,36 +656,63 @@ class TestDecidePrime:
         return reads
 
     @staticmethod
-    def rows(p, case_ids):
-        return sorted({(p, CLAIMS[cid].family, CLAIMS[cid].parity) for cid in case_ids})
+    def gated_rows(p, case_ids):
+        # the rows of the claims whose norm resultant p divides
+        rows = {(CLAIMS[cid].family, CLAIMS[cid].parity) for cid in case_ids}
+        return sorted((p, *row) for row in rows if verifier._ROW_RESULTANTS[row] % p == 0)
 
-    def test_each_row_is_read_once_per_prime(self, monkeypatch):
-        # the corollaries read the rows of the theorems that 7, 13 and 181
-        # exclude; 239 heads no twin pair, and only thm-perrin-odd excludes it
+    def test_reads_only_rows_whose_resultant_p_divides(self, monkeypatch):
+        # decide_prime reads at most one row per claim (the corollaries read
+        # the rows of the theorems that 7, 13 and 181 exclude; 239 heads no
+        # twin pair), and only where p divides its resultant: 7 divides that
+        # of QR even, 13 that of QP odd, 181 and 239 none.  verify's JSON
+        # reads one row more for each record with disagreements.
         reads = self.count_reads(monkeypatch)
-        counts = {}
+        decided, json_reads = {}, {}
         for p in (7, 13, 181, 239):
             ids = applicable_case_ids(p)
             reads.clear()
             decide_prime(FibProfile.of(p), ids)
-            assert sorted(reads) == self.rows(p, ids), p
-            counts[p] = len(reads)
-            if p != 239:  # verify reads each row once too, in every format
-                for fmt in ("json", "csv", "table"):
-                    reads.clear()
-                    cli.cmd_verify(cli._parse_args(
-                        ["verify", "--p", str(p), "--format", fmt, "--scan-multiplier", "3"]))
-                    assert sorted(reads) == self.rows(p, ids), (p, fmt)
-        assert counts == {7: 4, 13: 4, 181: 4, 239: 3}
+            decided[p] = sorted(reads)
+            assert decided[p] == self.gated_rows(p, ids), p
+            if p == 239:
+                continue
+            for fmt in ("json", "csv", "table"):
+                reads.clear()
+                cli.cmd_verify(cli._parse_args(
+                    ["verify", "--p", str(p), "--format", fmt, "--scan-multiplier", "3"]))
+                if fmt == "json":
+                    json_reads[p] = sorted(reads)
+                else:
+                    assert sorted(reads) == decided[p], (p, fmt)
+        assert decided == {7: [(7, "QR", 0)], 13: [(13, "QP", 1)], 181: [], 239: []}
+        assert json_reads == {
+            7: [(7, "QP", 1), (7, "QR", 0)],  # thm-padovan-odd FAILS
+            13: [(13, "QP", 0), (13, "QP", 1), (13, "QP", 1)],  # both QP theorems FAIL
+            181: [(181, "QP", 0), (181, "QP", 1)],
+        }
 
-    def test_each_row_is_read_once_at_every_twin_prime_to_2000(self, monkeypatch):
+    def test_reads_only_gated_rows_at_every_twin_prime_to_2000(self, monkeypatch):
         reads = self.count_reads(monkeypatch)
         expected = []
         for p in TWINS_2000:
             ids = applicable_case_ids(p)
             decide_prime(FibProfile.of(p), ids)
-            expected += self.rows(p, ids)
-        assert sorted(reads) == expected
+            expected += self.gated_rows(p, ids)
+        assert sorted(reads) == expected == [
+            (5, "QP", 0), (5, "QR", 0), (7, "QR", 0), (13, "QP", 1)]
+
+    def test_gate_agrees_with_reading_every_row(self):
+        # the gate only skips reads: with the resultants replaced by 0, so
+        # that every row is read, each decision is the same
+        for _, p in twin_primes_upto(20000):
+            profile = FibProfile.of(p)
+            ids = applicable_case_ids(p)
+            gated = decide_prime(profile, ids)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(verifier, "_ROW_RESULTANTS",
+                              dict.fromkeys(verifier._ROW_RESULTANTS, 0))
+                assert decide_prime(profile, ids) == gated, p
 
 
 def integer_stream(a, b, init, count):
