@@ -120,11 +120,6 @@ def _entry_pair(p: int) -> tuple[int, tuple[int, int]]:
     return z, pair or fib_pair(z, p)
 
 
-def entry_point(p: int) -> int:
-    """Least z > 0 with F_z = 0 (mod p), for an odd prime p >= 3."""
-    return _entry_pair(p)[0]
-
-
 @dataclass(slots=True)
 class FibProfile:
     """Entry point and Pisano period of an odd prime, with the powers

@@ -1,18 +1,13 @@
 """Exact modular arithmetic over odd prime moduli.
 
-Primality and twin-prime tests, twin-prime enumeration, modular inverses
-and Legendre/Jacobi symbols.  Residues and moduli are plain ints; everything
-is deterministic and exact, no floats.
+Primality and twin-prime tests, twin-prime enumeration and the Jacobi
+symbol.  Residues and moduli are plain ints; everything is deterministic and
+exact, no floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-
-class ZeroNotInvertible(ZeroDivisionError):
-    """Raised when asking for the inverse of 0 mod p."""
 
 
 class NotTwinPrime(ValueError):
@@ -101,13 +96,6 @@ def twin_primes_upto(bound: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def mod_inverse(a: int, p: int) -> int:
-    """Multiplicative inverse of a mod p; raises ZeroNotInvertible when p | a."""
-    if a % p == 0:
-        raise ZeroNotInvertible(f"0 is not invertible mod {p}")
-    return pow(a, -1, p)
-
-
 def require_odd_prime(p: int) -> None:
     """Raise ValueError unless p is an odd prime in [3, 2^63)."""
     if p < 3 or p % 2 == 0 or p.bit_length() > 63:
@@ -120,26 +108,6 @@ def require_twin_prime(p: int) -> None:
     """Raise NotTwinPrime unless p - 2 and p are both prime, p >= 5."""
     if p < 5 or not (is_prime(p) and is_prime(p - 2)):
         raise NotTwinPrime(f"{p} does not head a twin prime pair (p-2, p)")
-
-
-@dataclass(frozen=True)
-class PrimeModulus:
-    """An odd prime modulus p >= 3 (validated on construction)."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        require_odd_prime(self.p)
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) in {-1, 0, +1} for an odd prime p; a is
-    reduced mod p first."""
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
 
 
 def jacobi(a: int, n: int) -> int:

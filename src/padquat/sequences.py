@@ -8,9 +8,7 @@ modular terms are plain ints in [0, m).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .modular import require_twin_prime
 
@@ -93,31 +91,12 @@ class BiPoly:
 
     __rmul__ = __mul__
 
-    def swap(self) -> "BiPoly":
-        """Exchange the roles of a and b."""
-        return BiPoly({(j, i): c for (i, j), c in self.coeffs.items()})
-
-    def evaluate(self, a: int, b: int) -> int:
-        return sum(c * a**i * b**j for (i, j), c in self.coeffs.items())
-
-    def evaluate_mod(self, a: int, b: int, m: int) -> int:
-        return sum(
-            c * pow(a, i, m) * pow(b, j, m) for (i, j), c in self.coeffs.items()
-        ) % m
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BiPoly):
             return self.coeffs == other.coeffs
         if isinstance(other, int):
             return self.coeffs == BiPoly.const(other).coeffs
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
 
     def _monomials(self) -> list[tuple[tuple[int, int], int]]:
         # canonical order: total degree descending, then a-degree descending
@@ -198,10 +177,6 @@ class SeqParams:
         require_twin_prime(p)
         return cls(p - 2, p, modulus=p)
 
-    def swapped(self) -> "SeqParams":
-        """Same modulus with the coefficient order reversed."""
-        return SeqParams(self.b, self.a, modulus=self.modulus)
-
     def _require_modulus(self) -> int:
         if self.modulus is None:
             raise ValueError("operation requires params with a modulus")
@@ -219,74 +194,3 @@ def perrin_mod(params: SeqParams, count: int) -> list[int]:
     m = params._require_modulus()
     return _extend([3 % m, 0, 2 % m][:count], params.a, params.b, count, m)
 
-
-def padovan_gf_numerator() -> list[BiPoly]:
-    """Numerator 1 - b*x^2 + x^3 of the generating function, as x-coefficients."""
-    return [BiPoly.one(), BiPoly.zero(), -BiPoly.b(), BiPoly.one()]
-
-
-def gf_expand(
-    numerator: Sequence[BiPoly | int],
-    count: int,
-    params: SeqParams | None = None,
-) -> list[BiPoly] | list[int]:
-    """First `count` series coefficients of numerator / denominator.
-
-    The denominator is fixed to 1 - (a+b)x^2 + ab*x^4 - x^6, so coefficients
-    obey c_n = num_n + (a+b)c_{n-2} - ab*c_{n-4} + c_{n-6}.  With no params
-    the expansion is fully symbolic (BiPoly terms); with params it is exact
-    at integer (a, b), reduced mod m when params carry a modulus.
-    """
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-
-    if params is None:
-        a, b, m, zero = BiPoly.a(), BiPoly.b(), None, BiPoly.zero()
-        nums = [n if isinstance(n, BiPoly) else BiPoly.const(n) for n in numerator]
-    else:
-        a, b, m, zero = params.a, params.b, params.modulus, 0
-        nums = [n.evaluate(a, b) if isinstance(n, BiPoly) else int(n) for n in numerator]
-    apb, ab = a + b, a * b
-    out: list = []
-    for n in range(count):
-        c = nums[n] if n < len(nums) else zero
-        if n >= 2:
-            c = c + apb * out[n - 2]
-        if n >= 4:
-            c = c - ab * out[n - 4]
-        if n >= 6:
-            c = c + out[n - 6]
-        out.append(c if m is None else c % m)
-    return out
-
-
-def padovan_even_binomial(k: int, p: int) -> int:
-    """Closed binomial form for P_{2k} mod p under twin-prime coefficients.
-
-    (-1)^k * sum_{i=0..k//3} (-1)^i C(k-2i, i) 2^(k-3i), computed with exact
-    binomial coefficients and reduced mod p at the end.
-    """
-    if k < 0:
-        raise ValueError(f"index must be nonnegative, got {k}")
-    total = sum(
-        (-1) ** i * math.comb(k - 2 * i, i) * 2 ** (k - 3 * i)
-        for i in range(k // 3 + 1)
-    )
-    return (-1) ** k * total % p
-
-
-def padovan_fib_form(m: int, p: int) -> int:
-    """P_m mod p through Fibonacci numbers, under twin-prime coefficients.
-
-    (-1)^k (F_{k+3} - 1) for m = 2k and (-1)^(k+1) (F_{k+2} - 1) for
-    m = 2k + 1.
-    """
-    from .fibonacci import fib_pair
-
-    if m < 0:
-        raise ValueError(f"index must be nonnegative, got {m}")
-    k, odd = divmod(m, 2)
-    if odd:
-        # k + 1, not k - 1: (-1) ** -1 is the float -1.0
-        return (-1) ** (k + 1) * (fib_pair(k + 2, p)[0] - 1) % p
-    return (-1) ** k * (fib_pair(k + 3, p)[0] - 1) % p

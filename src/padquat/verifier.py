@@ -30,7 +30,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .fibonacci import FibProfile
-from .modular import jacobi, legendre
+from .modular import jacobi
 
 
 HOLDS = "HOLDS"
@@ -41,8 +41,9 @@ FAILS = "FAILS"
 def perrin_even_side_condition(p: int) -> bool:
     """The split condition of the even-index Perrin claim: either
     p = 1,3 (mod 8) with p a residue mod 181, or p = 5,7 (mod 8) with p a
-    non-residue mod 181.  Equivalent to legendre(-8*181, p) = +1."""
-    sym = legendre(p, 181)
+    non-residue mod 181.  Equivalent to (-8*181 / p) = +1.  At the prime
+    181 the Jacobi symbol (p/181) is the Legendre symbol."""
+    sym = jacobi(p, 181)
     if p % 8 in (1, 3):
         return sym == 1
     return sym == -1
@@ -110,14 +111,6 @@ NORM_REDUCTIONS = {
     "perrin-even": NormReduction("perrin-even", 27, -8, 14),
     "perrin-odd": NormReduction("perrin-odd", 63, 26, 52),
 }
-
-# Re-derived even-index Perrin reduction.  Expanding the norm through the
-# Padovan closed forms with the cross-term signs carried exactly gives
-# N(QR_{2k}) = 2*(51 f^2 + 28 f + 26) with f = F_{k+1}, under the same
-# hypothesis.  This variant agrees with the brute-force oracle for every
-# twin prime; the primary perrin-even form above disagrees at p = 5, 7.
-PERRIN_EVEN_ADJUSTED = NormReduction("perrin-even-adjusted", 51, 28, 26)
-
 
 def _reduce(red: NormReduction, f2: int, p: int) -> int:
     """The quadratic of `red` at a hypothesis index, from F_{k+2} mod p.

@@ -1,8 +1,9 @@
 """Slow, independent references for the verifier's production oracle, and
-the number theory only the tests use (`primes_upto`, `sqrt_mod`,
-`solve_quadratic`, `reduced_norm_value` from fast doubling,
-`satisfies_hypothesis`, the per-index predicate `predicts` and the
-symbolic Perrin-from-Padovan check `perrin_padovan_identity`).
+the number theory only the tests use (`primes_upto`, `prime_factors`,
+`legendre` by Euler's criterion, the reference that `modular.jacobi` is
+tested against, `sqrt_mod`, `solve_quadratic`, `reduced_norm_value` from
+fast doubling, `satisfies_hypothesis`, the per-index predicate `predicts`
+and the symbolic Perrin-from-Padovan check `perrin_padovan_identity`).
 
 - `sorted_case_ids`: the claim ids that apply at p, sorted out of
   `CLAIMS` at every call, the reference for the claim table that
@@ -40,9 +41,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from padquat.fibonacci import FibProfile, entry_point, fib_pair
-from padquat.modular import PrimeModulus, _sieve, legendre, mod_inverse
-from padquat.quaternion import family_stream
+from paper import PERRIN_EVEN_ADJUSTED, PrimeModulus, family_stream, swap
+
+from padquat.fibonacci import FibProfile, fib_pair
+from padquat.modular import _sieve
 from padquat.sequences import (
     SeqParams,
     _extend,
@@ -59,7 +61,6 @@ from padquat.verifier import (
     HOLDS,
     HOLDS_VACUOUSLY,
     NORM_REDUCTIONS,
-    PERRIN_EVEN_ADJUSTED,
     _reduce,
 )
 
@@ -112,6 +113,27 @@ def twin_primes_by_comprehension(bound: int) -> list[tuple[int, int]]:
     flags at every p."""
     sieve = _sieve(bound)
     return [(p - 2, p) for p in range(5, bound + 1) if sieve[p] and sieve[p - 2]]
+
+
+def prime_factors(n: int) -> set[int]:
+    """The distinct prime factors of |n|, by trial division."""
+    n, q, out = abs(n), 2, set()
+    while q * q <= n:
+        while n % q == 0:
+            out.add(q)
+            n //= q
+        q += 1 if q == 2 else 2
+    return out | ({n} if n > 1 else set())
+
+
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a/p) in {-1, 0, +1} for an odd prime p, by Euler's
+    criterion; a is reduced mod p first."""
+    a %= p
+    if a == 0:
+        return 0
+    r = pow(a, (p - 1) // 2, p)
+    return 1 if r == 1 else -1
 
 
 class LeadingCoefficientNotInvertible(ValueError):
@@ -205,7 +227,7 @@ def solve_quadratic(q: QuadCongruence) -> QuadSolution:
     pair = sqrt_mod(q.discriminant, p)  # None exactly when (disc/p) = -1
     if pair is None:
         return QuadSolution((), -1)
-    inv = mod_inverse(2 * q.c2, p)
+    inv = pow(2 * q.c2, -1, p)
     roots = sorted({(y - q.c1) * inv % p for y in pair})
     return QuadSolution(tuple(roots), legendre(q.discriminant, p))
 
@@ -222,7 +244,7 @@ def reduced_norm_value(kind: str, k: int, p: int) -> int:
     red = _REDUCTIONS_BY_KIND.get(kind)
     if red is None:
         raise ValueError(f"unknown reduction kind {kind!r}")
-    z = entry_point(p)
+    z = FibProfile.of(p).entry_point
     if (k + 3) % z != 0:
         raise HypothesisViolated(f"k={k} violates z({p}) | k+3 (z = {z})")
     return _reduce(red, fib_pair(k + 2, p)[0], p)
@@ -249,7 +271,7 @@ def perrin_padovan_identity(n: int) -> bool:
     lhs = perrin_sym_terms(n + 1)[n]
     rhs = 3 * pad[n - 3] + 2 * pad[n - 2]
     if n % 2 == 1:
-        rhs = rhs.swap()
+        rhs = swap(rhs)
     return lhs == rhs
 
 
@@ -258,16 +280,7 @@ def entry_pair_by_fib_pair(p: int) -> tuple[int, tuple[int, int]]:
     divide each prime factor out of p - (5/p) while the quotient still
     indexes a zero, testing every quotient by its fast-doubling pair."""
     z, pair = p - legendre(5, p), None
-    n, factors, q = z, [], 2
-    while q * q <= n:
-        if n % q == 0:
-            factors.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1 if q == 2 else 2
-    if n > 1:
-        factors.append(n)
-    for q in factors:
+    for q in prime_factors(z):
         while z % q == 0 and (below := fib_pair(z // q, p))[0] == 0:
             z, pair = z // q, below
     return z, pair or fib_pair(z, p)
@@ -276,7 +289,7 @@ def entry_pair_by_fib_pair(p: int) -> tuple[int, tuple[int, int]]:
 def pisano_by_candidates(p: int) -> int:
     """pi(p) for an odd prime p: it is z(p), 2 z(p) or 4 z(p), so the first
     of those lengths L with (F_L, F_{L+1}) = (0, 1) mod p."""
-    z = entry_point(p)
+    z = FibProfile.of(p).entry_point
     for length in (z, 2 * z, 4 * z):
         if fib_pair(length, p) == (0, 1):
             return length
@@ -338,9 +351,8 @@ def family_period(params: SeqParams, family: str) -> int:
     """A period of the full quaternion coefficient stream, by linear scan."""
     if family == "QP":
         return seq_period(params, "padovan")
-    return math.lcm(
-        seq_period(params, "perrin"), seq_period(params.swapped(), "perrin")
-    )
+    params_ba = SeqParams(params.b, params.a, modulus=params.modulus)
+    return math.lcm(seq_period(params, "perrin"), seq_period(params_ba, "perrin"))
 
 
 Matrix = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
@@ -402,7 +414,8 @@ def matrix_jump_oracle(
     if family == "QP":
         streams = [(params, padovan_mod(params, 3))]
     else:
-        streams = [(s, perrin_mod(s, 3)) for s in (params, params.swapped())]
+        params_ba = SeqParams(params.b, params.a, modulus=params.modulus)
+        streams = [(s, perrin_mod(s, 3)) for s in (params, params_ba)]
     windows = []  # per stream and index m, the terms t_n .. t_{n+4}, n = m - parity
     for s, init in streams:
         mat = pair_map(s.a, s.b)

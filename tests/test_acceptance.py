@@ -13,24 +13,12 @@ import subprocess
 import sys
 import time
 
-from reference import (
-    QuadCongruence,
-    family_period,
-    norm_oracle,
-    primes_upto,
-    reduced_norm_value,
-    satisfies_hypothesis,
-    solve_quadratic,
-)
-
-from padquat.fibonacci import FibProfile, entry_point, fib_pair
-from padquat.modular import (
+from paper import (
     PrimeModulus,
-    legendre,
-    mod_inverse,
-    twin_primes_upto,
-)
-from padquat.quaternion import (
+    evaluate,
+    gf_expand,
+    padovan_even_binomial,
+    padovan_fib_form,
     qp_elements,
     qp_gf_numerators,
     qp_symbolic,
@@ -38,13 +26,22 @@ from padquat.quaternion import (
     qr_gf_numerators,
     qr_symbolic,
 )
+from reference import (
+    QuadCongruence,
+    family_period,
+    legendre,
+    norm_oracle,
+    primes_upto,
+    reduced_norm_value,
+    satisfies_hypothesis,
+    solve_quadratic,
+)
+
+from padquat.fibonacci import FibProfile, fib_pair
+from padquat.modular import twin_primes_upto
 from padquat.sequences import (
     BiPoly,
     SeqParams,
-    gf_expand,
-    padovan_even_binomial,
-    padovan_fib_form,
-    padovan_gf_numerator,
     padovan_mod,
     padovan_sym_terms,
     perrin_mod,
@@ -107,8 +104,8 @@ def test_criterion_1_symbolic_table():
 def test_criterion_2_classical_sequences():
     pad = padovan_sym_terms(21)
     per = perrin_sym_terms(21)
-    p_vals = [t.evaluate(1, 1) for t in pad]
-    r_vals = [t.evaluate(1, 1) for t in per]
+    p_vals = [evaluate(t, 1, 1) for t in pad]
+    r_vals = [evaluate(t, 1, 1) for t in per]
     assert p_vals == CLASSICAL_P
     assert r_vals == CLASSICAL_R
     for n in range(3, 21):
@@ -137,7 +134,7 @@ def test_criterion_3_recurrences_and_gf():
             expected = apb * seq[n - 2] - ab * seq[n - 4] + seq[n - 6]
             assert seq[n].components == expected.components, n
 
-    assert gf_expand(padovan_gf_numerator(), 51) == pad
+    assert gf_expand(qp_gf_numerators()[0], 51) == pad
 
     for comp, numerator in enumerate(qp_gf_numerators()):
         series = gf_expand(numerator, 51)
@@ -181,7 +178,7 @@ def test_criterion_5_wall_vinson():
             if (seq_a, seq_b) == (0, 1):
                 break
 
-        z, pi = entry_point(p), FibProfile.of(p).pisano_period
+        z, pi = FibProfile.of(p).entry_point, FibProfile.of(p).pisano_period
         assert z == z_brute and pi == pi_brute, p
         assert pi % z == 0, p  # (i)
         if z % 2 == 1:
@@ -202,7 +199,7 @@ def test_criterion_6_norm_reductions():
     mismatches = []
     for p in TWINS_200:
         params = SeqParams.twin_prime(p)
-        z = entry_point(p)
+        z = FibProfile.of(p).entry_point
         window = 2 * math.lcm(family_period(params, "QR"), 2 * FibProfile.of(p).pisano_period)
         ks = [k for k in range(window // 2) if (k + 3) % z == 0]
         qp = qp_elements(params, window + 2)
@@ -247,7 +244,7 @@ def test_criterion_7_discriminant_bridges():
 def test_criterion_8_anchor_values():
     sol = solve_quadratic(QuadCongruence(27, -8, 14, PrimeModulus(181)))
     assert sol.roots == (94,)
-    assert mod_inverse(27, 181) == 114
+    assert pow(27, -1, 181) == 114
     assert FibProfile.of(181).pisano_period == 90
     assert fib_pair(48, 181)[0] == 94
 

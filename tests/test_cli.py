@@ -10,9 +10,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import full_window_verdict, sorted_case_ids, verdict_row
+import paper
+from paper import padovan_fib_form
+from reference import full_window_verdict, legendre, sorted_case_ids, verdict_row
 
-from padquat import __version__, cli, fibonacci, modular, quaternion, sequences, verifier
+from padquat import __version__, cli, fibonacci, modular, sequences, verifier
 from padquat.cli import (
     MAX_PRIME,
     MAX_SCAN_BOUND,
@@ -22,7 +24,6 @@ from padquat.cli import (
     main,
 )
 from padquat.fibonacci import FibProfile
-from padquat.sequences import padovan_fib_form
 
 
 def run_cli(capsys, *argv):
@@ -403,7 +404,7 @@ class TestScan:
         def refuse(*args):
             raise AssertionError("linear stream built")
 
-        monkeypatch.setattr(quaternion, "family_stream", refuse)
+        monkeypatch.setattr(paper, "family_stream", refuse)
         extend = sequences._extend
 
         def short_extend(terms, a, b, count, m=None):
@@ -523,14 +524,14 @@ class TestScan:
         # of -phi^2 and asks for no fast-doubling pair at all; an inert one
         # and 5 ask for the pair at z(p) once
         twins = [p for _, p in modular.twin_primes_upto(2000)]
-        z = {p: fibonacci.entry_point(p) for p in twins}
+        z = {p: FibProfile.of(p).entry_point for p in twins}
         calls = {"fib_pair": [], "of": []}
         fib_pair, of = fibonacci.fib_pair, FibProfile.of.__func__
 
         def counted_pair(n, p):
             # every pair at z(p) itself, and every pair at a split prime,
             # whichever code asks for it
-            if n == z[p] or modular.legendre(5, p) == 1:
+            if n == z[p] or legendre(5, p) == 1:
                 calls["fib_pair"].append((p, n))
             return fib_pair(n, p)
 
@@ -545,7 +546,7 @@ class TestScan:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"
         )
-        inert = [p for p in twins if modular.legendre(5, p) != 1]
+        inert = [p for p in twins if legendre(5, p) != 1]
         assert 5 in inert and len(inert) < len(twins)
         assert calls == {"fib_pair": [(p, z[p]) for p in inert], "of": twins}
 

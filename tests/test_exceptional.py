@@ -15,21 +15,11 @@ import csv
 import hashlib
 import io
 
-from reference import EXCEPTIONAL_PRIMES, closed_form_rows, primes_upto
+from reference import EXCEPTIONAL_PRIMES, closed_form_rows, prime_factors, primes_upto
 
 from padquat.fibonacci import FibProfile
 from padquat import verifier
 from padquat.verifier import CASE_ROWS, jump_oracle
-
-
-def prime_factors(n):
-    n, q, out = abs(n), 2, set()
-    while q * q <= n:
-        while n % q == 0:
-            out.add(q)
-            n //= q
-        q += 1
-    return out | ({n} if n > 1 else set())
 
 
 def candidates(quadratic):

