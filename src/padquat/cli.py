@@ -17,7 +17,6 @@ option table; argparse reads anything else (help, version, abbreviations,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -50,7 +49,7 @@ MAX_PRIME = 10**12
 # scan, is held in memory.  Measured on a 2-vCPU Intel Xeon with Python 3.11:
 # seq --symbolic --upto 400 took 9.6 s and 359 MB (500: 19 s and 700 MB),
 # seq --p 5 --upto 10**6 3.1 s and 184 MB; measured later on the same machine
-# in a child process, scan --upto 10**7 --format csv 4.4-4.9 s and 87 MB over
+# in a child process, scan --upto 10**7 --format csv 3.7-3.9 s and 85 MB over
 # four runs (the host's speed drifts by up to 2x).
 MAX_SYMBOLIC_TERMS = 400
 MAX_TERMS = 10**6
@@ -125,10 +124,14 @@ def _json_document(args: argparse.Namespace, payload: dict) -> str:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    # no field of any command holds a comma, a quote or a line break, so
+    # csv.writer would quote nothing: each line is one format.  A StringIO
+    # holds no string per line, as a joined list would (+15 MB on scan --upto 10**7)
+    line = ",".join(["%s"] * len(header)) + "\n"
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    buf.write(line % tuple(header))
+    for row in rows:
+        buf.write(line % tuple(row))
     return buf.getvalue()
 
 

@@ -5,20 +5,20 @@ period pi(p) is the period of the Fibonacci sequence mod p.  z(p) divides
 p - (5/p) (Wall 1960, Vinson 1963), so it is found by order reduction over
 the prime factors of that number, found by trial division.  At a split
 prime, (5/p) = 1, z(p) is the multiplicative order of -phi^2 for the root
-phi of x^2 - x - 1 mod p, so each order test is one builtin `pow`; at an
-inert prime, and at 5, each test is a fast-doubling pair.  F_z = 0 makes
-Q^z = r I for the Fibonacci matrix Q and r = F_{z+1}, so pi(p) = z(p)
-ord_p(r), with ord_p(r) one of 1, 2, 4: `FibProfile.of` reads it from the
-pair (F_z, F_{z+1}) that the order reduction hands over, from Binet's
-formula at a split prime and by fast doubling at an inert one.  Functions
-of a prime p take it as given; `modular.require_odd_prime` is the check.
+phi of x^2 - x - 1 mod p, so each order test is one builtin `pow`, and
+phi comes from a square root of 5 by builtin `pow` and int products (its
+non-residue by Euler's criterion); at an inert prime, and at 5, each test
+is a fast-doubling pair.  F_z = 0 makes Q^z = r I for the Fibonacci
+matrix Q and r = F_{z+1}, so pi(p) = z(p) ord_p(r), with ord_p(r) one of
+1, 2, 4: `FibProfile.of` reads it from the pair (F_z, F_{z+1}) that the
+order reduction hands over, from Binet's formula at a split prime and by
+fast doubling at an inert one.  Functions of a prime p take it as given;
+`modular.require_odd_prime` is the check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .modular import jacobi
+from collections import namedtuple
 
 
 def fib_pair(n: int, m: int) -> tuple[int, int]:
@@ -64,13 +64,13 @@ def _sqrt5(p: int) -> int:
         # 5 v (i - 1) squares to 5
         v = pow(10, (p - 5) // 8, p)
         return 5 * v * (10 * v * v - 1) % p
-    # Tonelli-Shanks, p - 1 = q 2^e.  At p = 1 (mod 4) an odd n is a
-    # non-square mod p when the Jacobi symbol (p/n) is -1, by reciprocity;
-    # the least non-square is an odd prime, as 2 is a square at p = 1 (mod 8)
+    # Tonelli-Shanks, p - 1 = q 2^e.  n is a non-square mod p when
+    # n^((p-1)/2) = -1, by Euler's criterion; the least non-square is an odd
+    # prime, as 2 is a square at p = 1 (mod 8)
     e = ((p - 1) & (1 - p)).bit_length() - 1
     q = p >> e
     n = 3
-    while jacobi(p, n) != -1:
+    while pow(n, (p - 1) >> 1, p) != p - 1:
         n += 2
     # x^2 = 5 t keeps the error t in the 2^m-th roots of unity, c of order
     # 2^m; each round lowers the order of t
@@ -120,14 +120,12 @@ def _entry_pair(p: int) -> tuple[int, tuple[int, int]]:
     return z, pair or fib_pair(z, p)
 
 
-@dataclass(slots=True)
-class FibProfile:
-    """Entry point and Pisano period of an odd prime, with the powers
-    r^j mod p, j = 1 .. pi(p)/z(p), of r = F_{z+1}."""
+class FibProfile(namedtuple("FibProfile", "p entry_point powers")):
+    """Entry point and Pisano period of an odd prime p, with the powers
+    r^j mod p, j = 1 .. pi(p)/z(p), of r = F_{z+1}: powers is
+    (r, r^2, ..., 1), one period of r."""
 
-    p: int
-    entry_point: int
-    powers: tuple[int, ...]  # r, r^2, ..., 1: one period of r
+    __slots__ = ()
 
     @classmethod
     def of(cls, p: int) -> "FibProfile":

@@ -1,8 +1,7 @@
 """Exact modular arithmetic over odd prime moduli.
 
-Primality and twin-prime tests, twin-prime enumeration and the Jacobi
-symbol.  Residues and moduli are plain ints; everything is deterministic and
-exact, no floats.
+Primality and twin-prime tests and twin-prime enumeration.  Residues and
+moduli are plain ints; everything is deterministic and exact, no floats.
 """
 
 from __future__ import annotations
@@ -109,20 +108,3 @@ def require_twin_prime(p: int) -> None:
     if p < 5 or not (is_prime(p) and is_prime(p - 2)):
         raise NotTwinPrime(f"{p} does not head a twin prime pair (p-2, p)")
 
-
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n >= 3; 0 when gcd(a, n) > 1."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"Jacobi symbol needs an odd n >= 3, got {n}")
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0

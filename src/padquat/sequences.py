@@ -8,7 +8,7 @@ modular terms are plain ints in [0, m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .modular import require_twin_prime
 
@@ -150,26 +150,21 @@ def perrin_sym_terms(count: int) -> list[BiPoly]:
     return _extend(list(_PERRIN_INIT_SYM[:count]), BiPoly.a(), BiPoly.b(), count)
 
 
-@dataclass(frozen=True)
-class SeqParams:
+class SeqParams(namedtuple("SeqParams", "a b modulus")):
     """The coefficient pair (a, b), optionally with a modulus.
 
     With a modulus m >= 2 the coefficients are stored reduced mod m (a
     twin-prime pair (p-2, p) keeps a = p-2 literally; b = p reduces to 0).
     """
 
-    a: int
-    b: int
-    modulus: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        m = self.modulus
-        if m is None:
-            return
-        if m < 2:
-            raise ValueError(f"modulus must be >= 2, got {m}")
-        object.__setattr__(self, "a", self.a % m)
-        object.__setattr__(self, "b", self.b % m)
+    def __new__(cls, a: int, b: int, modulus: int | None = None) -> "SeqParams":
+        if modulus is not None:
+            if modulus < 2:
+                raise ValueError(f"modulus must be >= 2, got {modulus}")
+            a, b = a % modulus, b % modulus
+        return super().__new__(cls, a, b, modulus)
 
     @classmethod
     def twin_prime(cls, p: int) -> "SeqParams":

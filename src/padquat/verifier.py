@@ -26,11 +26,10 @@ references live in the tests.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .fibonacci import FibProfile
-from .modular import jacobi
 
 
 HOLDS = "HOLDS"
@@ -41,18 +40,18 @@ FAILS = "FAILS"
 def perrin_even_side_condition(p: int) -> bool:
     """The split condition of the even-index Perrin claim: either
     p = 1,3 (mod 8) with p a residue mod 181, or p = 5,7 (mod 8) with p a
-    non-residue mod 181.  Equivalent to (-8*181 / p) = +1.  At the prime
-    181 the Jacobi symbol (p/181) is the Legendre symbol."""
-    sym = jacobi(p, 181)
-    if p % 8 in (1, 3):
-        return sym == 1
-    return sym == -1
+    non-residue mod 181.  Equivalent to (-8*181 / p) = +1 for p != 181.
+    By Euler's criterion p is a residue mod the prime 181 exactly when
+    p^90 = 1 (mod 181)."""
+    return (pow(p, 90, 181) == 1) == (p % 8 in (1, 3))
 
 
-@dataclass(frozen=True)
-class Claim:
-    """One zero-divisor claim: which quaternions it is about, at which
-    primes it applies and which k classes mod pi(p) it predicts.
+class Claim(namedtuple("Claim", "family parity prime excluded side_condition classes",
+                       defaults=(None, (), None, None))):
+    """One zero-divisor claim: which quaternions it is about (family "QP"
+    or "QR", parity of the quaternion index m), at which primes it applies
+    (a corollary's only prime, or every prime but the excluded ones) and
+    which k classes mod pi(p) it predicts.
 
     A theorem (classes None) predicts every hypothesis class j z(p) - 3,
     j = 1 .. pi(p)/z(p), at primes where its side condition holds and
@@ -61,12 +60,7 @@ class Claim:
     A corollary predicting no class claims invertibility.
     """
 
-    family: str  # "QP" or "QR"
-    parity: int  # parity of the quaternion index m
-    prime: int | None = None  # the only prime a corollary applies to
-    excluded: tuple[int, ...] = ()
-    side_condition: Callable[[int], bool] | None = None
-    classes: tuple[int, ...] | None = None
+    __slots__ = ()
 
 
 CLAIMS = {
@@ -75,9 +69,10 @@ CLAIMS = {
     "thm-perrin-even": Claim(
         "QR", 0, excluded=(181,), side_condition=perrin_even_side_condition
     ),
-    # (p / 13*239) is the Jacobi symbol
+    # (p/13) (p/239) = +1, each Legendre symbol by Euler's criterion
     "thm-perrin-odd": Claim(
-        "QR", 1, excluded=(7, 13, 239), side_condition=lambda p: jacobi(p, 13 * 239) == 1
+        "QR", 1, excluded=(7, 13, 239),
+        side_condition=lambda p: (pow(p, 6, 13) == 1) == (pow(p, 119, 239) == 1),
     ),
     "cor-7": Claim("QR", 1, prime=7, classes=(4, 10)),  # pi(7) = 16
     "cor-13": Claim("QR", 1, prime=13, classes=()),
@@ -87,8 +82,7 @@ CLAIMS = {
 CASE_IDS = tuple(CLAIMS)
 
 
-@dataclass(frozen=True)
-class NormReduction:
+class NormReduction(namedtuple("NormReduction", "kind c2 c1 c0")):
     """A norm congruence rewritten as a quadratic in a Fibonacci value.
 
     Under the hypothesis z(p) | (k+3) the quaternion norm at index 2k (or
@@ -96,10 +90,7 @@ class NormReduction:
     F_{k+2} - 1 for the Padovan kinds and F_{k+1} for the Perrin kinds.
     """
 
-    kind: str
-    c2: int
-    c1: int
-    c0: int
+    __slots__ = ()
 
     def value(self, f: int, p: int) -> int:
         return (self.c2 * f * f + self.c1 * f + self.c0) % p
@@ -186,6 +177,13 @@ _ROW_RESULTANTS = {
     for row, (_, _, (c0, c1, c2)) in CASE_ROWS.items()
 }
 
+# claim id -> (family, parity, classes, side condition, row resultant): all
+# that `decide_prime` reads of a claim, in one lookup
+_CLAIM_READS = {
+    cid: (c.family, c.parity, c.classes, c.side_condition, _ROW_RESULTANTS[c.family, c.parity])
+    for cid, c in CLAIMS.items()
+}
+
 
 def jump_oracle(profile: FibProfile, family: str, parity: int) -> list[tuple[int, int, bool]]:
     """(F_{k+2}, norm, is zero divisor) mod p = profile.p for the quaternions
@@ -219,7 +217,7 @@ def decide_prime(profile: FibProfile, case_ids: Iterable[str]) -> list[tuple]:
     window's hypothesis indices k = j z(p) - 3 < pi(p): m = 2k + parity is
     predicted when k is one of its classes mod pi(p), and observed when the
     row's `jump_oracle` read finds a zero divisor there.  That read is taken
-    only when p divides the row's resultant (`_ROW_RESULTANTS`); otherwise
+    only when p divides the row's resultant (`_CLAIM_READS`); otherwise
     R^4 = 1 leaves no zero norm and nothing is observed.  `predicted`,
     `observed` and `disagreements`, the indices where prediction and oracle
     differ, list m ascending.  FAILS when some index disagrees, else HOLDS
@@ -232,12 +230,12 @@ def decide_prime(profile: FibProfile, case_ids: Iterable[str]) -> list[tuple]:
     hypothesis = range(z - 3, z * len(profile.powers), z)
     decisions = []
     for cid in case_ids:
-        claim = CLAIMS[cid]
-        family, parity, classes = claim.family, claim.parity, claim.classes
+        family, parity, classes, side_condition, resultant = _CLAIM_READS[cid]
         if classes is None:  # a theorem: every hypothesis class, if its side condition holds
-            classes = hypothesis if claim.side_condition(p) else ()
-        predicted = [2 * k + parity for k in hypothesis if k in classes]
-        if _ROW_RESULTANTS[family, parity] % p:
+            predicted = [2 * k + parity for k in hypothesis] if side_condition(p) else []
+        else:
+            predicted = [2 * k + parity for k in hypothesis if k in classes]
+        if resultant % p:
             observed, disagreements = [], predicted
         else:
             reads = jump_oracle(profile, family, parity)
@@ -246,7 +244,7 @@ def decide_prime(profile: FibProfile, case_ids: Iterable[str]) -> list[tuple]:
             disagreements = sorted(set(predicted).symmetric_difference(observed))
         if disagreements:
             classification = FAILS
-        elif predicted or claim.classes == ():
+        elif predicted or classes == ():
             classification = HOLDS
         else:
             classification = HOLDS_VACUOUSLY

@@ -1,7 +1,7 @@
 """Slow, independent references for the verifier's production oracle, and
 the number theory only the tests use (`primes_upto`, `prime_factors`,
-`legendre` by Euler's criterion, the reference that `modular.jacobi` is
-tested against, `sqrt_mod`, `solve_quadratic`, `reduced_norm_value` from
+`legendre` by Euler's criterion, the reference that the claims' side
+conditions are tested against, `sqrt_mod`, `solve_quadratic`, `reduced_norm_value` from
 fast doubling, `satisfies_hypothesis`, the per-index predicate `predicts`
 and the symbolic Perrin-from-Padovan check `perrin_padovan_identity`).
 

@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -594,6 +596,52 @@ class TestScan:
         # even at 7, QP odd at 13
         period = {p: len(FibProfile.of(p).powers) for p in (5, 7, 13)}
         assert reads[2] == reads[MAX_SCAN_MULTIPLIER] == 2 * period[5] + period[7] + period[13] > 0
+
+
+class TestCsvText:
+    # csv text is one format line per row, nothing quoted: every field of
+    # these outputs must be one that the csv module does not quote either, so
+    # a field with a comma, a quote or a line break fails here
+    @pytest.mark.parametrize("argv", [
+        ("seq", "--symbolic", "--upto", "400"),
+        ("seq", "--p", "1021", "--upto", "1000"),
+        ("fib", "--p", "1009"),
+        ("verify", "--p", "7"),
+        ("verify", "--p", "13"),
+        ("verify", "--p", "181"),
+        ("verify", "--p", "999999999961"),
+        ("scan", "--upto", "10000"),
+    ])
+    def test_reads_back_as_header_wide_rows_written_to_the_same_bytes(self, capsys, argv):
+        status, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert status in (0, 2)  # exit 1 would be a refused input, such as no twin prime
+        lines = out.splitlines(keepends=True)
+        # a symbolic term near the cap is longer than the reader's default
+        # field limit, 128 KiB
+        limit = csv.field_size_limit(len(out))
+        try:
+            rows = list(csv.reader(lines))
+        finally:
+            csv.field_size_limit(limit)
+        assert len(rows) == len(lines) > 1
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        for line, row in zip(lines, rows):
+            assert len(row) == len(rows[0]), line
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow(row)
+            assert buf.getvalue() == line
+
+
+def test_import_loads_no_dataclasses_inspect_or_csv():
+    # every CLI run pays for the modules `import padquat.cli` loads; -S keeps
+    # site-packages, and what a .pth file there imports, out of the count
+    code = ("import sys, padquat.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))")
+    child = subprocess.run([sys.executable, "-S", "-c", code],
+                           capture_output=True, text=True, check=True)
+    assert child.stdout == "[]\n"
 
 
 class TestGoldenBytes:

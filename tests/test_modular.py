@@ -13,7 +13,7 @@ from reference import (
     twin_primes_by_comprehension,
 )
 
-from padquat.modular import _sieve, is_prime, jacobi, twin_primes_upto
+from padquat.modular import _sieve, is_prime, twin_primes_upto
 
 ODD_PRIMES_1000 = [p for p in primes_upto(1000) if p > 2]
 
@@ -164,35 +164,6 @@ class TestLegendre:
                     continue
                 sign = (-1) ** (((p - 1) // 2) * ((q - 1) // 2))
                 assert legendre(q, p) * legendre(p, q) == sign
-
-
-class TestJacobi:
-    def test_examples(self):
-        assert jacobi(1, 3107) == 1
-        assert jacobi(2, 15) == 1  # (2/3)(2/5) = (-1)(-1)
-
-    def test_requires_odd_n(self):
-        with pytest.raises(ValueError):
-            jacobi(2, 8)
-        with pytest.raises(ValueError):
-            jacobi(2, 1)
-
-    def test_zero_on_shared_factor(self):
-        assert jacobi(13, 3107) == 0
-        assert jacobi(239, 3107) == 0
-        assert jacobi(6, 15) == 0
-
-    def test_splits_over_prime_factors(self):
-        # 3107 = 13 * 239
-        for p in primes_upto(1000):
-            if p in (13, 239):
-                continue
-            assert jacobi(p, 3107) == legendre(p, 13) * legendre(p, 239)
-
-    def test_matches_legendre_on_primes(self):
-        for p in ODD_PRIMES_1000[:30]:
-            for a in range(p):
-                assert jacobi(a, p) == legendre(a, p)
 
 
 class TestSqrtMod:

@@ -22,7 +22,7 @@ from reference import (
 
 from padquat import cli, verifier
 from padquat.fibonacci import FibProfile, fib_pair
-from padquat.modular import jacobi, twin_primes_upto
+from padquat.modular import twin_primes_upto
 from padquat.sequences import SeqParams
 from padquat.verifier import (
     CASE_ROWS,
@@ -146,22 +146,30 @@ class TestPredicates:
                 assert reference.predicts("cor-13", profile, m) is False
 
     def test_perrin_even_condition_equals_discriminant_symbol(self):
-        # every nonzero residue mod 181 occurs among these primes
-        for p in primes_upto(10**4):
-            if p < 5 or p == 181:
-                continue
-            assert perrin_even_side_condition(p) == (legendre(-8 * 181, p) == 1), p
-        for _, p in twin_primes_upto(500):
-            if p != 181:
+        # every odd prime the claim does not exclude; every nonzero residue
+        # mod 181 occurs among them
+        excluded = CLAIMS["thm-perrin-even"].excluded
+        for p in primes_upto(10**5)[1:]:
+            if p not in excluded:
+                assert perrin_even_side_condition(p) == (legendre(-8 * 181, p) == 1), p
+        for _, p in twin_primes_upto(10**5):
+            if p not in excluded:
                 assert bool(predicted_ks("thm-perrin-even", p)) == (legendre(-8 * 181, p) == 1), p
 
     def test_perrin_odd_jacobi_equals_discriminant_symbol(self):
-        for _, p in twin_primes_upto(500):
-            if p in (7, 13):
-                continue
-            assert (jacobi(p, 3107) == 1) == (legendre(-4 * 13 * 239, p) == 1), p
-            # the claim table predicts classes exactly when the symbol is +1
-            assert bool(predicted_ks("thm-perrin-odd", p)) == (jacobi(p, 3107) == 1), p
+        # the Jacobi symbol (p / 13*239) is (p/13) (p/239), at every odd
+        # prime the claim does not exclude
+        claim = CLAIMS["thm-perrin-odd"]
+        for p in primes_upto(10**5)[1:]:
+            if p not in claim.excluded:
+                jacobi = legendre(p, 13) * legendre(p, 239)
+                assert (jacobi == 1) == (legendre(-4 * 13 * 239, p) == 1), p
+                assert claim.side_condition(p) == (jacobi == 1), p
+        for _, p in twin_primes_upto(10**5):
+            if p not in claim.excluded:
+                # the claim table predicts classes exactly when the symbol is +1
+                jacobi = legendre(p, 13) * legendre(p, 239)
+                assert bool(predicted_ks("thm-perrin-odd", p)) == (jacobi == 1), p
 
     def test_theorem_classes_are_the_candidate_formula(self):
         # the candidate classes {(j z - 3) mod pi(p) : j = 1..4} when the side
@@ -711,8 +719,9 @@ class TestDecidePrime:
             ids = applicable_case_ids(p)
             gated = decide_prime(profile, ids)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(verifier, "_ROW_RESULTANTS",
-                              dict.fromkeys(verifier._ROW_RESULTANTS, 0))
+                patch.setattr(verifier, "_CLAIM_READS",
+                              {cid: (*reads[:-1], 0)
+                               for cid, reads in verifier._CLAIM_READS.items()})
                 assert decide_prime(profile, ids) == gated, p
 
 
