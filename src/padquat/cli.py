@@ -24,7 +24,7 @@ import sys
 
 from . import __version__
 from .fibonacci import FibProfile
-from .modular import NotTwinPrime, require_odd_prime, require_twin_prime, twin_primes_upto
+from .modular import require_odd_prime, require_twin_prime, twin_primes_upto
 from .sequences import (
     SeqParams,
     padovan_mod,
@@ -153,6 +153,14 @@ def _report(args: argparse.Namespace, key: str, header: list[str], rows: list[li
     return _table_text(header, rows)
 
 
+def _require_twin_prime(p: int) -> None:
+    """Raise CliError unless p heads a twin prime pair (p-2, p)."""
+    try:
+        require_twin_prime(p)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def cmd_seq(args: argparse.Namespace) -> tuple[str, int]:
     n = args.upto
     if args.symbolic and args.p is not None:
@@ -169,10 +177,8 @@ def cmd_seq(args: argparse.Namespace) -> tuple[str, int]:
     else:
         if args.p is None:
             raise CliError("seq needs --symbolic or a twin prime --p")
-        try:
-            params = SeqParams.twin_prime(args.p)
-        except NotTwinPrime as exc:
-            raise CliError(str(exc)) from exc
+        _require_twin_prime(args.p)
+        params = SeqParams.twin_prime(args.p)
         of_kind = {"padovan": padovan_mod, "perrin": perrin_mod}
         columns = {k: of_kind[k](params, n) for k in kinds}
 
@@ -218,10 +224,7 @@ def _rows(profile: FibProfile, decisions: list[tuple]) -> list[list]:
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     p, case_ids = args.p, applicable_case_ids(args.p)
-    try:
-        require_twin_prime(p)
-    except NotTwinPrime as exc:
-        raise CliError(str(exc)) from exc
+    _require_twin_prime(p)
     if args.case is not None:
         if args.case not in case_ids:
             raise CliError(f"{args.case} does not apply at p = {p}")

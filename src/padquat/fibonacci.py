@@ -12,8 +12,8 @@ is a fast-doubling pair.  F_z = 0 makes Q^z = r I for the Fibonacci
 matrix Q and r = F_{z+1}, so pi(p) = z(p) ord_p(r), with ord_p(r) one of
 1, 2, 4: `FibProfile.of` reads it from the pair (F_z, F_{z+1}) that the
 order reduction hands over, from Binet's formula at a split prime and by
-fast doubling at an inert one.  Functions of a prime p take it as given;
-`modular.require_odd_prime` is the check.
+fast doubling at an inert one.  Every function takes its arguments as
+given; the CLI checks a p from outside with `modular.require_odd_prime`.
 """
 
 from __future__ import annotations
@@ -22,11 +22,8 @@ from collections import namedtuple
 
 
 def fib_pair(n: int, m: int) -> tuple[int, int]:
-    """(F_n, F_{n+1}) mod m by fast doubling, O(log n) steps."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
+    """(F_n, F_{n+1}) mod m by fast doubling, O(log n) steps, for n >= 0
+    and m >= 2 (unchecked)."""
     a, b = 0, 1  # F_0, F_1
     for bit in bin(n)[2:]:
         # F_{2k} = F_k (2 F_{k+1} - F_k),  F_{2k+1} = F_k^2 + F_{k+1}^2
@@ -106,11 +103,12 @@ def _entry_pair(p: int) -> tuple[int, tuple[int, int]]:
         for q in _prime_factors(z):
             while z % q == 0 and pow(g, z // q, p) == 1:
                 z //= q
-        # the pair by Binet, apart from the order test: psi^z = (-1)^z/phi^z
+        # the pair by Binet, apart from the order test: F_z s = phi^z - psi^z
+        # is 0, and then F_{z+1} s = phi^z (phi - psi) = phi^z s
         a = pow(phi, z, p)
-        psi_z = pow(-a if z % 2 else a, -1, p)
-        inv_s = pow(s, -1, p)
-        return z, ((a - psi_z) * inv_s % p, (a * phi - psi_z * psi) * inv_s % p)
+        if a != pow(psi, z, p):
+            raise AssertionError(f"F_z != 0 mod {p} at z = {z}")
+        return z, (0, a)
     # inert, and p = 5: divide out each prime factor of p + 1 (of 5) while
     # the quotient still indexes a zero, keeping that zero's pair
     z, pair = p + 1 if p % 5 else p, None

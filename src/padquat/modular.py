@@ -2,15 +2,13 @@
 
 Primality and twin-prime tests and twin-prime enumeration.  Residues and
 moduli are plain ints; everything is deterministic and exact, no floats.
+`require_odd_prime` and `require_twin_prime` check a p from outside; the
+CLI calls them, and every other function takes its arguments as given.
 """
 
 from __future__ import annotations
 
 import math
-
-
-class NotTwinPrime(ValueError):
-    """Raised when a twin-prime parameter set is required but absent."""
 
 
 # Miller-Rabin bases, each with psi_k, the least strong pseudoprime to all of
@@ -33,24 +31,18 @@ _MR_BASES = (
 )
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test, exact for all n <= 2**63."""
-    if n < 0:
-        raise ValueError(f"primality is defined for nonnegative integers, got {n}")
     if n < 2:
         return False
-    for q in _SMALL_PRIMES:
-        if n == q:
-            return True
-        if n % q == 0:
-            return False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    if math.gcd(n, _SMALL_PRODUCT) != 1:
+        return n in _SMALL_PRIMES
+    # n - 1 = d 2^s with d odd; (n - 1) & (1 - n) is the lowest set bit
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
     for a, psi in _MR_BASES:
         x = pow(a, d, n)
         if x not in (1, n - 1):
@@ -104,7 +96,7 @@ def require_odd_prime(p: int) -> None:
 
 
 def require_twin_prime(p: int) -> None:
-    """Raise NotTwinPrime unless p - 2 and p are both prime, p >= 5."""
+    """Raise ValueError unless p - 2 and p are both prime, p >= 5."""
     if p < 5 or not (is_prime(p) and is_prime(p - 2)):
-        raise NotTwinPrime(f"{p} does not head a twin prime pair (p-2, p)")
+        raise ValueError(f"{p} does not head a twin prime pair (p-2, p)")
 

@@ -3,14 +3,13 @@
 Both sequences follow t_n = a*t_{n-2} + t_{n-3} for even n and
 t_n = b*t_{n-2} + t_{n-3} for odd n; Padovan starts (1, 0, a), Perrin
 starts (3, 0, 2).  Symbolic terms are exact bivariate polynomials in a, b;
-modular terms are plain ints in [0, m).
+modular terms are plain ints in [0, m).  Parameters are taken as given: the
+CLI checks that a --p heads a twin prime pair before it builds them.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-
-from .modular import require_twin_prime
 
 
 class BiPoly:
@@ -151,41 +150,29 @@ def perrin_sym_terms(count: int) -> list[BiPoly]:
 
 
 class SeqParams(namedtuple("SeqParams", "a b modulus")):
-    """The coefficient pair (a, b), optionally with a modulus.
-
-    With a modulus m >= 2 the coefficients are stored reduced mod m (a
-    twin-prime pair (p-2, p) keeps a = p-2 literally; b = p reduces to 0).
-    """
+    """The coefficient pair (a, b) with a modulus m >= 2, stored reduced
+    mod m (a twin-prime pair (p-2, p) keeps a = p-2 literally; b = p
+    reduces to 0)."""
 
     __slots__ = ()
 
-    def __new__(cls, a: int, b: int, modulus: int | None = None) -> "SeqParams":
-        if modulus is not None:
-            if modulus < 2:
-                raise ValueError(f"modulus must be >= 2, got {modulus}")
-            a, b = a % modulus, b % modulus
-        return super().__new__(cls, a, b, modulus)
+    def __new__(cls, a: int, b: int, modulus: int) -> "SeqParams":
+        return super().__new__(cls, a % modulus, b % modulus, modulus)
 
     @classmethod
     def twin_prime(cls, p: int) -> "SeqParams":
-        """Params (p-2, p) mod p; raises NotTwinPrime unless both are prime."""
-        require_twin_prime(p)
+        """Params (p-2, p) mod p, for the head p of a twin prime pair
+        (unchecked)."""
         return cls(p - 2, p, modulus=p)
-
-    def _require_modulus(self) -> int:
-        if self.modulus is None:
-            raise ValueError("operation requires params with a modulus")
-        return self.modulus
 
 
 def padovan_mod(params: SeqParams, count: int) -> list[int]:
     """P_0 .. P_{count-1} mod m."""
-    m = params._require_modulus()
-    return _extend([1, 0, params.a][:count], params.a, params.b, count, m)
+    a, b, m = params
+    return _extend([1, 0, a][:count], a, b, count, m)
 
 
 def perrin_mod(params: SeqParams, count: int) -> list[int]:
     """R_0 .. R_{count-1} mod m."""
-    m = params._require_modulus()
-    return _extend([3 % m, 0, 2 % m][:count], params.a, params.b, count, m)
-
+    a, b, m = params
+    return _extend([3 % m, 0, 2 % m][:count], a, b, count, m)

@@ -64,7 +64,7 @@ def gf_expand(
     The denominator is fixed to 1 - (a+b)x^2 + ab*x^4 - x^6, so coefficients
     obey c_n = num_n + (a+b)c_{n-2} - ab*c_{n-4} + c_{n-6}.  With no params
     the expansion is fully symbolic (BiPoly terms); with params it is exact
-    at integer (a, b), reduced mod m when params carry a modulus.
+    at the params' integer (a, b), reduced mod their modulus.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -239,7 +239,7 @@ def family_stream(params: SeqParams, family: str, count: int) -> list[int]:
 
 
 def _elements(params: SeqParams, family: str, count: int) -> list[QuatElem]:
-    mod = PrimeModulus(params._require_modulus())
+    mod = PrimeModulus(params.modulus)
     t = family_stream(params, family, count + 3)
     return [QuatElem(mod, *t[n : n + 4]) for n in range(count)]
 
@@ -281,7 +281,7 @@ class SymQuat:
 
     def evaluate_mod(self, params: SeqParams) -> QuatElem:
         """Specialize at integer (a, b) mod p in Q(-1,-1)."""
-        m = params._require_modulus()
+        m = params.modulus
         return QuatElem(
             PrimeModulus(m),
             *(evaluate_mod(c, params.a, params.b, m) for c in self.components),

@@ -326,7 +326,7 @@ def seq_period(params: SeqParams, kind: str) -> int:
     """
     if kind not in ("padovan", "perrin"):
         raise ValueError(f"kind must be 'padovan' or 'perrin', got {kind!r}")
-    m = params._require_modulus()
+    m = params.modulus
     gen = padovan_mod(params, 8) if kind == "padovan" else perrin_mod(params, 8)
     init = tuple(gen[:3])
     limit = 2 * m**3 + 4  # parity-tagged state space bound

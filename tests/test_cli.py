@@ -56,9 +56,13 @@ class TestSeq:
         assert out.splitlines() == ["n  padovan  perrin"]
 
     def test_modular_requires_twin_prime(self, capsys):
-        status, _, err = run_cli(capsys, "seq", "--p", "11", "--upto", "4")
-        assert status == 1
-        assert "twin prime" in err
+        # the CLI is the one place that checks a --p: 3 is below the least
+        # head 5, 4 and 9 are composite, 11 - 2 = 9 and 23 - 2 = 21 are not prime
+        for p in (3, 4, 9, 11, 23):
+            for argv in (("seq", "--p", str(p), "--upto", "4"), ("verify", "--p", str(p))):
+                status, out, err = run_cli(capsys, *argv)
+                assert (status, out) == (1, ""), argv
+                assert err == f"error: {p} does not head a twin prime pair (p-2, p)\n", argv
 
     def test_needs_p_or_symbolic(self, capsys):
         status, _, err = run_cli(capsys, "seq", "--upto", "4")

@@ -65,12 +65,6 @@ class TestFibMod:
         assert fib_pair(8, 7)[0] == 0  # F_8 = 21
         assert fib_pair(6, 1000)[0] == 8
 
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            fib_pair(-1, 7)
-        with pytest.raises(ValueError):
-            fib_pair(5, 1)
-
     def test_fast_doubling_vs_iterative_dense(self):
         for m in (2, 3, 5, 7, 10, 13, 101, 997, 1000):
             oracle = fib_list(10_001, m)

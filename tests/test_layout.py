@@ -95,6 +95,15 @@ def test_every_module_is_loaded_by_the_cli():
     assert set(TREES) - PACKAGE_FILES == _cli_modules()
 
 
+def test_arguments_are_checked_by_the_cli_alone():
+    checks = {"require_odd_prime", "require_twin_prime"}
+    importers = {module for module, tree in TREES.items()
+                 for source, name in _bindings(tree).values()
+                 if source == "modular" and name in checks}
+    assert importers == {"cli"}
+    assert "modular" not in {source for source, _ in _bindings(TREES["sequences"]).values()}
+
+
 def test_every_public_name_is_read_by_the_cli_code():
     reads = _reads(_cli_modules() | PACKAGE_FILES)
     unread = [

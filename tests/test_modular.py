@@ -47,10 +47,7 @@ class TestIsPrime:
         assert is_prime(2**61 - 1)  # Mersenne prime
         assert not is_prime(2**62 - 1)
         assert not is_prime((2**31 - 1) * (2**31 + 11))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            is_prime(-7)
+        assert not is_prime(47 * (2**61 - 1))  # a small factor, far past any sieve
 
     # psi_k, the least strong pseudoprime to the first k prime bases (OEIS A014233)
     PSI = {

@@ -14,7 +14,7 @@ from paper import (
 from reference import perrin_padovan_identity, seq_period
 
 from padquat.fibonacci import FibProfile
-from padquat.modular import NotTwinPrime, twin_primes_upto
+from padquat.modular import twin_primes_upto
 from padquat.sequences import (
     BiPoly,
     SeqParams,
@@ -148,21 +148,11 @@ class TestSeqParams:
         assert plain == params
 
         assert (SeqParams(9, 11, modulus=13).a, SeqParams(9, 11, modulus=13).b) == (9, 11)
-        assert (SeqParams(3, 5).a, SeqParams(3, 5).b) == (3, 5)  # no modulus, no reduction
-
-    def test_twin_prime_rejects(self):
-        for bad in (9, 11, 4, 23):
-            with pytest.raises(NotTwinPrime):
-                SeqParams.twin_prime(bad)
 
     def test_coefficient_order_reversed(self):
         params = SeqParams(3, 5, modulus=7)
         params_ba = SeqParams(params.b, params.a, modulus=params.modulus)
         assert (params_ba.a, params_ba.b) == (5, 3)
-
-    def test_modulus_validated(self):
-        with pytest.raises(ValueError):
-            SeqParams(1, 1, modulus=1)
 
 
 class TestModularTerms:
@@ -185,10 +175,6 @@ class TestModularTerms:
         for n in range(30):
             assert pad[n] == evaluate_mod(pad_sym[n], 3, 5, 5)
             assert per[n] == evaluate_mod(per_sym[n], 3, 5, 5)
-
-    def test_requires_modulus(self):
-        with pytest.raises(ValueError):
-            padovan_mod(SeqParams(1, 1), 5)
 
 
 def period_oracle(params, kind):
@@ -283,8 +269,9 @@ class TestGeneratingFunction:
         out = gf_expand(qp_gf_numerators()[0], 20, params)
         assert out == padovan_mod(params, 20)
 
-    def test_integer_expansion_without_modulus(self):
-        params = SeqParams(1, 1)
+    def test_integer_expansion_below_modulus(self):
+        # a modulus above every term leaves the integer expansion exact
+        params = SeqParams(1, 1, modulus=CLASSICAL_PADOVAN[-1] + 1)
         out = gf_expand(qp_gf_numerators()[0], 21, params)
         assert out == CLASSICAL_PADOVAN
 
