@@ -191,6 +191,17 @@ class TestEntryPair:
         for p in primes:
             assert fibonacci._entry_pair(p) == entry_pair_by_fib_pair(p), p
 
+    def test_split_pair_is_zero_then_either_root_to_the_z(self):
+        # F_z = 0 gives phi^z = psi^z, and then F_{z+1} = phi^z: at a split
+        # prime both roots of x^2 - x - 1 raised to z give F_{z+1}
+        split = [p for p in primes_upto(10**4) if p % 5 in (1, 4)]
+        for p in split:
+            roots = [x for x in range(p) if (x * x - x - 1) % p == 0]
+            assert len(roots) == 2, p
+            z, (f_z, f_z1) = fibonacci._entry_pair(p)
+            assert (f_z, f_z1) == fib_pair(z, p) == (0, f_z1), p
+            assert [pow(x, z, p) for x in roots] == [f_z1, f_z1], p
+
     def test_wrong_square_root_fails_the_certificate(self, monkeypatch):
         # at a wrong root of 5 the pair still has F_z = 0, r^4 = 1 and an
         # even pi, so the root itself is checked

@@ -149,6 +149,11 @@ class TestSeqParams:
 
         assert (SeqParams(9, 11, modulus=13).a, SeqParams(9, 11, modulus=13).b) == (9, 11)
 
+    def test_twin_prime_is_the_reduced_pair_at_every_head_to_1000(self):
+        for _, p in twin_primes_upto(1000):
+            params = SeqParams.twin_prime(p)
+            assert params == SeqParams(p - 2, p, modulus=p) == (p - 2, 0, p), p
+
     def test_coefficient_order_reversed(self):
         params = SeqParams(3, 5, modulus=7)
         params_ba = SeqParams(params.b, params.a, modulus=params.modulus)
