@@ -49,8 +49,8 @@ MAX_PRIME = 10**12
 # scan, is held in memory.  Measured on a 2-vCPU Intel Xeon with Python 3.11:
 # seq --symbolic --upto 400 took 9.6 s and 359 MB (500: 19 s and 700 MB),
 # seq --p 5 --upto 10**6 3.1 s and 184 MB; measured later on the same machine
-# in a child process, scan --upto 10**7 --format csv 3.7-3.9 s and 85 MB over
-# four runs (the host's speed drifts by up to 2x).
+# in a child process, scan --upto 10**7 --format csv 2.8-3.2 s and 83-84 MB
+# over four runs (the host's speed drifts by up to 2x).
 MAX_SYMBOLIC_TERMS = 400
 MAX_TERMS = 10**6
 MAX_SCAN_BOUND = 10**7

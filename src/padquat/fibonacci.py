@@ -3,22 +3,27 @@
 The entry point z(p) is the least positive index with p | F_z; the Pisano
 period pi(p) is the period of the Fibonacci sequence mod p.  z(p) divides
 p - (5/p) (Wall 1960, Vinson 1963), so it is found by order reduction over
-the prime factors of that number, found by trial division.  At a split
-prime, (5/p) = 1, z(p) is the multiplicative order of -phi^2 for the root
-phi of x^2 - x - 1 mod p, so each order test is one builtin `pow`, and
-phi comes from a square root of 5 by builtin `pow` and int products (its
-non-residue by Euler's criterion); at an inert prime, and at 5, each test
-is a fast-doubling pair.  F_z = 0 makes Q^z = r I for the Fibonacci
-matrix Q and r = F_{z+1}, so pi(p) = z(p) ord_p(r), with ord_p(r) one of
-1, 2, 4: `FibProfile.of` reads it from the pair (F_z, F_{z+1}) that the
-order reduction hands over, from Binet's formula at a split prime and by
-fast doubling at an inert one.  Every function takes its arguments as
-given; the CLI checks a p from outside with `modular.require_odd_prime`.
+the prime factors of that number, found by trial division: by a table of
+the primes below 2^12, all that any n < 2^24 needs, then over the 2*3
+wheel.  At a split prime, (5/p) = 1, z(p) is the multiplicative order of
+-phi^2 for the root phi of x^2 - x - 1 mod p, so each order test is one
+builtin `pow`, and phi comes from a square root of 5 by builtin `pow` and
+int products (its non-residue by Euler's criterion); at an inert prime,
+and at 5, each test is a fast-doubling pair.  F_z = 0 makes Q^z = r I for
+the Fibonacci matrix Q and r = F_{z+1}, so pi(p) = z(p) ord_p(r), with
+ord_p(r) one of 1, 2, 4: `FibProfile.of` reads it from the pair
+(F_z, F_{z+1}) that the order reduction hands over, from Binet's formula
+(one `pow` and a square) at a split prime and by fast doubling at an
+inert one.  Every function takes its arguments as given; the CLI checks a
+p from outside with `modular.require_odd_prime`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import compress
+
+from .modular import _sieve
 
 
 def fib_pair(n: int, m: int) -> tuple[int, int]:
@@ -36,17 +41,35 @@ def fib_pair(n: int, m: int) -> tuple[int, int]:
     return a, b
 
 
+# (q, q^2) for each prime q < 2^12, the last 4093: no n < 4097^2, which is
+# past 2^24, needs a trial divisor beyond the table
+_PRIME_TABLE = tuple((q, q * q) for q in compress(range(4096), _sieve(4095)))
+
+
 def _prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of n >= 1, by trial division over the
-    2*3 wheel: 2, 3, then the 6k -+ 1."""
+    """The distinct prime factors of n >= 1, ascending, by trial division:
+    over the prime table, then, while some q^2 <= n is left, over the 2*3
+    wheel's 6k -+ 1 from 4097 = 6*682 + 5."""
     out = []
-    q, step = 2, 1
-    while q * q <= n:
+    for q, square in _PRIME_TABLE:
+        if square > n:
+            break
         if n % q == 0:
             out.append(q)
+            n //= q
             while n % q == 0:
                 n //= q
-        q, step = q + step, 2 if q < 5 else 6 - step
+    else:
+        # 4097 is a 6k + 5, so the steps run 2, 4, 2, ...; these steps from a
+        # 6k + 1 would skip every 6k + 5 and miss those prime factors
+        q, step = 4097, 2
+        while q * q <= n:
+            if n % q == 0:
+                out.append(q)
+                n //= q
+                while n % q == 0:
+                    n //= q
+            q, step = q + step, 6 - step
     if n > 1:
         out.append(n)
     return out
@@ -96,17 +119,17 @@ def _entry_pair(p: int) -> tuple[int, tuple[int, int]]:
         s = _sqrt5(p)
         if s * s % p != 5:
             raise AssertionError(f"{s} is no square root of 5 mod {p}")
-        half = (p + 1) // 2
-        phi, psi = (1 + s) * half % p, (1 - s) * half % p
+        phi = (1 + s) * ((p + 1) // 2) % p
         g = -phi * phi % p
         z = p - 1
         for q in _prime_factors(z):
             while z % q == 0 and pow(g, z // q, p) == 1:
                 z //= q
         # the pair by Binet, apart from the order test: F_z s = phi^z - psi^z
-        # is 0, and then F_{z+1} s = phi^z (phi - psi) = phi^z s
+        # is 0, and then F_{z+1} s = phi^z (phi - psi) = phi^z s.  As
+        # psi^z = (-1)^z / phi^z, phi^z = psi^z iff (phi^z)^2 = (-1)^z
         a = pow(phi, z, p)
-        if a != pow(psi, z, p):
+        if a * a % p != (p - 1 if z % 2 else 1):
             raise AssertionError(f"F_z != 0 mod {p} at z = {z}")
         return z, (0, a)
     # inert, and p = 5: divide out each prime factor of p + 1 (of 5) while

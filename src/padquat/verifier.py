@@ -37,13 +37,21 @@ HOLDS_VACUOUSLY = "HOLDS_VACUOUSLY"
 FAILS = "FAILS"
 
 
+def _nonzero_squares(q: int) -> frozenset[int]:
+    """The nonzero squares mod q."""
+    return frozenset(x * x % q for x in range(1, q))
+
+
+_SQUARES_13, _SQUARES_181, _SQUARES_239 = map(_nonzero_squares, (13, 181, 239))
+
+
 def perrin_even_side_condition(p: int) -> bool:
     """The split condition of the even-index Perrin claim: either
     p = 1,3 (mod 8) with p a residue mod 181, or p = 5,7 (mod 8) with p a
     non-residue mod 181.  Equivalent to (-8*181 / p) = +1 for p != 181.
-    By Euler's criterion p is a residue mod the prime 181 exactly when
-    p^90 = 1 (mod 181)."""
-    return (pow(p, 90, 181) == 1) == (p % 8 in (1, 3))
+    p is a residue mod the prime 181 exactly when p mod 181 is one of the
+    nonzero squares mod 181."""
+    return (p % 181 in _SQUARES_181) == (p % 8 in (1, 3))
 
 
 class Claim(namedtuple("Claim", "family parity prime excluded side_condition classes",
@@ -69,10 +77,10 @@ CLAIMS = {
     "thm-perrin-even": Claim(
         "QR", 0, excluded=(181,), side_condition=perrin_even_side_condition
     ),
-    # (p/13) (p/239) = +1, each Legendre symbol by Euler's criterion
+    # (p/13) (p/239) = +1, each Legendre symbol read from the nonzero squares
     "thm-perrin-odd": Claim(
         "QR", 1, excluded=(7, 13, 239),
-        side_condition=lambda p: (pow(p, 6, 13) == 1) == (pow(p, 119, 239) == 1),
+        side_condition=lambda p: (p % 13 in _SQUARES_13) == (p % 239 in _SQUARES_239),
     ),
     "cor-7": Claim("QR", 1, prime=7, classes=(4, 10)),  # pi(7) = 16
     "cor-13": Claim("QR", 1, prime=13, classes=()),
@@ -220,27 +228,32 @@ def decide_prime(profile: FibProfile, case_ids: Iterable[str]) -> list[tuple]:
     only when p divides the row's resultant (`_CLAIM_READS`); otherwise
     R^4 = 1 leaves no zero norm and nothing is observed.  `predicted`,
     `observed` and `disagreements`, the indices where prediction and oracle
-    differ, list m ascending.  FAILS when some index disagrees, else HOLDS
-    when the comparison has content (nonempty sets, or an invertibility
-    claim) and HOLDS_VACUOUSLY when nothing satisfies the claim.  Every
-    window repeats the first, so the scan multiplier changes none of it.
+    differ, list m ascending.  These lists may be one list object shared
+    between fields and between decisions; no caller mutates them.  FAILS
+    when some index disagrees, else HOLDS when the comparison has content
+    (nonempty sets, or an invertibility claim) and HOLDS_VACUOUSLY when
+    nothing satisfies the claim.  Every window repeats the first, so the
+    scan multiplier changes none of it.
     """
     p, z = profile.p, profile.entry_point
     # {(jz - 3) mod pi : j = 1..4} is this range, as pi = z ord(r), ord(r) <= 4
     hypothesis = range(z - 3, z * len(profile.powers), z)
+    # the indices m = 2k + parity of the hypothesis k, one list per parity
+    even = [2 * k for k in hypothesis]
+    indices = (even, [m + 1 for m in even])
     decisions = []
     for cid in case_ids:
         family, parity, classes, side_condition, resultant = _CLAIM_READS[cid]
         if classes is None:  # a theorem: every hypothesis class, if its side condition holds
-            predicted = [2 * k + parity for k in hypothesis] if side_condition(p) else []
+            predicted = indices[parity] if side_condition(p) else []
         else:
             predicted = [2 * k + parity for k in hypothesis if k in classes]
         if resultant % p:
             observed, disagreements = [], predicted
         else:
             reads = jump_oracle(profile, family, parity)
-            observed = [2 * k + parity
-                        for k, (_, _, zero) in zip(hypothesis, reads, strict=True) if zero]
+            observed = [m for m, (_, _, zero) in zip(indices[parity], reads, strict=True)
+                        if zero]
             disagreements = sorted(set(predicted).symmetric_difference(observed))
         if disagreements:
             classification = FAILS

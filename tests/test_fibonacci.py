@@ -85,6 +85,31 @@ class TestFibMod:
             assert (a + b) % 10**9 == fib_pair(n + 2, 10**9)[0]
 
 
+class TestPrimeFactors:
+    """`_prime_factors` against `reference.prime_factors`, which divides by
+    every odd number: within the prime table's reach, at its end, and at
+    drawn n up to 10^13, where the 2*3 wheel goes on from 4097."""
+
+    def test_table_is_the_primes_below_2_to_the_12(self):
+        assert fibonacci._PRIME_TABLE == tuple((q, q * q) for q in primes_upto(4095))
+
+    def test_every_n_to_1e5(self):
+        for n in range(1, 10**5 + 1):
+            assert fibonacci._prime_factors(n) == sorted(prime_factors(n)), n
+
+    # 4099 = 1 and 4127, 4133 = 5 (mod 6): the first primes past the table
+    # of each wheel class
+    @pytest.mark.parametrize("n", [4093**2, 4093 * 4099, 4099**2, 4099 * 4111,
+                                   4127 * 4133, 2**24 - 1, 2**24 + 1])
+    def test_products_at_the_end_of_the_table(self, n):
+        assert fibonacci._prime_factors(n) == sorted(prime_factors(n))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**13))
+    def test_drawn_n_to_1e13(self, n):
+        assert fibonacci._prime_factors(n) == sorted(prime_factors(n))
+
+
 class TestEntryPoint:
     def test_examples(self):
         assert FibProfile.of(5).entry_point == 5

@@ -171,6 +171,16 @@ class TestPredicates:
                 jacobi = legendre(p, 13) * legendre(p, 239)
                 assert bool(predicted_ks("thm-perrin-odd", p)) == (jacobi == 1), p
 
+    def test_perrin_side_conditions_at_every_residue_class(self):
+        # one full period of each condition in n, multiples of 181, 13 and
+        # 239 included: a symbol that is 0 reads as no residue
+        odd = CLAIMS["thm-perrin-odd"].side_condition
+        for n in range(8 * 181):
+            assert perrin_even_side_condition(n) == (
+                (legendre(n, 181) == 1) == (n % 8 in (1, 3))), n
+        for n in range(13 * 239):
+            assert odd(n) == ((legendre(n, 13) == 1) == (legendre(n, 239) == 1)), n
+
     def test_theorem_classes_are_the_candidate_formula(self):
         # the candidate classes {(j z - 3) mod pi(p) : j = 1..4} when the side
         # condition, stated here as a symbol, holds; none otherwise
