@@ -34,8 +34,8 @@ from .sequences import (
 )
 from .verifier import (
     CASE_IDS,
-    CLAIMS,
     FAILS,
+    ROW_HEADER,
     applicable_case_ids,
     decide_prime,
     verdict_record,
@@ -49,8 +49,8 @@ MAX_PRIME = 10**12
 # scan, is held in memory.  Measured on a 2-vCPU Intel Xeon with Python 3.11:
 # seq --symbolic --upto 400 took 9.6 s and 359 MB (500: 19 s and 700 MB),
 # seq --p 5 --upto 10**6 3.1 s and 184 MB; measured later on the same machine
-# in a child process, scan --upto 10**7 --format csv 2.8-3.2 s and 83-84 MB
-# over four runs (the host's speed drifts by up to 2x).
+# in a child process, scan --upto 10**7 --format csv 2.2-2.5 s and 81-82 MB
+# over three runs (the host's speed drifts by up to 2x).
 MAX_SYMBOLIC_TERMS = 400
 MAX_TERMS = 10**6
 MAX_SCAN_BOUND = 10**7
@@ -123,19 +123,20 @@ def _json_document(args: argparse.Namespace, payload: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: list[tuple]) -> str:
     # no field of any command holds a comma, a quote or a line break, so
-    # csv.writer would quote nothing: each line is one format.  A StringIO
-    # holds no string per line, as a joined list would (+15 MB on scan --upto 10**7)
+    # csv.writer would quote nothing: each line is one format, filled from
+    # each row tuple as it is.  A StringIO holds no string per line, as a
+    # joined list would (+15 MB on scan --upto 10**7)
     line = ",".join(["%s"] * len(header)) + "\n"
     buf = io.StringIO()
     buf.write(line % tuple(header))
     for row in rows:
-        buf.write(line % tuple(row))
+        buf.write(line % row)
     return buf.getvalue()
 
 
-def _table_text(header: list[str], rows: list[list]) -> str:
+def _table_text(header: list[str], rows: list[tuple]) -> str:
     cells = [header] + [[str(x) for x in row] for row in rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
     lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
@@ -143,7 +144,7 @@ def _table_text(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report(args: argparse.Namespace, key: str, header: list[str], rows: list[list]) -> str:
+def _report(args: argparse.Namespace, key: str, header: list[str], rows: list[tuple]) -> str:
     """`rows` under `header` in args.format; JSON lists each row as a record
     under `key`."""
     if args.format == "json":
@@ -182,7 +183,7 @@ def cmd_seq(args: argparse.Namespace) -> tuple[str, int]:
         of_kind = {"padovan": padovan_mod, "perrin": perrin_mod}
         columns = {k: of_kind[k](params, n) for k in kinds}
 
-    rows = [[i] + [columns[k][i] for k in kinds] for i in range(n)]
+    rows = [(i, *[columns[k][i] for k in kinds]) for i in range(n)]
     return _report(args, "terms", ["n"] + kinds, rows), 0
 
 
@@ -201,25 +202,8 @@ def cmd_fib(args: argparse.Namespace) -> tuple[str, int]:
     if args.format == "json":
         return _json_document(args, {"profile": payload}), 0
     if args.format == "csv":
-        return _csv_text(list(payload), [list(payload.values())]), 0
+        return _csv_text(list(payload), [tuple(payload.values())]), 0
     return "".join(f"{k}: {v}\n" for k, v in payload.items()), 0
-
-
-_ROW_HEADER = ["prime", "case_id", "parity", "hypothesis_class", "predicted_count",
-               "observed_count", "classification", "first_counterexample"]
-
-_PARITY_NAMES = {cid: "odd" if claim.parity else "even" for cid, claim in CLAIMS.items()}
-
-
-def _rows(profile: FibProfile, decisions: list[tuple]) -> list[list]:
-    """The report row of each `decide_prime` decision at p = profile.p; the
-    first counterexample is the first disagreement's index."""
-    p, hypothesis_class = profile.p, profile.entry_point - 3
-    return [
-        [p, cid, _PARITY_NAMES[cid], hypothesis_class, len(predicted), len(observed),
-         classification, disagreements[0] if disagreements else ""]
-        for cid, predicted, observed, disagreements, classification in decisions
-    ]
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
@@ -230,11 +214,11 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
             raise CliError(f"{args.case} does not apply at p = {p}")
         case_ids = [args.case]
     profile = FibProfile.of(p)
-    decisions = decide_prime(profile, case_ids)
-    status = 2 if any(d[4] == FAILS for d in decisions) else 0  # d[4]: classification
+    rows = decide_prime(profile, case_ids)
+    status = 2 if any(row[6] == FAILS for row in rows) else 0  # row[6]: classification
     if args.format != "json":
-        return _report(args, "verdicts", _ROW_HEADER, _rows(profile, decisions)), status
-    records = [verdict_record(profile, d, args.scan_multiplier) for d in decisions]
+        return _report(args, "verdicts", ROW_HEADER, rows), status
+    records = [verdict_record(profile, row, args.scan_multiplier) for row in rows]
     return _json_document(args, {"verdicts": records}), status
 
 
@@ -245,10 +229,9 @@ def cmd_scan(args: argparse.Namespace) -> tuple[str, int]:
     # bounds below 5 yield a header-only report
     rows = []
     for _, p in twin_primes_upto(args.upto):  # p from the sieve: no checks
-        profile = FibProfile.of(p)
-        rows += _rows(profile, decide_prime(profile, applicable_case_ids(p)))
+        rows += decide_prime(FibProfile.of(p), applicable_case_ids(p))
     status = 2 if any(row[6] == FAILS for row in rows) else 0  # row[6]: classification
-    return _report(args, "verdicts", _ROW_HEADER, rows), status
+    return _report(args, "verdicts", ROW_HEADER, rows), status
 
 
 # The commands, in the order the full parser lists them: (help, handler).

@@ -12,16 +12,20 @@ of r that `FibProfile.of` certifies, decides every window.
 There the norm of each (family, parity) row is an integer quadratic N(R)
 in R = r^j (`CASE_ROWS`).  Cassini's identity with F_z = 0 gives
 r^2 = (-1)^z, so R^4 = 1 and N(R) = 0 mod p needs p to divide the row's
-resultant N(1) N(-1) N(i) N(-i).  `decide_prime` reads a row with
-`jump_oracle` only at the primes that divide it (among twin primes 5, 7
-and 13); elsewhere no hypothesis index is a zero divisor, and it decides
-each claim from its prediction alone, as plain tuples: HOLDS,
-HOLDS_VACUOUSLY or FAILS with the disagreeing indices.  `scan` and
-csv/table `verify` print rows from those; `verdict_record` turns one into
-the `verify --format json` record, every counterexample of the scan
-included.  Nothing here checks its input: the CLI hands over twin primes
-and the claim ids that apply at them.  The linear, matrix and full-window
-references live in the tests.
+resultant N(1) N(-1) N(i) N(-i).  `decide_prime` returns each claim's
+report row (`ROW_HEADER`).  A theorem at a prime that does not divide its
+row's resultant sees no zero divisor, so its row follows in closed form
+from its side condition: FAILS at every hypothesis index, or
+HOLDS_VACUOUSLY.  A corollary, and a theorem at a prime that divides the
+resultant (among twin primes 5, 7 and 13), gets its predicted, observed
+and disagreeing indices as lists from `_claim_lists`, reading the row with
+`jump_oracle` where the resultant allows a zero norm.  `scan` and
+csv/table `verify` print the rows as they come; `verdict_record` turns one
+into the `verify --format json` record, every counterexample of the scan
+included, with its lists from the same `_claim_lists`.  Nothing here
+checks its input: the CLI hands over twin primes and the claim ids that
+apply at them.  The linear, matrix and full-window references live in the
+tests.
 """
 
 from __future__ import annotations
@@ -185,12 +189,17 @@ _ROW_RESULTANTS = {
     for row, (_, _, (c0, c1, c2)) in CASE_ROWS.items()
 }
 
-# claim id -> (family, parity, classes, side condition, row resultant): all
-# that `decide_prime` reads of a claim, in one lookup
+# claim id -> (family, parity, parity name, classes, side condition, row
+# resultant): all that `decide_prime` reads of a claim, in one lookup
 _CLAIM_READS = {
-    cid: (c.family, c.parity, c.classes, c.side_condition, _ROW_RESULTANTS[c.family, c.parity])
+    cid: (c.family, c.parity, "odd" if c.parity else "even", c.classes, c.side_condition,
+          _ROW_RESULTANTS[c.family, c.parity])
     for cid, c in CLAIMS.items()
 }
+
+# The fields of a report row, in the order `decide_prime` returns them
+ROW_HEADER = ("prime", "case_id", "parity", "hypothesis_class", "predicted_count",
+              "observed_count", "classification", "first_counterexample")
 
 
 def jump_oracle(profile: FibProfile, family: str, parity: int) -> list[tuple[int, int, bool]]:
@@ -214,72 +223,99 @@ def jump_oracle(profile: FibProfile, family: str, parity: int) -> list[tuple[int
     return reads
 
 
+def _claim_lists(profile: FibProfile, claim_id: str,
+                 reads: list[tuple[int, int, bool]] | None) -> tuple:
+    """(predicted, observed, disagreements, classification) of one claim at
+    p = profile.p over the first window's hypothesis indices
+    k = j z(p) - 3 < pi(p).  m = 2k + parity is predicted when k is one of
+    the claim's classes mod pi(p), and observed where `reads`, the row's
+    `jump_oracle` reads, find a zero divisor; None stands for a row with no
+    zero norm, where nothing is observed.  The disagreements are the indices
+    where prediction and oracle differ.  Each list holds m ascending; they
+    may be one list object, which no caller mutates.  FAILS when some index
+    disagrees, else HOLDS when the comparison has content (nonempty sets, or
+    an invertibility claim) and HOLDS_VACUOUSLY when nothing satisfies the
+    claim."""
+    _, parity, _, classes, side_condition, _ = _CLAIM_READS[claim_id]
+    z = profile.entry_point
+    # {(jz - 3) mod pi : j = 1..4} is this range, as pi = z ord(r), ord(r) <= 4
+    hypothesis = range(z - 3, z * len(profile.powers), z)
+    if classes is None:  # a theorem: every hypothesis class, if its side condition holds
+        predicted = [2 * k + parity for k in hypothesis] if side_condition(profile.p) else []
+    else:
+        predicted = [2 * k + parity for k in hypothesis if k in classes]
+    if reads is None:
+        observed, disagreements = [], predicted
+    else:
+        observed = [2 * k + parity for k, (_, _, zero) in zip(hypothesis, reads, strict=True)
+                    if zero]
+        disagreements = sorted(set(predicted).symmetric_difference(observed))
+    if disagreements:
+        classification = FAILS
+    elif predicted or classes == ():
+        classification = HOLDS
+    else:
+        classification = HOLDS_VACUOUSLY
+    return predicted, observed, disagreements, classification
+
+
 def decide_prime(profile: FibProfile, case_ids: Iterable[str]) -> list[tuple]:
-    """The decision of each claim of `case_ids` at p = profile.p, in order:
-    (claim id, predicted, observed, disagreements, classification).
+    """The report row of each claim of `case_ids` at p = profile.p, in
+    order: one tuple of the `ROW_HEADER` fields, the first counterexample
+    being the first disagreeing index m, or "" when none disagrees.
 
     Precondition, not checked: p heads a twin prime pair and each id is in
     `applicable_case_ids(p)`.  No two such claims share a (family, parity)
     row, as each corollary stands in for the theorem its prime excludes, so
-    each row is read at most once.  A claim is decided over the first
-    window's hypothesis indices k = j z(p) - 3 < pi(p): m = 2k + parity is
-    predicted when k is one of its classes mod pi(p), and observed when the
-    row's `jump_oracle` read finds a zero divisor there.  That read is taken
-    only when p divides the row's resultant (`_CLAIM_READS`); otherwise
-    R^4 = 1 leaves no zero norm and nothing is observed.  `predicted`,
-    `observed` and `disagreements`, the indices where prediction and oracle
-    differ, list m ascending.  These lists may be one list object shared
-    between fields and between decisions; no caller mutates them.  FAILS
-    when some index disagrees, else HOLDS when the comparison has content
-    (nonempty sets, or an invertibility claim) and HOLDS_VACUOUSLY when
-    nothing satisfies the claim.  Every window repeats the first, so the
-    scan multiplier changes none of it.
+    each row is read at most once.  Where p does not divide a row's
+    resultant (`_CLAIM_READS`), R^4 = 1 leaves no zero norm and nothing is
+    observed.  A theorem there is decided in closed form: when its side
+    condition holds it predicts all pi(p)/z(p) hypothesis indices of the
+    first window and FAILS, first at m = 2 (z(p) - 3) + parity; otherwise
+    it HOLDS_VACUOUSLY.  Every other claim gets its lists from
+    `_claim_lists`, with the row's `jump_oracle` reads where p divides the
+    resultant.  Every window repeats the first, so the scan multiplier
+    changes none of it.
     """
-    p, z = profile.p, profile.entry_point
-    # {(jz - 3) mod pi : j = 1..4} is this range, as pi = z ord(r), ord(r) <= 4
-    hypothesis = range(z - 3, z * len(profile.powers), z)
-    # the indices m = 2k + parity of the hypothesis k, one list per parity
-    even = [2 * k for k in hypothesis]
-    indices = (even, [m + 1 for m in even])
-    decisions = []
+    p, hypothesis_class = profile.p, profile.entry_point - 3
+    count, first = len(profile.powers), 2 * hypothesis_class
+    rows = []
     for cid in case_ids:
-        family, parity, classes, side_condition, resultant = _CLAIM_READS[cid]
-        if classes is None:  # a theorem: every hypothesis class, if its side condition holds
-            predicted = indices[parity] if side_condition(p) else []
-        else:
-            predicted = [2 * k + parity for k in hypothesis if k in classes]
-        if resultant % p:
-            observed, disagreements = [], predicted
-        else:
-            reads = jump_oracle(profile, family, parity)
-            observed = [m for m, (_, _, zero) in zip(indices[parity], reads, strict=True)
-                        if zero]
-            disagreements = sorted(set(predicted).symmetric_difference(observed))
-        if disagreements:
-            classification = FAILS
-        elif predicted or classes == ():
-            classification = HOLDS
-        else:
-            classification = HOLDS_VACUOUSLY
-        decisions.append((cid, predicted, observed, disagreements, classification))
-    return decisions
+        family, parity, parity_name, classes, side_condition, resultant = _CLAIM_READS[cid]
+        if classes is None and resultant % p:
+            if side_condition(p):
+                rows.append((p, cid, parity_name, hypothesis_class, count, 0, FAILS,
+                             first + parity))
+            else:
+                rows.append((p, cid, parity_name, hypothesis_class, 0, 0, HOLDS_VACUOUSLY, ""))
+            continue
+        reads = None if resultant % p else jump_oracle(profile, family, parity)
+        predicted, observed, disagreements, classification = _claim_lists(profile, cid, reads)
+        rows.append((p, cid, parity_name, hypothesis_class, len(predicted), len(observed),
+                     classification, disagreements[0] if disagreements else ""))
+    return rows
 
 
-def verdict_record(profile: FibProfile, decision: tuple, multiplier: int) -> dict:
-    """The `verify --format json` record of one `decide_prime` decision at
+def verdict_record(profile: FibProfile, row: tuple, multiplier: int) -> dict:
+    """The `verify --format json` record of one `decide_prime` row at
     p = profile.p, over `multiplier` windows of 2 pi(p).  The window
     lcm(sequence period, 2 pi(p)) is 2 pi(p): the profile certifies
-    Q^pi = I, so 2 pi(p) is a period of every coefficient stream.  A
-    decision with disagreements reads its row once with `jump_oracle`, for
-    F_{k+2} and the norm at each disagreeing index m = 2k + parity, the
-    read j = (k + 3)/z(p).  Each first-window disagreement recurs in window
-    t = 0 .. multiplier-1 at index m + 2 pi t and k + pi t, with the same
-    norm and reduced value; the counterexamples list every one, ascending."""
-    claim_id, predicted, observed, disagreements, classification = decision
+    Q^pi = I, so 2 pi(p) is a period of every coefficient stream.  The
+    lists come from `_claim_lists`.  A row that does not fail observes
+    exactly what it predicts, so only a failing one reads its row, once,
+    with `jump_oracle`: for what it observes, and for F_{k+2} and the norm
+    at each disagreeing index m = 2k + parity, the read j = (k + 3)/z(p).
+    Each first-window disagreement recurs in window t = 0 .. multiplier-1
+    at index m + 2 pi t and k + pi t, with the same norm and reduced value;
+    the counterexamples list every one, ascending."""
+    claim_id, classification = row[1], row[6]
     claim, p, pi = CLAIMS[claim_id], profile.p, profile.pisano_period
     z, parity = profile.entry_point, claim.parity
+    reads = jump_oracle(profile, claim.family, parity) if classification == FAILS else None
+    predicted, observed, disagreements, _ = _claim_lists(profile, claim_id, reads)
+    if reads is None:
+        observed, disagreements = predicted, []
     reduction = CASE_ROWS[claim.family, parity][1]
-    reads = jump_oracle(profile, claim.family, parity) if disagreements else ()
     first_window = []
     for m in disagreements:
         k = (m - parity) // 2

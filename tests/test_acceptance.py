@@ -49,6 +49,7 @@ from padquat.sequences import (
 )
 from padquat.verifier import (
     HOLDS,
+    ROW_HEADER,
     applicable_case_ids,
     decide_prime,
 )
@@ -256,8 +257,8 @@ def test_criterion_9_cor_13():
     window = 2 * math.lcm(family_period(params, "QR"), 2 * profile.pisano_period)
     found = norm_oracle(params, "QR", window)[1]
     assert not {m for m in found if satisfies_hypothesis("cor-13", profile, m)}
-    (_, _, _, _, classification), = decide_prime(profile, ["cor-13"])
-    assert classification == HOLDS
+    (row,) = decide_prime(profile, ["cor-13"])
+    assert dict(zip(ROW_HEADER, row))["classification"] == HOLDS
 
 
 @criterion(10, "deterministic full scan", 120.0)

@@ -4,6 +4,8 @@ import math
 
 import pytest
 import reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from paper import PERRIN_EVEN_ADJUSTED, PrimeModulus, padovan_fib_form, qp_elements, qr_elements
 from reference import (
     HypothesisViolated,
@@ -22,7 +24,7 @@ from reference import (
 
 from padquat import cli, verifier
 from padquat.fibonacci import FibProfile, fib_pair
-from padquat.modular import twin_primes_upto
+from padquat.modular import is_prime, twin_primes_upto
 from padquat.sequences import SeqParams
 from padquat.verifier import (
     CASE_ROWS,
@@ -98,9 +100,10 @@ def predicts(claim_id, p, m):
 
 
 def predicted_ks(claim_id, p):
-    """The k of the quaternions m = 2k + parity that `decide_prime`
-    predicts in the first window of `claim_id` at p."""
-    _, predicted, _, _, _ = decide_prime(FibProfile.of(p), [claim_id])[0]
+    """The k of the quaternions m = 2k + parity that `claim_id` predicts in
+    the first window at p, from the lists under `decide_prime` and
+    `verdict_record`."""
+    predicted = verifier._claim_lists(FibProfile.of(p), claim_id, None)[0]
     return tuple(m // 2 for m in predicted)
 
 
@@ -454,13 +457,15 @@ class TestVerdictRecord:
 
         monkeypatch.setattr(verifier, "_reduce", counted)
         profile = FibProfile.of(13)
-        decision = decide_prime(profile, ["thm-padovan-even"])[0]
+        row = decide_prime(profile, ["thm-padovan-even"])[0]
+        disagreements = verifier._claim_lists(
+            profile, "thm-padovan-even", jump_oracle(profile, "QP", 0))[2]
         # F_{k+2} = r^j at each disagreeing index m = 2k, k = j z(p) - 3
         z = profile.entry_point
-        f2s = [profile.powers[(m // 2 + 3) // z - 1] for m in decision[3]]
+        f2s = [profile.powers[(m // 2 + 3) // z - 1] for m in disagreements]
         for multiplier in (2, 7):
             reduced.clear()
-            rec = verdict_record(profile, decision, multiplier)
+            rec = verdict_record(profile, row, multiplier)
             assert reduced == f2s != []
             assert len(rec["counterexamples"]) == multiplier * len(reduced)
 
@@ -721,18 +726,40 @@ class TestDecidePrime:
         assert sorted(reads) == expected == [
             (5, "QP", 0), (5, "QR", 0), (7, "QR", 0), (13, "QP", 1)]
 
+    @staticmethod
+    def rows_reading_every_row(profile, case_ids):
+        # the rows with every resultant replaced by 0: every row is read and
+        # every claim decided from the lists of `_claim_lists`, none in
+        # closed form
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verifier, "_CLAIM_READS",
+                          {cid: (*reads[:-1], 0)
+                           for cid, reads in verifier._CLAIM_READS.items()})
+            return decide_prime(profile, case_ids)
+
     def test_gate_agrees_with_reading_every_row(self):
-        # the gate only skips reads: with the resultants replaced by 0, so
-        # that every row is read, each decision is the same
+        # the gate only skips reads, and the closed form it opens gives the
+        # rows the read path gives: each row is the same when every row is read
         for _, p in twin_primes_upto(20000):
             profile = FibProfile.of(p)
             ids = applicable_case_ids(p)
-            gated = decide_prime(profile, ids)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(verifier, "_CLAIM_READS",
-                              {cid: (*reads[:-1], 0)
-                               for cid, reads in verifier._CLAIM_READS.items()})
-                assert decide_prime(profile, ids) == gated, p
+            assert decide_prime(profile, ids) == self.rows_reading_every_row(profile, ids), p
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.integers(min_value=5, max_value=10**12), st.booleans())
+    def test_closed_form_agrees_with_reading_every_row_at_drawn_twin_primes_to_1e12(
+        self, n, from_top
+    ):
+        # past 13 no resultant has p as a factor, so every theorem row is in
+        # closed form; drawn integers lean small, so half the draws count
+        # down from 10^12
+        p = 10**12 + 5 - n if from_top else n
+        while not (is_prime(p) and is_prime(p - 2)):
+            p -= 1
+        assert p <= 13 or all(r % p for r in verifier._ROW_RESULTANTS.values()), p
+        profile = FibProfile.of(p)
+        ids = applicable_case_ids(p)
+        assert decide_prime(profile, ids) == self.rows_reading_every_row(profile, ids), p
 
 
 def integer_stream(a, b, init, count):
