@@ -3,29 +3,27 @@
 Each claim predicts, for indices m satisfying the hypothesis congruence
 (m/2 or (m-1)/2 congruent to -3 mod z(p)), exactly which quaternions
 QP_m or QR_m are zero divisors in Q(-1,-1) over Z_p.  Every claim is one
-row of the `CLAIMS` table.  The engine reads only the hypothesis indices
-k = j z(p) - 3, where F_k .. F_{k+3} are r^j (2, -1, 1, 0) with
-r = F_{z+1} mod p, through the Fibonacci closed forms of the coefficients
-(`FIB_FORMS`).  As r^{pi/z} = 1, one period j = 1 .. pi(p)/z(p), the powers
-of r that `FibProfile.of` certifies, decides every window.
+row of the `CLAIMS` table.  A theorem's side condition is (D/p) = +1 for
+D = c1^2 - 4 c2 c0 of its row's norm reduction c2 f^2 + c1 f + c0
+(`NORM_REDUCTIONS`), read by quadratic reciprocity from p mod 8 and one
+set (`_split_test`); it excludes the primes >= 5 dividing c2 D.
 
-There the norm of each (family, parity) row is an integer quadratic N(R)
-in R = r^j (`CASE_ROWS`).  Cassini's identity with F_z = 0 gives
-r^2 = (-1)^z, so R^4 = 1 and N(R) = 0 mod p needs p to divide the row's
+The engine reads only the hypothesis indices k = j z(p) - 3, where
+F_k .. F_{k+3} are r^j (2, -1, 1, 0) with r = F_{z+1} mod p, through the
+Fibonacci closed forms of the coefficients (`FIB_FORMS`); one period
+j = 1 .. pi(p)/z(p), the powers of r that `FibProfile.of` certifies,
+decides every window.  There the norm of each (family, parity) row is an
+integer quadratic N(R) in R = r^j (`CASE_ROWS`), and R^4 = 1 (Cassini's
+identity with F_z = 0), so N(R) = 0 mod p needs p to divide the row's
 resultant N(1) N(-1) N(i) N(-i).  `decide_prime` returns each claim's
-report row (`ROW_HEADER`).  A theorem at a prime that does not divide its
-row's resultant sees no zero divisor, so its row follows in closed form
-from its side condition: FAILS at every hypothesis index, or
-HOLDS_VACUOUSLY.  A corollary, and a theorem at a prime that divides the
-resultant (among twin primes 5, 7 and 13), gets its predicted, observed
-and disagreeing indices as lists from `_claim_lists`, reading the row with
-`jump_oracle` where the resultant allows a zero norm.  `scan` and
-csv/table `verify` print the rows as they come; `verdict_record` turns one
-into the `verify --format json` record, every counterexample of the scan
-included, with its lists from the same `_claim_lists`.  Nothing here
-checks its input: the CLI hands over twin primes and the claim ids that
-apply at them.  The linear, matrix and full-window references live in the
-tests.
+report row (`ROW_HEADER`): in closed form for a theorem at a prime that
+does not divide its resultant, which sees no zero divisor, else from the
+lists of `_claim_lists`, which reads the row with `jump_oracle` where the
+resultant allows a zero norm.  `scan` and csv/table `verify` print the
+rows; `verdict_record` turns one into the `verify --format json` record,
+every counterexample included.  Nothing here checks its input: the CLI
+hands over twin primes and the claim ids that apply at them.  The linear,
+matrix and full-window references live in the tests.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .fibonacci import FibProfile
+from .fibonacci import FibProfile, _prime_factors
 
 
 HOLDS = "HOLDS"
@@ -41,51 +39,23 @@ HOLDS_VACUOUSLY = "HOLDS_VACUOUSLY"
 FAILS = "FAILS"
 
 
-def _nonzero_squares(q: int) -> frozenset[int]:
-    """The nonzero squares mod q."""
-    return frozenset(x * x % q for x in range(1, q))
-
-
-_SQUARES_13, _SQUARES_181, _SQUARES_239 = map(_nonzero_squares, (13, 181, 239))
-
-
-def perrin_even_side_condition(p: int) -> bool:
-    """The split condition of the even-index Perrin claim: either
-    p = 1,3 (mod 8) with p a residue mod 181, or p = 5,7 (mod 8) with p a
-    non-residue mod 181.  Equivalent to (-8*181 / p) = +1 for p != 181.
-    p is a residue mod the prime 181 exactly when p mod 181 is one of the
-    nonzero squares mod 181."""
-    return (p % 181 in _SQUARES_181) == (p % 8 in (1, 3))
-
-
-class Claim(namedtuple("Claim", "family parity prime excluded side_condition classes",
-                       defaults=(None, (), None, None))):
-    """One zero-divisor claim: which quaternions it is about (family "QP"
-    or "QR", parity of the quaternion index m), at which primes it applies
-    (a corollary's only prime, or every prime but the excluded ones) and
-    which k classes mod pi(p) it predicts.
-
-    A theorem (classes None) predicts every hypothesis class j z(p) - 3,
-    j = 1 .. pi(p)/z(p), at primes where its side condition holds and
-    nothing elsewhere; a corollary about one prime predicts its fixed
-    `classes`.
-    A corollary predicting no class claims invertibility.
-    """
+class Claim(namedtuple("Claim", "family parity prime classes", defaults=(None, None))):
+    """One zero-divisor claim about the quaternions of `family` ("QP" or
+    "QR") with index parity `parity`.  A theorem (classes None) applies at
+    every prime but those >= 5 dividing c2 D, D = c1^2 - 4 c2 c0 of its
+    row's norm reduction, and predicts every hypothesis class j z(p) - 3,
+    j = 1 .. pi(p)/z(p), where (D/p) = +1, nothing elsewhere.  A corollary
+    applies at its `prime` alone and predicts its `classes` mod pi(p); one
+    predicting no class claims invertibility."""
 
     __slots__ = ()
 
 
 CLAIMS = {
-    "thm-padovan-even": Claim("QP", 0, side_condition=lambda p: p % 4 == 1),
-    "thm-padovan-odd": Claim("QP", 1, side_condition=lambda p: p % 3 == 1),
-    "thm-perrin-even": Claim(
-        "QR", 0, excluded=(181,), side_condition=perrin_even_side_condition
-    ),
-    # (p/13) (p/239) = +1, each Legendre symbol read from the nonzero squares
-    "thm-perrin-odd": Claim(
-        "QR", 1, excluded=(7, 13, 239),
-        side_condition=lambda p: (p % 13 in _SQUARES_13) == (p % 239 in _SQUARES_239),
-    ),
+    "thm-padovan-even": Claim("QP", 0),
+    "thm-padovan-odd": Claim("QP", 1),
+    "thm-perrin-even": Claim("QR", 0),
+    "thm-perrin-odd": Claim("QR", 1),
     "cor-7": Claim("QR", 1, prime=7, classes=(4, 10)),  # pi(7) = 16
     "cor-13": Claim("QR", 1, prime=13, classes=()),
     "cor-181": Claim("QR", 0, prime=181, classes=(47,)),  # pi(181) = 90
@@ -123,20 +93,6 @@ def _reduce(red: NormReduction, f2: int, p: int) -> int:
     """
     f = f2 - 1 if red.kind.startswith("padovan") else -f2
     return red.value(f % p, p)
-
-
-# The claim ids that apply at each prime some claim names (7, 13, 181, 239),
-# in canonical (sorted) order; key None holds those of every other prime.
-_APPLICABLE_IDS = {
-    q: tuple(sorted(cid for cid, claim in CLAIMS.items()
-                    if claim.prime in (None, q) and q not in claim.excluded))
-    for q in {None}.union(*((c.prime, *c.excluded) for c in CLAIMS.values()))
-}
-
-
-def applicable_case_ids(p: int) -> list[str]:
-    """Claim ids that apply to twin prime p, in canonical (sorted) order."""
-    return list(_APPLICABLE_IDS.get(p, _APPLICABLE_IDS[None]))
 
 
 # Under (a, b) = (-2, 0) mod p the coefficient stream t of each family (P
@@ -189,11 +145,61 @@ _ROW_RESULTANTS = {
     for row, (_, _, (c0, c1, c2)) in CASE_ROWS.items()
 }
 
-# claim id -> (family, parity, parity name, classes, side condition, row
-# resultant): all that `decide_prime` reads of a claim, in one lookup
+
+def _split_test(red: NormReduction) -> tuple[int, tuple[frozenset[int], ...], tuple[int, ...]]:
+    """(n, by_p8, excluded) of the reduction c2 f^2 + c1 f + c0.  At an odd
+    prime p not dividing c2 D, D = c1^2 - 4 c2 c0, it has a root mod p
+    exactly when (D/p) = +1, that is, when p % n is in by_p8[p % 8]; a p
+    dividing n reads False.  By quadratic reciprocity (D/p) is the Jacobi
+    symbol (p/n), n the product of the odd primes dividing D to an odd
+    power, times a sign from p mod 8: -1 at p = 3 (mod 4) for D < 0, again
+    for n = 3 (mod 4), and -1 at p = 3, 5 (mod 8) for an odd power of 2 in
+    D.  `excluded` is the primes >= 5 dividing c2 D."""
+    d = red.c1 * red.c1 - 4 * red.c2 * red.c0
+    n, symbol, odd_two = 1, [1], False  # symbol[x] = (x/n)
+    for q in _prime_factors(abs(d)):
+        v = 1
+        while d % q ** (v + 1) == 0:
+            v += 1
+        if v % 2 and q == 2:
+            odd_two = True
+        elif v % 2:
+            squares = {x * x % q for x in range(1, q)}
+            symbol = [symbol[x % n] * (1 if x % q in squares else -1 if x % q else 0)
+                      for x in range(n * q)]
+            n *= q
+    by_sign = {s: frozenset(x for x, t in enumerate(symbol) if t == s) for s in (1, -1)}
+    flip = (d < 0) != (n % 4 == 3)
+    by_p8 = tuple(by_sign[(-1) ** ((flip and r % 4 == 3) + (odd_two and r % 8 in (3, 5)))]
+                  if r % 2 else frozenset() for r in range(8))
+    return n, by_p8, tuple(q for q in _prime_factors(abs(red.c2 * d)) if q >= 5)
+
+
+# (family, parity) -> (n, by_p8, excluded) of the row's norm reduction
+_SPLIT_TESTS = {row: _split_test(reduction) for row, (_, reduction, _) in CASE_ROWS.items()}
+# claim id -> the primes it does not apply at; a corollary names its prime
+_EXCLUDED = {cid: () if c.prime else _SPLIT_TESTS[c.family, c.parity][2]
+             for cid, c in CLAIMS.items()}
+
+# The claim ids that apply at each prime some claim names (7, 13, 181, 239),
+# in canonical (sorted) order; key None holds those of every other prime.
+_APPLICABLE_IDS = {
+    q: tuple(sorted(cid for cid, claim in CLAIMS.items()
+                    if claim.prime in (None, q) and q not in _EXCLUDED[cid]))
+    for q in {None}.union(*((c.prime, *_EXCLUDED[cid]) for cid, c in CLAIMS.items()))
+}
+
+
+def applicable_case_ids(p: int) -> list[str]:
+    """Claim ids that apply to twin prime p, in canonical (sorted) order."""
+    return list(_APPLICABLE_IDS.get(p, _APPLICABLE_IDS[None]))
+
+
+# claim id -> (family, parity, parity name, classes, n and by_p8 of the row's
+# split test, row resultant): all that `decide_prime` reads, in one lookup
 _CLAIM_READS = {
-    cid: (c.family, c.parity, "odd" if c.parity else "even", c.classes, c.side_condition,
-          _ROW_RESULTANTS[c.family, c.parity])
+    cid: (c.family, c.parity, "odd" if c.parity else "even", c.classes,
+          *_SPLIT_TESTS[c.family, c.parity][:2], _ROW_RESULTANTS[c.family, c.parity])
     for cid, c in CLAIMS.items()
 }
 
@@ -236,12 +242,12 @@ def _claim_lists(profile: FibProfile, claim_id: str,
     disagrees, else HOLDS when the comparison has content (nonempty sets, or
     an invertibility claim) and HOLDS_VACUOUSLY when nothing satisfies the
     claim."""
-    _, parity, _, classes, side_condition, _ = _CLAIM_READS[claim_id]
+    p, (_, parity, _, classes, n, by_p8, _) = profile.p, _CLAIM_READS[claim_id]
     z = profile.entry_point
     # {(jz - 3) mod pi : j = 1..4} is this range, as pi = z ord(r), ord(r) <= 4
     hypothesis = range(z - 3, z * len(profile.powers), z)
-    if classes is None:  # a theorem: every hypothesis class, if its side condition holds
-        predicted = [2 * k + parity for k in hypothesis] if side_condition(profile.p) else []
+    if classes is None:  # a theorem: every hypothesis class, if (D/p) = +1
+        predicted = [2 * k + parity for k in hypothesis] if p % n in by_p8[p % 8] else []
     else:
         predicted = [2 * k + parity for k in hypothesis if k in classes]
     if reads is None:
@@ -250,12 +256,8 @@ def _claim_lists(profile: FibProfile, claim_id: str,
         observed = [2 * k + parity for k, (_, _, zero) in zip(hypothesis, reads, strict=True)
                     if zero]
         disagreements = sorted(set(predicted).symmetric_difference(observed))
-    if disagreements:
-        classification = FAILS
-    elif predicted or classes == ():
-        classification = HOLDS
-    else:
-        classification = HOLDS_VACUOUSLY
+    classification = (FAILS if disagreements else
+                      HOLDS if predicted or classes == () else HOLDS_VACUOUSLY)
     return predicted, observed, disagreements, classification
 
 
@@ -269,10 +271,10 @@ def decide_prime(profile: FibProfile, case_ids: Iterable[str]) -> list[tuple]:
     row, as each corollary stands in for the theorem its prime excludes, so
     each row is read at most once.  Where p does not divide a row's
     resultant (`_CLAIM_READS`), R^4 = 1 leaves no zero norm and nothing is
-    observed.  A theorem there is decided in closed form: when its side
-    condition holds it predicts all pi(p)/z(p) hypothesis indices of the
-    first window and FAILS, first at m = 2 (z(p) - 3) + parity; otherwise
-    it HOLDS_VACUOUSLY.  Every other claim gets its lists from
+    observed.  A theorem there is decided in closed form: where (D/p) = +1
+    it predicts all pi(p)/z(p) hypothesis indices of the first window and
+    FAILS, first at m = 2 (z(p) - 3) + parity; otherwise it
+    HOLDS_VACUOUSLY.  Every other claim gets its lists from
     `_claim_lists`, with the row's `jump_oracle` reads where p divides the
     resultant.  Every window repeats the first, so the scan multiplier
     changes none of it.
@@ -281,13 +283,11 @@ def decide_prime(profile: FibProfile, case_ids: Iterable[str]) -> list[tuple]:
     count, first = len(profile.powers), 2 * hypothesis_class
     rows = []
     for cid in case_ids:
-        family, parity, parity_name, classes, side_condition, resultant = _CLAIM_READS[cid]
+        family, parity, parity_name, classes, n, by_p8, resultant = _CLAIM_READS[cid]
         if classes is None and resultant % p:
-            if side_condition(p):
-                rows.append((p, cid, parity_name, hypothesis_class, count, 0, FAILS,
-                             first + parity))
-            else:
-                rows.append((p, cid, parity_name, hypothesis_class, 0, 0, HOLDS_VACUOUSLY, ""))
+            rows.append((p, cid, parity_name, hypothesis_class, count, 0, FAILS, first + parity)
+                        if p % n in by_p8[p % 8] else
+                        (p, cid, parity_name, hypothesis_class, 0, 0, HOLDS_VACUOUSLY, ""))
             continue
         reads = None if resultant % p else jump_oracle(profile, family, parity)
         predicted, observed, disagreements, classification = _claim_lists(profile, cid, reads)

@@ -9,13 +9,19 @@ invertible otherwise.  Also the QP/QR sequence quaternions, modular and
 symbolic, their generating-function numerators and expansion, the
 twin-prime closed forms of P_m, the re-derived even-index Perrin norm
 reduction, and `swap`, `evaluate` and `evaluate_mod` of a `BiPoly`.
+
+`THEOREM_STATEMENTS` holds each theorem's side condition and excluded
+primes as the paper states them: a congruence, or a Legendre symbol by
+Euler's criterion (`legendre`).  `padquat.verifier` derives both from the
+theorem's norm reduction instead, so the references check it against
+these.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from padquat.fibonacci import fib_pair
 from padquat.modular import require_odd_prime
@@ -35,6 +41,34 @@ from padquat.verifier import NormReduction
 # hypothesis.  This variant agrees with the brute-force oracle for every
 # twin prime; the primary perrin-even form disagrees at p = 5, 7.
 PERRIN_EVEN_ADJUSTED = NormReduction("perrin-even-adjusted", 51, 28, 26)
+
+
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a/p) in {-1, 0, +1} for an odd prime p, by Euler's
+    criterion; a is reduced mod p first."""
+    a %= p
+    if a == 0:
+        return 0
+    r = pow(a, (p - 1) // 2, p)
+    return 1 if r == 1 else -1
+
+
+@dataclass(frozen=True)
+class TheoremStatement:
+    """When a theorem predicts zero divisors at a prime p it applies at
+    (`condition`), and the primes it does not apply at (`excluded`)."""
+
+    condition: Callable[[int], bool]
+    excluded: tuple[int, ...] = ()
+
+
+# claim id -> the paper's statement of each theorem
+THEOREM_STATEMENTS = {
+    "thm-padovan-even": TheoremStatement(lambda p: p % 4 == 1),
+    "thm-padovan-odd": TheoremStatement(lambda p: p % 3 == 1),
+    "thm-perrin-even": TheoremStatement(lambda p: legendre(-8 * 181, p) == 1, (181,)),
+    "thm-perrin-odd": TheoremStatement(lambda p: legendre(-4 * 13 * 239, p) == 1, (7, 13, 239)),
+}
 
 
 def swap(poly: BiPoly) -> BiPoly:

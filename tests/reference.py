@@ -1,9 +1,11 @@
 """Slow, independent references for the verifier's production oracle, and
 the number theory only the tests use (`primes_upto`, `prime_factors`,
-`legendre` by Euler's criterion, the reference that the claims' side
-conditions are tested against, `sqrt_mod`, `solve_quadratic`, `reduced_norm_value` from
-fast doubling, `satisfies_hypothesis`, the per-index predicate `predicts`
-and the symbolic Perrin-from-Padovan check `perrin_padovan_identity`).
+`sqrt_mod`, `solve_quadratic`, `reduced_norm_value` from fast doubling,
+`satisfies_hypothesis`, the per-index predicate `predicts` and the
+symbolic Perrin-from-Padovan check `perrin_padovan_identity`).  Each
+theorem's side condition and excluded primes are the paper's
+(`paper.THEOREM_STATEMENTS`, with `paper.legendre` by Euler's criterion),
+not the ones `padquat.verifier` derives from the norm reductions.
 
 - `sorted_case_ids`: the claim ids that apply at p, sorted out of
   `CLAIMS` at every call, the reference for the claim table that
@@ -27,9 +29,9 @@ and the symbolic Perrin-from-Padovan check `perrin_padovan_identity`).
   `predicts` at every index: the reference for `verifier.decide_prime` and
   `verifier.verdict_record`, and through `verdict_row` for the rows that
   `scan` prints;
-- `closed_form_rows`: the `scan` rows from the side conditions, z(p) and
-  pi(p)/z(p) alone, with no norm read, outside the primes 5, 7 and 13
-  where a hypothesis-index zero divisor exists;
+- `closed_form_rows`: the `scan` rows from the paper's side conditions,
+  z(p) and pi(p)/z(p) alone, with no norm read, outside the primes 5, 7
+  and 13 where a hypothesis-index zero divisor exists;
 - `twin_primes_by_comprehension`: twin pairs by testing both sieve flags
   at every n, the reference for `modular.twin_primes_upto`.
 """
@@ -41,7 +43,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from paper import PERRIN_EVEN_ADJUSTED, PrimeModulus, family_stream, swap
+from paper import (
+    PERRIN_EVEN_ADJUSTED,
+    THEOREM_STATEMENTS,
+    PrimeModulus,
+    family_stream,
+    legendre,
+    swap,
+)
 
 from padquat.fibonacci import FibProfile, fib_pair
 from padquat.modular import _sieve
@@ -72,11 +81,12 @@ class HypothesisViolated(ValueError):
 def predicted_classes(claim_id: str, profile: FibProfile) -> tuple[int, ...]:
     """The k classes mod pi(p) that claim `claim_id` predicts at
     p = profile.p: a corollary's fixed classes, else the candidate classes
-    {(j z(p) - 3) mod pi(p) : j = 1..4} where the side condition holds."""
+    {(j z(p) - 3) mod pi(p) : j = 1..4} where the paper's side condition
+    (`THEOREM_STATEMENTS`) holds."""
     claim = CLAIMS[claim_id]
     if claim.classes is not None:
         return claim.classes
-    if not claim.side_condition(profile.p):
+    if not THEOREM_STATEMENTS[claim_id].condition(profile.p):
         return ()
     z, pi = profile.entry_point, profile.pisano_period
     return tuple(sorted({(j * z - 3) % pi for j in range(1, 5)}))
@@ -95,11 +105,13 @@ def predicts(claim_id: str, profile: FibProfile, m: int) -> bool:
 
 
 def sorted_case_ids(p: int) -> list[str]:
-    """Claim ids that apply to p, in canonical (sorted) order."""
+    """Claim ids that apply to p, in canonical (sorted) order: a corollary
+    at its prime, a theorem wherever the paper does not exclude p."""
     return sorted(
         cid
         for cid, claim in CLAIMS.items()
-        if claim.prime in (None, p) and p not in claim.excluded
+        if claim.prime == p
+        or (claim.prime is None and p not in THEOREM_STATEMENTS[cid].excluded)
     )
 
 
@@ -124,16 +136,6 @@ def prime_factors(n: int) -> set[int]:
             n //= q
         q += 1 if q == 2 else 2
     return out | ({n} if n > 1 else set())
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) in {-1, 0, +1} for an odd prime p, by Euler's
-    criterion; a is reduced mod p first."""
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
 
 
 class LeadingCoefficientNotInvertible(ValueError):
@@ -522,7 +524,7 @@ EXCEPTIONAL_PRIMES = (5, 7, 13)
 
 
 def closed_form_rows(bound: int) -> list[list[str]]:
-    """The `scan --upto bound` rows, as strings, from the claims' side
+    """The `scan --upto bound` rows, as strings, from the paper's side
     conditions, z(p) and pi(p)/z(p) alone.  Outside `EXCEPTIONAL_PRIMES` no
     hypothesis index holds a zero divisor, so a claim FAILS exactly when it
     predicts one of the first window's hypothesis classes k = j z(p) - 3 <
@@ -539,7 +541,7 @@ def closed_form_rows(bound: int) -> list[list[str]]:
             claim, z = CLAIMS[cid], profile.entry_point
             hypothesis = range(z - 3, profile.pisano_period, z)
             if claim.classes is None:
-                predicted = list(hypothesis) if claim.side_condition(p) else []
+                predicted = list(hypothesis) if THEOREM_STATEMENTS[cid].condition(p) else []
             else:
                 predicted = [k for k in hypothesis if k in claim.classes]
             if predicted:

@@ -6,7 +6,14 @@ import pytest
 import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from paper import PERRIN_EVEN_ADJUSTED, PrimeModulus, padovan_fib_form, qp_elements, qr_elements
+from paper import (
+    PERRIN_EVEN_ADJUSTED,
+    THEOREM_STATEMENTS,
+    PrimeModulus,
+    padovan_fib_form,
+    qp_elements,
+    qr_elements,
+)
 from reference import (
     HypothesisViolated,
     QuadCongruence,
@@ -15,6 +22,7 @@ from reference import (
     legendre,
     matrix_jump_oracle,
     norm_oracle,
+    prime_factors,
     primes_upto,
     reduced_norm_value,
     satisfies_hypothesis,
@@ -37,13 +45,22 @@ from padquat.verifier import (
     applicable_case_ids,
     decide_prime,
     jump_oracle,
-    perrin_even_side_condition,
     verdict_record,
 )
 
 TWINS_200 = [p for _, p in twin_primes_upto(200)]
 TWINS_2000 = [p for _, p in twin_primes_upto(2000)]
 THEOREM_IDS = ("thm-padovan-even", "thm-padovan-odd", "thm-perrin-even", "thm-perrin-odd")
+# D = c1^2 - 4 c2 c0 of each theorem's norm reduction, as typed constants
+DISCRIMINANTS = {"thm-padovan-even": -4, "thm-padovan-odd": -12,
+                 "thm-perrin-even": -8 * 181, "thm-perrin-odd": -4 * 13 * 239}
+
+
+def derived_condition(claim_id, n):
+    """The side condition that `verifier` derives for theorem `claim_id`,
+    at n, as `decide_prime` reads it."""
+    n_d, by_p8 = verifier._CLAIM_READS[claim_id][4:6]
+    return n % n_d in by_p8[n % 8]
 
 
 def hypothesis_ks(p, periods=2):
@@ -68,6 +85,23 @@ class TestCaseConstruction:
         assert "thm-perrin-even" not in applicable_case_ids(181)
         # 239 heads no twin pair, so only the applicability list shows its exclusion
         assert "thm-perrin-odd" not in applicable_case_ids(239)
+
+    def test_derived_exclusions_are_the_papers(self):
+        # the primes >= 5 dividing c2 D of each theorem's reduction
+        assert verifier._EXCLUDED == {
+            "thm-padovan-even": (), "thm-padovan-odd": (), "thm-perrin-even": (181,),
+            "thm-perrin-odd": (7, 13, 239), "cor-7": (), "cor-13": (), "cor-181": ()}
+        for cid in THEOREM_IDS:
+            assert verifier._EXCLUDED[cid] == THEOREM_STATEMENTS[cid].excluded, cid
+        assert set(verifier._APPLICABLE_IDS) == {None, 7, 13, 181, 239}
+
+    def test_applicable_ids_at_the_named_primes(self):
+        theorems = list(THEOREM_IDS[:2])
+        assert applicable_case_ids(5) == applicable_case_ids(1021) == sorted(THEOREM_IDS)
+        assert applicable_case_ids(7) == ["cor-7", *theorems, "thm-perrin-even"]
+        assert applicable_case_ids(13) == ["cor-13", *theorems, "thm-perrin-even"]
+        assert applicable_case_ids(181) == ["cor-181", *theorems, "thm-perrin-odd"]
+        assert applicable_case_ids(239) == [*theorems, "thm-perrin-even"]
 
     def test_claim_table_matches_sorting_the_claims(self):
         for p in range(10**4 + 1):  # 7, 13, 181 and 239 among them
@@ -151,10 +185,11 @@ class TestPredicates:
     def test_perrin_even_condition_equals_discriminant_symbol(self):
         # every odd prime the claim does not exclude; every nonzero residue
         # mod 181 occurs among them
-        excluded = CLAIMS["thm-perrin-even"].excluded
+        excluded = verifier._EXCLUDED["thm-perrin-even"]
         for p in primes_upto(10**5)[1:]:
             if p not in excluded:
-                assert perrin_even_side_condition(p) == (legendre(-8 * 181, p) == 1), p
+                assert derived_condition("thm-perrin-even", p) == (
+                    legendre(-8 * 181, p) == 1), p
         for _, p in twin_primes_upto(10**5):
             if p not in excluded:
                 assert bool(predicted_ks("thm-perrin-even", p)) == (legendre(-8 * 181, p) == 1), p
@@ -162,27 +197,51 @@ class TestPredicates:
     def test_perrin_odd_jacobi_equals_discriminant_symbol(self):
         # the Jacobi symbol (p / 13*239) is (p/13) (p/239), at every odd
         # prime the claim does not exclude
-        claim = CLAIMS["thm-perrin-odd"]
+        excluded = verifier._EXCLUDED["thm-perrin-odd"]
         for p in primes_upto(10**5)[1:]:
-            if p not in claim.excluded:
+            if p not in excluded:
                 jacobi = legendre(p, 13) * legendre(p, 239)
                 assert (jacobi == 1) == (legendre(-4 * 13 * 239, p) == 1), p
-                assert claim.side_condition(p) == (jacobi == 1), p
+                assert derived_condition("thm-perrin-odd", p) == (jacobi == 1), p
         for _, p in twin_primes_upto(10**5):
-            if p not in claim.excluded:
+            if p not in excluded:
                 # the claim table predicts classes exactly when the symbol is +1
                 jacobi = legendre(p, 13) * legendre(p, 239)
                 assert bool(predicted_ks("thm-perrin-odd", p)) == (jacobi == 1), p
 
-    def test_perrin_side_conditions_at_every_residue_class(self):
-        # one full period of each condition in n, multiples of 181, 13 and
-        # 239 included: a symbol that is 0 reads as no residue
-        odd = CLAIMS["thm-perrin-odd"].side_condition
-        for n in range(8 * 181):
-            assert perrin_even_side_condition(n) == (
-                (legendre(n, 181) == 1) == (n % 8 in (1, 3))), n
-        for n in range(13 * 239):
-            assert odd(n) == ((legendre(n, 13) == 1) == (legendre(n, 239) == 1)), n
+    @pytest.mark.parametrize("cid", THEOREM_IDS)
+    def test_derived_condition_is_the_jacobi_symbol_over_a_full_period(self, cid):
+        # (D/n) for every odd n of one period mod lcm(8, n_D), multiples of
+        # each prime of D included, where the symbol is 0 and the condition
+        # must read False; the Jacobi symbol multiplies the Legendre symbols
+        # of n's prime factors, each as often as it divides n
+        d = DISCRIMINANTS[cid]
+        n_d = verifier._CLAIM_READS[cid][4]
+        for n in range(1, math.lcm(8, n_d), 2):
+            jacobi, rest = 1, n
+            for q in prime_factors(n):
+                while rest % q == 0:
+                    jacobi, rest = jacobi * legendre(d, q), rest // q
+            assert derived_condition(cid, n) == (jacobi == 1), (cid, n)
+
+    def test_derived_split_tests(self):
+        # D = c1^2 - 4 c2 c0 of each theorem's reduction, and n, the product
+        # of the odd primes that divide D to an odd power
+        for cid, d in DISCRIMINANTS.items():
+            red = CASE_ROWS[CLAIMS[cid].family, CLAIMS[cid].parity][1]
+            assert red.c1 * red.c1 - 4 * red.c2 * red.c0 == d, cid
+        assert {cid: verifier._CLAIM_READS[cid][4] for cid in THEOREM_IDS} == {
+            "thm-padovan-even": 1, "thm-padovan-odd": 3,
+            "thm-perrin-even": 181, "thm-perrin-odd": 13 * 239}
+
+    def test_paper_statements_equal_derived_conditions(self):
+        # the paper's congruences and symbols, at every odd prime each
+        # theorem applies at
+        for cid in THEOREM_IDS:
+            statement = THEOREM_STATEMENTS[cid]
+            for p in primes_upto(2 * 10**4)[1:]:
+                if p not in statement.excluded:
+                    assert derived_condition(cid, p) == statement.condition(p), (cid, p)
 
     def test_theorem_classes_are_the_candidate_formula(self):
         # the candidate classes {(j z - 3) mod pi(p) : j = 1..4} when the side
@@ -206,11 +265,6 @@ class TestPredicates:
                 assert predicted_ks(cid, p) == expected, (cid, p)
                 assert reference.predicted_classes(cid, profile) == expected
         assert seen == set(side_conditions)
-
-    def test_side_condition_congruence_equivalences(self):
-        for _, p in twin_primes_upto(500):
-            assert (p % 4 == 1) == (legendre(-1, p) == 1)
-            assert (p % 3 == 1) == (legendre(-3, p) == 1)
 
 
 class TestNormReductions:
