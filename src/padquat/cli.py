@@ -14,24 +14,14 @@ option table; argparse reads anything else (help, version, abbreviations,
 `--option=value`, values that start with "-") and reports every usage error.
 """
 
-from __future__ import annotations
-
 import argparse
 import io
-import json
 import os
 import sys
 
 from . import __version__
 from .fibonacci import FibProfile
 from .modular import require_odd_prime, require_twin_prime, twin_primes_upto
-from .sequences import (
-    SeqParams,
-    padovan_mod,
-    padovan_sym_terms,
-    perrin_mod,
-    perrin_sym_terms,
-)
 from .verifier import (
     CASE_IDS,
     FAILS,
@@ -43,7 +33,8 @@ from .verifier import (
 
 
 # Largest --p that fib, verify and seq accept: z(p) comes from trial division
-# of p - (5/p), whose cost grows with sqrt(p).
+# of p - (5/p), whose cost grows with its second-largest prime factor, up to
+# sqrt(p).
 MAX_PRIME = 10**12
 # Largest --upto that seq and scan accept; every term, and every row of a
 # scan, is held in memory.  Measured on a 2-vCPU Intel Xeon with Python 3.11:
@@ -70,7 +61,8 @@ _CONFIG_DEFAULTS = {"symbolic": False, "scan_multiplier": 2}
 
 # Each command's options, in help order: option -> (type, choices, default,
 # required, help); a bool option is a flag.  build_parser adds them to
-# argparse, and _plain_args reads a plain argv from the same rows.
+# argparse, and _plain_args reads a plain argv from tables derived from the
+# same rows.
 _OUTPUT_OPTIONS = {"--format": (str, ("table", "json", "csv"), "table", False, None),
                    "--out": (str, None, None, False, "output path (default: stdout)")}
 _OPTIONS = {
@@ -88,6 +80,29 @@ _OPTIONS = {
         "--upto": (int, None, None, True, "inclusive bound on the twin prime p"),
         "--scan-multiplier": (int, None, 2, False, None), **_OUTPUT_OPTIONS},
 }
+
+
+def _attribute(option: str) -> str:
+    """The namespace attribute of `option`, as argparse names it."""
+    return option[2:].replace("-", "_")
+
+
+# What _plain_args reads per command, derived from _OPTIONS at import:
+# option -> (type, choices, attribute); the namespace of an argv that gives
+# no option, with _CONFIG_DEFAULTS; and the attributes of required options.
+_PLAIN = {
+    command: (
+        {name: (row[0], row[1], _attribute(name)) for name, row in options.items()},
+        {"command": command, **_CONFIG_DEFAULTS,
+         **{_attribute(name): row[2] for name, row in options.items()}},
+        {_attribute(name) for name, row in options.items() if row[3]},
+    )
+    for command, options in _OPTIONS.items()
+}
+# fib's fields, in output order: the table's format line per field, the
+# JSON profile's keys and the CSV header
+_FIB_FIELDS = ("p", "entry_point", "pisano_period", "relation")
+_FIB_TABLE = "".join(f"{name}: %s\n" for name in _FIB_FIELDS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,6 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _json_document(args: argparse.Namespace, payload: dict) -> str:
+    import json  # imported here: the table and csv outputs do not need it
+
     config = {k: v for k, v in vars(args).items() if v is not None}
     doc = {"tool_version": __version__, "config": config, **payload}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -163,6 +180,15 @@ def _require_twin_prime(p: int) -> None:
 
 
 def cmd_seq(args: argparse.Namespace) -> tuple[str, int]:
+    # imported here: no other command runs the sequences
+    from .sequences import (
+        SeqParams,
+        padovan_mod,
+        padovan_sym_terms,
+        perrin_mod,
+        perrin_sym_terms,
+    )
+
     n = args.upto
     if args.symbolic and args.p is not None:
         raise CliError("--p does not apply to --symbolic terms")
@@ -193,17 +219,12 @@ def cmd_fib(args: argparse.Namespace) -> tuple[str, int]:
     except ValueError as exc:
         raise CliError(f"--p must be an odd prime >= 3, got {args.p}") from exc
     profile = FibProfile.of(args.p)
-    payload = {
-        "p": profile.p,
-        "entry_point": profile.entry_point,
-        "pisano_period": profile.pisano_period,
-        "relation": profile.relation(),
-    }
+    values = (profile.p, profile.entry_point, profile.pisano_period, profile.relation())
     if args.format == "json":
-        return _json_document(args, {"profile": payload}), 0
+        return _json_document(args, {"profile": dict(zip(_FIB_FIELDS, values))}), 0
     if args.format == "csv":
-        return _csv_text(list(payload), [tuple(payload.values())]), 0
-    return "".join(f"{k}: {v}\n" for k, v in payload.items()), 0
+        return _csv_text(_FIB_FIELDS, [values]), 0
+    return _FIB_TABLE % values, 0
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
@@ -265,32 +286,30 @@ def _plain_args(argv: list[str]) -> argparse.Namespace | None:
     exact options, each a flag alone or `--option value` with a value that
     does not start with "-" and passes the option's type and choices, every
     required one given.  argparse reads such an argv the same way."""
-    options = _OPTIONS.get(argv[0]) if argv else None
-    if options is None:
+    plain = _PLAIN.get(argv[0]) if argv else None
+    if plain is None:
         return None
+    options, defaults, required = plain
     given, tokens = {}, iter(argv[1:])
     for name in tokens:
         if name not in options:
             return None
-        kind, choices = options[name][:2]
+        kind, choices, attribute = options[name]
         if kind is bool:
-            given[name] = True
+            given[attribute] = True
             continue
         value = next(tokens, "-")  # a missing value is argparse's error
         if value.startswith("-"):
             return None
         try:
-            given[name] = value = kind(value)
+            given[attribute] = value = kind(value)
         except ValueError:
             return None
         if choices is not None and value not in choices:
             return None
-    args = argparse.Namespace(command=argv[0], **_CONFIG_DEFAULTS)
-    for name, (_, _, default, required, _) in options.items():
-        if required and name not in given:
-            return None
-        setattr(args, name[2:].replace("-", "_"), given.get(name, default))
-    return args
+    if not required <= given.keys():
+        return None
+    return argparse.Namespace(**(defaults | given))
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:

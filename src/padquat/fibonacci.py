@@ -5,25 +5,27 @@ period pi(p) is the period of the Fibonacci sequence mod p.  z(p) divides
 p - (5/p) (Wall 1960, Vinson 1963), so it is found by order reduction over
 the prime factors of that number, found by trial division: by a table of
 the primes below 2^12, all that any n < 2^24 needs, then over the 2*3
-wheel.  At a split prime, (5/p) = 1, z(p) is the multiplicative order of
--phi^2 for the root phi of x^2 - x - 1 mod p, so each order test is one
-builtin `pow`, and phi comes from a square root of 5 by builtin `pow` and
-int products (its non-residue by Euler's criterion); at an inert prime,
-and at 5, each test is a fast-doubling pair.  F_z = 0 makes Q^z = r I for
-the Fibonacci matrix Q and r = F_{z+1}, so pi(p) = z(p) ord_p(r), with
-ord_p(r) one of 1, 2, 4: `FibProfile.of` reads it from the pair
-(F_z, F_{z+1}) that the order reduction hands over, from Binet's formula
-(one `pow` and a square) at a split prime and by fast doubling at an
-inert one.  Every function takes its arguments as given; the CLI checks a
-p from outside with `modular.require_odd_prime`.
+wheel until the cofactor is 1 or passes `modular.is_prime`.  At a split
+prime, (5/p) = 1, z(p) is the multiplicative order of -phi^2 for the root
+phi of x^2 - x - 1 mod p, so each order test is one builtin `pow`, and phi
+comes from a square root of 5 by builtin `pow` and int products (at
+p = 1 (mod 8), Tonelli-Shanks takes the least non-residue, a prime n found
+by quadratic reciprocity, (n/p) = (p/n), with small `pow`s mod n); at an
+inert prime, and at 5, each test is a fast-doubling pair.  F_z = 0 makes
+Q^z = r I for the Fibonacci matrix Q and r = F_{z+1}, and Cassini's
+identity then gives r^2 = (-1)^z, so pi(p) = z(p) ord_p(r) with r of order
+4 at an odd z and r = +-1 at an even one: `FibProfile.of` reads r from the
+pair (F_z, F_{z+1}) that the order reduction hands over, from Binet's
+formula (one `pow` and a square) at a split prime and by fast doubling at
+an inert one, and writes its powers in closed form.  Every function takes
+its arguments as given; the CLI checks a p from outside with
+`modular.require_odd_prime`.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 from itertools import compress
 
-from .modular import _sieve
+from .modular import _sieve, is_prime
 
 
 def fib_pair(n: int, m: int) -> tuple[int, int]:
@@ -44,12 +46,15 @@ def fib_pair(n: int, m: int) -> tuple[int, int]:
 # (q, q^2) for each prime q < 2^12, the last 4093: no n < 4097^2, which is
 # past 2^24, needs a trial divisor beyond the table
 _PRIME_TABLE = tuple((q, q * q) for q in compress(range(4096), _sieve(4095)))
+# the odd primes of the table, which _sqrt5 tries as non-residues in turn
+_ODD_PRIMES = tuple(q for q, _ in _PRIME_TABLE[1:])
 
 
 def _prime_factors(n: int) -> list[int]:
     """The distinct prime factors of n >= 1, ascending, by trial division:
-    over the prime table, then, while some q^2 <= n is left, over the 2*3
-    wheel's 6k -+ 1 from 4097 = 6*682 + 5."""
+    over the prime table, then, while what is left is neither 1 nor prime,
+    over the 2*3 wheel's 6k -+ 1 from 4097 = 6*682 + 5.  Past the table the
+    cost grows with the second-largest prime factor of n."""
     out = []
     for q, square in _PRIME_TABLE:
         if square > n:
@@ -60,16 +65,23 @@ def _prime_factors(n: int) -> list[int]:
             while n % q == 0:
                 n //= q
     else:
-        # 4097 is a 6k + 5, so the steps run 2, 4, 2, ...; these steps from a
-        # 6k + 1 would skip every 6k + 5 and miss those prime factors
+        # n has no prime factor below 2^12, and changes only at a division:
+        # it is tested for primality here and after each one, and the search
+        # ends once it is 1 or prime.  A composite n has a prime factor up to
+        # its square root, which the wheel meets first; the bound keeps a
+        # wrong wheel from running on towards n.  4097 is a 6k + 5, so the
+        # steps run 2, 4, 2, ...; these steps from a 6k + 1 would skip every
+        # 6k + 5 and miss those prime factors
         q, step = 4097, 2
-        while q * q <= n:
-            if n % q == 0:
-                out.append(q)
+        while n > 1 and not is_prime(n):
+            while q * q <= n and n % q:
+                q, step = q + step, 6 - step
+            if q * q > n:
+                break
+            out.append(q)
+            n //= q
+            while n % q == 0:
                 n //= q
-                while n % q == 0:
-                    n //= q
-            q, step = q + step, 6 - step
     if n > 1:
         out.append(n)
     return out
@@ -84,14 +96,17 @@ def _sqrt5(p: int) -> int:
         # 5 v (i - 1) squares to 5
         v = pow(10, (p - 5) // 8, p)
         return 5 * v * (10 * v * v - 1) % p
-    # Tonelli-Shanks, p - 1 = q 2^e.  n is a non-square mod p when
-    # n^((p-1)/2) = -1, by Euler's criterion; the least non-square is an odd
-    # prime, as 2 is a square at p = 1 (mod 8)
+    # Tonelli-Shanks, p - 1 = q 2^e, with a non-square n.  The least one is
+    # an odd prime, as 2 is a square at p = 1 (mod 8), and p = 1 (mod 4)
+    # makes (n/p) = (p/n) by reciprocity: Euler's criterion mod n reads it
+    # with a pow of small numbers.  The least non-square is below p, so no n
+    # reaches p, where p % n would read 0, and far below the table's last
+    # prime: under GRH below 2 ln(p)^2 (Bach 1990), 1,527 at p = 10^12
     e = ((p - 1) & (1 - p)).bit_length() - 1
     q = p >> e
-    n = 3
-    while pow(n, (p - 1) >> 1, p) != p - 1:
-        n += 2
+    for n in _ODD_PRIMES:
+        if pow(p % n, n >> 1, n) == n - 1:
+            break
     # x^2 = 5 t keeps the error t in the 2^m-th roots of unity, c of order
     # 2^m; each round lowers the order of t
     w = pow(5, q >> 1, p)
@@ -151,15 +166,17 @@ class FibProfile(namedtuple("FibProfile", "p entry_point powers")):
     @classmethod
     def of(cls, p: int) -> "FibProfile":
         """The profile of an odd prime p >= 3 (unchecked), certified:
-        raises AssertionError unless F_z = 0, r^j = 1 for some j <= 4 and
-        pi(p) is even."""
+        raises AssertionError unless F_z = 0 and r^2 = (-1)^z.  By
+        Cassini's identity F_{z-1} F_{z+1} - F_z^2 = (-1)^z, where
+        F_{z-1} = F_{z+1} once F_z = 0, every true pair passes; the
+        certificate makes r^4 = 1 and pi(p) even.  It does not show that z
+        is the least zero index."""
         z, (f_z, r) = _entry_pair(p)
-        powers = [r]
-        while powers[-1] != 1 and len(powers) < 4:
-            powers.append(powers[-1] * r % p)
-        if f_z or powers[-1] != 1 or z * len(powers) % 2:
+        if f_z or r * r % p != (p - 1 if z % 2 else 1):
             raise AssertionError(f"F_z, F_(z+1) certify no Pisano period for p={p}, z={z}")
-        return cls(p, z, tuple(powers))
+        # r^2 = -1 gives (r, -1, -r, 1); r^2 = 1 gives r = 1 or r = -1
+        powers = (r, p - 1, p - r, 1) if z % 2 else (1,) if r == 1 else (r, 1)
+        return tuple.__new__(cls, (p, z, powers))
 
     @property
     def pisano_period(self) -> int:

@@ -6,8 +6,6 @@ moduli are plain ints; everything is deterministic and exact, no floats.
 CLI calls them, and every other function takes its arguments as given.
 """
 
-from __future__ import annotations
-
 import math
 
 

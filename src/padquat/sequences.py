@@ -7,8 +7,6 @@ modular terms are plain ints in [0, m).  Parameters are taken as given: the
 CLI checks that a --p heads a twin prime pair before it builds them.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 

@@ -26,8 +26,6 @@ hands over twin primes and the claim ids that apply at them.  The linear,
 matrix and full-window references live in the tests.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Iterable
 

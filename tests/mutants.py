@@ -22,6 +22,7 @@ class Mutant(NamedTuple):
 
 VERIFIER = "src/padquat/verifier.py"
 FIBONACCI = "src/padquat/fibonacci.py"
+CLI = "src/padquat/cli.py"
 
 MUTANTS = (
     Mutant(
@@ -80,5 +81,41 @@ MUTANTS = (
         ("tests/test_fibonacci.py::TestEntryPoint::test_examples",
          "tests/test_fibonacci.py::TestEntryPointMinimal::test_every_odd_prime_to_1e4",
          "tests/test_cli.py::TestGoldenBytes::test_stdout_digest"),
+    ),
+    Mutant(
+        "Cassini sign fixed to 1",
+        FIBONACCI,
+        "r * r % p != (p - 1 if z % 2 else 1)",
+        "r * r % p != 1",
+        ("tests/test_fibonacci.py::TestEntryPoint::test_examples",
+         "tests/test_fibonacci.py::TestProfile::test_powers_are_the_stepped_powers_of_r_to_1e5",
+         "tests/test_cli.py::TestGoldenBytes::test_stdout_digest"),
+    ),
+    Mutant(
+        # pow(p % n, n >> 1, n) is 1 or n - 1 for every n below p, so the
+        # flip to "!= 1" reads the same; this one takes a square for n
+        "non-residue test flipped",
+        FIBONACCI,
+        "pow(p % n, n >> 1, n) == n - 1",
+        "pow(p % n, n >> 1, n) != n - 1",
+        ("tests/test_fibonacci.py::TestSqrt5::test_every_split_prime_1_mod_8_to_1e6",
+         "tests/test_fibonacci.py::TestSqrt5::test_primes_with_a_large_least_non_residue",
+         "tests/test_fibonacci.py::TestSqrt5::test_drawn_split_primes_1_mod_8_to_1e12",
+         "tests/test_fibonacci.py::TestEntryPair::test_matches_reference_at_split_primes_deep_in_two"),
+    ),
+    Mutant(
+        "wheel exit without is_prime: stops at its first factor",
+        FIBONACCI,
+        "while n > 1 and not is_prime(n):",
+        "while n > 1 and not out:",
+        ("tests/test_fibonacci.py::TestPrimeFactors::test_products_at_the_end_of_the_table",),
+    ),
+    Mutant(
+        "plain argv read without its required options",
+        CLI,
+        "    if not required <= given.keys():\n        return None\n",
+        "",
+        ("tests/test_cli.py::TestParser::test_partial_build_matches_full_parser",
+         "tests/test_cli.py::TestParser::test_parse_matches_full_parser_on_drawn_argv"),
     ),
 )

@@ -75,8 +75,8 @@ class TestSeq:
         def refuse(n):
             raise AssertionError("terms built")
 
-        monkeypatch.setattr(cli, "padovan_sym_terms", refuse)
-        monkeypatch.setattr(cli, "perrin_sym_terms", refuse)
+        monkeypatch.setattr(sequences, "padovan_sym_terms", refuse)
+        monkeypatch.setattr(sequences, "perrin_sym_terms", refuse)
         kept = tmp_path / "kept.txt"
         kept.write_bytes(b"earlier\n")
         for out_args in ((), ("--out", str(kept))):
@@ -265,9 +265,11 @@ class TestInputBound:
         def refuse(*args):
             raise AssertionError("work ran")
 
-        for name in ("padovan_sym_terms", "perrin_sym_terms", "padovan_mod",
-                     "perrin_mod", "twin_primes_upto"):
-            monkeypatch.setattr(cli, name, refuse)
+        # seq imports the term builders when it runs, so they are refused
+        # where they live
+        for name in ("padovan_sym_terms", "perrin_sym_terms", "padovan_mod", "perrin_mod"):
+            monkeypatch.setattr(sequences, name, refuse)
+        monkeypatch.setattr(cli, "twin_primes_upto", refuse)
         status, out, err = run_cli(capsys, *argv, str(cap + 1))
         assert status == 1 and out == ""
         assert err == f"error: --upto must be at most {cap}, got {cap + 1}\n"
@@ -638,11 +640,13 @@ class TestCsvText:
             assert buf.getvalue() == line
 
 
-def test_import_loads_no_dataclasses_inspect_or_csv():
+def test_import_loads_only_what_every_command_runs():
     # every CLI run pays for the modules `import padquat.cli` loads; -S keeps
-    # site-packages, and what a .pth file there imports, out of the count
-    code = ("import sys, padquat.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))")
+    # site-packages, and what a .pth file there imports, out of the count.
+    # json (JSON output only) and padquat.sequences (seq only) are imported
+    # by the code that needs them
+    unwanted = {"dataclasses", "inspect", "csv", "json", "padquat.sequences", "__future__"}
+    code = f"import sys, padquat.cli; print(sorted({unwanted!r} & set(sys.modules)))"
     child = subprocess.run([sys.executable, "-S", "-c", code],
                            capture_output=True, text=True, check=True)
     assert child.stdout == "[]\n"
@@ -659,6 +663,11 @@ class TestGoldenBytes:
          "04c39bea215a5fa8a69db3684b3e875dcc52ec44b26042ab9a410152e48e5deb", 2),
         (("fib", "--p", "181", "--format", "json"),
          "7403e6ef09c3ca65c2ced5c9b756d67a2ef4c3199083dc100d3c119df7325e4a", 0),
+        # fib's table and csv lines; 1083289 = 1 (mod 8) has least non-residue 41
+        (("fib", "--p", "5"),
+         "a2a51f820d04e04d341441d5df7f0a4b992cc23230f1d74b40199a98a087b5ec", 0),
+        (("fib", "--p", "1083289", "--format", "csv"),
+         "e7bf33918e6c94b3b9657dfece7fb9a3c4483cc2b1ff53e4780062c962854c41", 0),
         (("seq", "--p", "5", "--upto", "6", "--format", "json"),
          "7c3e9db86884d50140db4e32db45b73e2ee8af61558c9b581a5b7b7e5b3ff784", 0),
         (("seq", "--symbolic", "--upto", "4", "--format", "json"),

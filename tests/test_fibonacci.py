@@ -1,3 +1,5 @@
+from itertools import count
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,8 +89,9 @@ class TestFibMod:
 
 class TestPrimeFactors:
     """`_prime_factors` against `reference.prime_factors`, which divides by
-    every odd number: within the prime table's reach, at its end, and at
-    drawn n up to 10^13, where the 2*3 wheel goes on from 4097."""
+    every odd number: within the prime table's reach, at its end, at prime
+    cofactors past it, and at drawn n up to 10^13, where the 2*3 wheel goes
+    on from 4097 until what is left is 1 or prime."""
 
     def test_table_is_the_primes_below_2_to_the_12(self):
         assert fibonacci._PRIME_TABLE == tuple((q, q * q) for q in primes_upto(4095))
@@ -98,10 +101,21 @@ class TestPrimeFactors:
             assert fibonacci._prime_factors(n) == sorted(prime_factors(n)), n
 
     # 4099 = 1 and 4127, 4133 = 5 (mod 6): the first primes past the table
-    # of each wheel class
+    # of each wheel class; the last two leave a composite after the wheel's
+    # first division
     @pytest.mark.parametrize("n", [4093**2, 4093 * 4099, 4099**2, 4099 * 4111,
-                                   4127 * 4133, 2**24 - 1, 2**24 + 1])
+                                   4127 * 4133, 2**24 - 1, 2**24 + 1,
+                                   4099 * 4111 * 4127, 4099 * 4111**2])
     def test_products_at_the_end_of_the_table(self, n):
+        assert fibonacci._prime_factors(n) == sorted(prime_factors(n))
+
+    # 999999999989 is the largest prime below 10^12: alone, right after the
+    # table and beside a second prime past the table, where the wheel stops
+    # at the smaller one
+    @pytest.mark.parametrize("n", [999999999989, 2 * 3 * 999999999989, 4093 * 999999999989,
+                                   4099 * 999999999989, 999983 * 1000003,
+                                   1000003 * 999999999989])
+    def test_prime_cofactors_past_the_table(self, n):
         assert fibonacci._prime_factors(n) == sorted(prime_factors(n))
 
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -237,6 +251,42 @@ class TestEntryPair:
         assert FibProfile.of(11).pisano_period == 10
 
 
+class TestSqrt5:
+    """`_sqrt5` at p = 1 (mod 8), where Tonelli-Shanks needs a non-square:
+    the least one is found by reciprocity over the odd primes."""
+
+    @staticmethod
+    def least_non_residue(p):
+        return next(n for n in count(2) if legendre(n, p) == -1)
+
+    def test_every_split_prime_1_mod_8_to_1e6(self):
+        primes = [p for p in primes_upto(10**6) if p % 8 == 1 and p % 5 in (1, 4)]
+        assert max(self.least_non_residue(p) for p in primes) == 37
+        for p in primes:
+            assert fibonacci._sqrt5(p) ** 2 % p == 5, p
+
+    # the least split prime p = 1 (mod 8) whose least non-residue is n, for
+    # each prime n from 41 to 83; none below 6 * 10^9 has a larger one
+    @pytest.mark.parametrize("p, n", [(1083289, 41), (7921489, 43), (3818929, 47),
+                                      (9257329, 53), (22000801, 59), (68204761, 61),
+                                      (48473881, 67), (175244281, 71), (1149374521, 73),
+                                      (427733329, 79), (898716289, 83)])
+    def test_primes_with_a_large_least_non_residue(self, p, n):
+        assert is_prime(p) and p % 8 == 1 and legendre(5, p) == 1
+        assert self.least_non_residue(p) == n
+        assert fibonacci._sqrt5(p) ** 2 % p == 5
+        assert fibonacci._entry_pair(p) == entry_pair_by_fib_pair(p)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**12 // 40), st.sampled_from([1, 9]))
+    def test_drawn_split_primes_1_mod_8_to_1e12(self, k, residue):
+        # p = 1 or 9 (mod 40): p = 1 (mod 8) and p = +-1 (mod 5)
+        p = 40 * k + residue
+        while not is_prime(p):
+            p += 40
+        assert fibonacci._sqrt5(p) ** 2 % p == 5, p
+
+
 class TestPisanoPeriod:
     def test_anchor_values(self):
         assert FibProfile.of(181).pisano_period == 90
@@ -279,17 +329,28 @@ class TestProfile:
 
     def test_wrong_entry_point_fails_the_certificate(self, monkeypatch):
         # F_1 = 1, so Q^1 is no multiple of I, though r = F_2 = 1 has order 1;
-        # F_2 = 1 too, though r = F_3 = 2 has order 3 mod 7 and 2 * 3 is even
+        # F_2 = 1 too, though r = F_3 = 2 has order 3 mod 7 and 2 * 3 is even;
+        # z = 8 with r = 2: F_z = 0, 2^3 = 1 and 8 * 3 is even, but 2^2 != 1
         entry_pair = fibonacci._entry_pair
-        for wrong_z in (1, 2):
+        for wrong in ((1, fib_pair(1, 7)), (2, fib_pair(2, 7)), (8, (0, 2))):
             monkeypatch.setattr(
                 fibonacci,
                 "_entry_pair",
-                lambda p: (wrong_z, fib_pair(wrong_z, p)) if p == 7 else entry_pair(p),
+                lambda p: wrong if p == 7 else entry_pair(p),
             )
             with pytest.raises(AssertionError):
                 FibProfile.of(7)
             assert FibProfile.of(13).pisano_period == 28
+
+    def test_powers_are_the_stepped_powers_of_r_to_1e5(self):
+        # r = F_{z+1} from fast doubling, multiplied until r^j = 1
+        for p in primes_upto(10**5)[1:]:
+            profile = FibProfile.of(p)
+            r = fib_pair(profile.entry_point, p)[1]
+            powers = [r]
+            while powers[-1] != 1 and len(powers) < 4:
+                powers.append(powers[-1] * r % p)
+            assert profile.powers == tuple(powers), p
 
     def test_divisibility_characterizes_zeros(self):
         for p in (5, 7, 13, 61):
