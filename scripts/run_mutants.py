@@ -9,8 +9,10 @@ the named tests of every selected mutant must pass on the unchanged copy.
 Then each mutant is applied to the copy in turn, its named tests run in
 one pytest process, and every one of them must fail; the file is restored
 before the next mutant.  Bytecode is never written, so no stale `.pyc`
-can stand in for a mutated source.  Prints one line per mutant and exits
-0 when every mutant is caught, 1 otherwise.
+can stand in for a mutated source.  A pytest run that outlasts
+`TIMEOUT` seconds is stopped and its mutant counted as not caught.
+Prints one line per mutant and exits 0 when every mutant is caught, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -30,16 +32,20 @@ from mutants import MUTANTS  # noqa: E402
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                 "*.egg-info", "build")
+TIMEOUT = 900
 
 
-def _failed(copy: Path, tests: tuple[str, ...]) -> tuple[int, set[str]]:
+def _failed(copy: Path, tests: tuple[str, ...]) -> tuple[int, set[str]] | None:
     """pytest's exit status on `tests` in `copy`, and the node ids it
-    reports as failed."""
+    reports as failed; None if the run outlasts `TIMEOUT`."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests],
-        cwd=copy, env=env, capture_output=True, text=True, timeout=900,
-    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests],
+            cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT,
+        )
+    except subprocess.TimeoutExpired:
+        return None
     return proc.returncode, set(re.findall(r"^FAILED (\S+)", proc.stdout, re.MULTILINE))
 
 
@@ -54,7 +60,11 @@ def main(argv: list[str]) -> int:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=IGNORE)
         tests = tuple(dict.fromkeys(t for m in selected for t in m.tests))
-        status, failed = _failed(copy, tests)
+        result = _failed(copy, tests)
+        if result is None:
+            print("timed out: the unchanged copy: no mutant is checked")
+            return 1
+        status, failed = result
         if status != 0:
             print(f"the unchanged copy fails {sorted(failed) or 'its run'}: no mutant is checked")
             return 1
@@ -64,10 +74,14 @@ def main(argv: list[str]) -> int:
             original = path.read_text(encoding="utf-8")
             path.write_text(original.replace(mutant.old, mutant.new, 1), encoding="utf-8")
             try:
-                _, failed = _failed(copy, mutant.tests)
+                result = _failed(copy, mutant.tests)
             finally:
                 path.write_text(original, encoding="utf-8")
-            missed = [t for t in mutant.tests if not _caught(t, failed)]
+            if result is None:
+                survivors += 1
+                print(f"timed out: {mutant.name}")
+                continue
+            missed = [t for t in mutant.tests if not _caught(t, result[1])]
             survivors += bool(missed)
             print(f"{'SURVIVED' if missed else 'caught'}: {mutant.name}"
                   + "".join(f"\n    passed: {t}" for t in missed))

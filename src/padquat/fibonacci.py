@@ -2,24 +2,28 @@
 
 The entry point z(p) is the least positive index with p | F_z; the Pisano
 period pi(p) is the period of the Fibonacci sequence mod p.  z(p) divides
-p - (5/p) (Wall 1960, Vinson 1963), so it is found by order reduction over
-the prime factors of that number, found by trial division: by a table of
-the primes below 2^12, all that any n < 2^24 needs, then over the 2*3
-wheel until the cofactor is 1 or passes `modular.is_prime`.  At a split
-prime, (5/p) = 1, z(p) is the multiplicative order of -phi^2 for the root
-phi of x^2 - x - 1 mod p, so each order test is one builtin `pow`, and phi
-comes from a square root of 5 by builtin `pow` and int products (at
-p = 1 (mod 8), Tonelli-Shanks takes the least non-residue, a prime n found
-by quadratic reciprocity, (n/p) = (p/n), with small `pow`s mod n); at an
-inert prime, and at 5, each test is a fast-doubling pair.  F_z = 0 makes
-Q^z = r I for the Fibonacci matrix Q and r = F_{z+1}, and Cassini's
-identity then gives r^2 = (-1)^z, so pi(p) = z(p) ord_p(r) with r of order
-4 at an odd z and r = +-1 at an even one: `FibProfile.of` reads r from the
-pair (F_z, F_{z+1}) that the order reduction hands over, from Binet's
-formula (one `pow` and a square) at a split prime and by fast doubling at
-an inert one, and writes its powers in closed form.  Every function takes
-its arguments as given; the CLI checks a p from outside with
-`modular.require_odd_prime`.
+p - (5/p) (Wall 1960, Vinson 1963) and is the order of g = -phi^2 for a
+root phi of x^2 - x - 1, so it is found by order reduction.  The power of
+2 in z(p) comes from p mod 4: g^((p-1)/2) = (-1)^((p-1)/2) at a split
+prime and g^((p+1)/2) = (-1)^((p+3)/2) at an inert one, so z(p) divides
+(p - (5/p))/2 exactly when p = 1 (mod 4), and only the halvings past that
+one, at a split p = 1 (mod 4), take an order test.  The odd part of
+p - (5/p) is factored by trial division: by a table of the primes below
+2^12, all that any n < 2^24 needs, then over the 2*3 wheel until the
+cofactor is 1 or passes `modular.is_prime`.  At a split prime, (5/p) = 1,
+z(p) is the multiplicative order of g mod p, so each order test is one
+builtin `pow`, and phi comes from a square root of 5 by builtin `pow` and
+int products (at p = 1 (mod 8), Tonelli-Shanks takes the least
+non-residue, a prime n found by quadratic reciprocity, (n/p) = (p/n), with
+small `pow`s mod n); at an inert prime, and at 5, each test is a
+fast-doubling pair.  F_z = 0 makes Q^z = r I for the Fibonacci matrix Q
+and r = F_{z+1}, and Cassini's identity then gives r^2 = (-1)^z, so
+pi(p) = z(p) ord_p(r) with r of order 4 at an odd z and r = +-1 at an even
+one: `FibProfile.of` reads r from the pair (F_z, F_{z+1}) that the order
+reduction hands over, from Binet's formula (one `pow` and a square) at a
+split prime and by fast doubling at an inert one, and writes its powers in
+closed form.  Every function takes its arguments as given; the CLI checks
+a p from outside with `modular.require_odd_prime`.
 """
 
 from collections import namedtuple
@@ -126,7 +130,10 @@ def _entry_pair(p: int) -> tuple[int, tuple[int, int]]:
     """z(p) and (F_z, F_{z+1}) mod p, for an odd prime p >= 3 (unchecked)."""
     # the indices n with p | F_n are the multiples of z(p), and z(p) divides
     # p - (5/p), where (5/p) = (p/5) is +1 at p = +-1, -1 at p = +-2 and 0 at
-    # p = 5 (mod 5)
+    # p = 5 (mod 5).  z(p) is the order of g = -phi^2 for a root phi of
+    # x^2 - x - 1, and g^((p - (5/p))/2) is known from p mod 4, so the power
+    # of 2 in z(p) takes no order test beyond the halvings below; only the
+    # odd part of p - (5/p) is factored
     if p % 5 in (1, 4):
         # split: F_n = (phi^n - psi^n)/s with s^2 = 5, phi, psi = (1 -+ s)/2
         # and phi psi = -1, so F_n = 0 iff g^n = 1 for g = phi/psi = -phi^2:
@@ -136,8 +143,15 @@ def _entry_pair(p: int) -> tuple[int, tuple[int, int]]:
             raise AssertionError(f"{s} is no square root of 5 mod {p}")
         phi = (1 + s) * ((p + 1) // 2) % p
         g = -phi * phi % p
+        # phi^(p-1) = 1 gives g^((p-1)/2) = (-1)^((p-1)/2): z | (p - 1)/2 at
+        # p = 1 (mod 4), where each further halving is tested last, and the
+        # 2-part of z is 2 = that of p - 1 at p = 3 (mod 4)
         z = p - 1
-        for q in _prime_factors(z):
+        factors = _prime_factors(z // (z & -z))
+        if p % 4 == 1:
+            z >>= 1
+            factors.append(2)
+        for q in factors:
             while z % q == 0 and pow(g, z // q, p) == 1:
                 z //= q
         # the pair by Binet, apart from the order test: F_z s = phi^z - psi^z
@@ -147,10 +161,15 @@ def _entry_pair(p: int) -> tuple[int, tuple[int, int]]:
         if a * a % p != (p - 1 if z % 2 else 1):
             raise AssertionError(f"F_z != 0 mod {p} at z = {z}")
         return z, (0, a)
-    # inert, and p = 5: divide out each prime factor of p + 1 (of 5) while
-    # the quotient still indexes a zero, keeping that zero's pair
-    z, pair = p + 1 if p % 5 else p, None
-    for q in _prime_factors(z):
+    # inert: the Frobenius map swaps the roots, so phi^(p+1) = phi psi = -1
+    # and g^((p+1)/2) = (-1)^((p+3)/2).  At p = 3 (mod 4) the 2-part of z is
+    # that of p + 1; at p = 1 (mod 4) z divides the odd (p + 1)/2.  Then,
+    # as at p = 5, whose odd part is 5, divide out each odd prime factor
+    # while the quotient still indexes a zero, keeping that zero's pair
+    z = p + 1 if p % 5 else p
+    odd = z // (z & -z)
+    z, pair = odd if p % 4 == 1 else z, None
+    for q in _prime_factors(odd):
         while z % q == 0 and (below := fib_pair(z // q, p))[0] == 0:
             z, pair = z // q, below
     return z, pair or fib_pair(z, p)

@@ -64,24 +64,19 @@ def _sieve(bound: int) -> bytearray:
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(bound) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+            sieve[i * i :: i] = bytes((bound - i * i) // i + 1)
     return sieve
 
 
 def twin_primes_upto(bound: int) -> list[tuple[int, int]]:
     """Twin prime pairs (p-2, p) with 5 <= p <= bound, ascending in p."""
     sieve = _sieve(bound)
-    # flag i of `both` is sieve[i + 3] & sieve[i + 5], the pair (i + 3, i + 5):
-    # every flag is 0 or 1, so the AND of the two views as integers is bytewise
-    n = bound - 4
-    if n <= 0:
-        return []
-    heads = int.from_bytes(sieve[5:], "little") & int.from_bytes(sieve[3:-2], "little")
-    both = heads.to_bytes(n, "little")
-    pairs, i = [], both.find(1)
-    while i >= 0:
-        pairs.append((i + 3, i + 5))
-        i = both.find(1, i + 1)
+    # (n, n + 2) with n >= 3 is a pair exactly where the flags from n read
+    # 1, 0, 1: n + 1 is even and past 2, so its flag is 0
+    pairs, n = [], sieve.find(b"\x01\x00\x01", 3)
+    while n >= 0:
+        pairs.append((n, n + 2))
+        n = sieve.find(b"\x01\x00\x01", n + 1)
     return pairs
 
 

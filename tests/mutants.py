@@ -111,6 +111,46 @@ MUTANTS = (
         ("tests/test_fibonacci.py::TestPrimeFactors::test_products_at_the_end_of_the_table",),
     ),
     Mutant(
+        "split free halving taken at p = 3 (mod 4)",
+        FIBONACCI,
+        "        if p % 4 == 1:\n            z >>= 1\n",
+        "        if p % 2 == 1:\n            z >>= 1\n",
+        ("tests/test_fibonacci.py::TestEntryPoint::test_matches_scan",
+         "tests/test_fibonacci.py::TestEntryPair::test_matches_reference_for_every_odd_prime_to_1e6",
+         "tests/test_fibonacci.py::TestTwoPart::test_no_order_test_at_the_half_index",
+         "tests/test_cli.py::TestGoldenBytes::test_stdout_digest"),
+    ),
+    Mutant(
+        "inert rule inverted",
+        FIBONACCI,
+        "odd if p % 4 == 1 else z",
+        "odd if p % 4 == 3 else z",
+        ("tests/test_fibonacci.py::TestEntryPoint::test_examples",
+         "tests/test_fibonacci.py::TestEntryPair::test_matches_reference_for_every_odd_prime_to_1e6",
+         "tests/test_fibonacci.py::TestTwoPart::test_inert_two_part_to_1e5",
+         "tests/test_fibonacci.py::TestTwoPart::test_inert_two_part_at_drawn_primes_to_1e12",
+         "tests/test_cli.py::TestGoldenBytes::test_stdout_digest"),
+    ),
+    Mutant(
+        # z stays a multiple of 2^(e-1) for 2^e || p - 1, so the 2-part is
+        # wrong wherever z(p) divides (p - 1)/4, p = 1 (mod 8) among them
+        "further halvings at split p = 1 (mod 4) dropped",
+        FIBONACCI,
+        "            factors.append(2)\n",
+        "",
+        ("tests/test_fibonacci.py::TestEntryPair::test_matches_reference_for_every_odd_prime_to_1e6",
+         "tests/test_fibonacci.py::TestEntryPair::test_matches_reference_at_split_primes_deep_in_two",
+         "tests/test_fibonacci.py::TestTwoPart::test_no_order_test_at_the_half_index"),
+    ),
+    Mutant(
+        # the same z, with the order test at (p - 1)/2 put back
+        "split p - 1 factored whole",
+        FIBONACCI,
+        "_prime_factors(z // (z & -z))",
+        "_prime_factors(z)",
+        ("tests/test_fibonacci.py::TestTwoPart::test_no_order_test_at_the_half_index",),
+    ),
+    Mutant(
         "plain argv read without its required options",
         CLI,
         "    if not required <= given.keys():\n        return None\n",

@@ -14,6 +14,9 @@ not the ones `padquat.verifier` derives from the norm reductions.
   and a fast-doubling pair at every order test, the reference for
   `fibonacci._entry_pair`, which tests a split prime by a power of
   -phi^2 and builds its pair from Binet;
+- `fib_by_matrix`: F_n mod m from a power of the Fibonacci matrix, apart
+  from fast doubling, the reference for where the zeros fall that
+  `fibonacci._entry_pair` reads from p mod 4;
 - `pisano_by_candidates`: pi(p) as the first of z, 2z, 4z at which the
   pair (F_L, F_{L+1}) returns to (0, 1), the reference for the order of
   r = F_{z+1} that `FibProfile.of` reads;
@@ -286,6 +289,20 @@ def entry_pair_by_fib_pair(p: int) -> tuple[int, tuple[int, int]]:
         while z % q == 0 and (below := fib_pair(z // q, p))[0] == 0:
             z, pair = z // q, below
     return z, pair or fib_pair(z, p)
+
+
+def fib_by_matrix(n: int, m: int) -> int:
+    """F_n mod m, the off-diagonal entry of Q^n for Q = ((1, 1), (1, 0)),
+    by repeated squaring.  The powers of Q are symmetric and commute, so
+    each is kept as (top-left, off-diagonal, bottom-right)."""
+    a, b, c = 1, 0, 1  # Q^0
+    x, y, w = 1, 1, 0  # Q^(2^i)
+    while n:
+        if n & 1:
+            a, b, c = (a * x + b * y) % m, (a * y + b * w) % m, (b * y + c * w) % m
+        n >>= 1
+        x, y, w = (x * x + y * y) % m, (x * y + y * w) % m, (y * y + w * w) % m
+    return b
 
 
 def pisano_by_candidates(p: int) -> int:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from paper import PrimeModulus
 from reference import (
     entry_pair_by_fib_pair,
+    fib_by_matrix,
     legendre,
     pisano_by_candidates,
     prime_factors,
@@ -249,6 +250,86 @@ class TestEntryPair:
         with pytest.raises(AssertionError):
             FibProfile.of(61)
         assert FibProfile.of(11).pisano_period == 10
+
+
+def half_index(p):
+    """(p - (5/p))/2, the index of the order test that p mod 4 decides."""
+    return (p - legendre(5, p)) // 2
+
+
+def two_part_exponent(p):
+    """v2(z(p)) by the reference alone: z(p) divides n = p - (5/p), so it is
+    the least e with F_{o 2^e} = 0 for the odd part o of n."""
+    n = p - legendre(5, p)
+    o, e = n // (n & -n), 0
+    while fib_by_matrix(o << e, p):
+        e += 1
+    return e
+
+
+def v2(n):
+    return (n & -n).bit_length() - 1
+
+
+class TestTwoPart:
+    """The power of 2 in z(p) follows from p mod 4, by the reference's
+    matrix powers: with g = -phi^2, of order z(p), g^((p - (5/p))/2) is
+    (-1)^((p-1)/2) at a split p and (-1)^((p+3)/2) at an inert one.  So
+    F at (p - (5/p))/2 is 0 exactly when p = 1 (mod 4), and `_entry_pair`
+    never tests that index."""
+
+    def test_half_index_is_a_zero_exactly_at_1_mod_4_to_1e6(self):
+        for p in primes_upto(10**6)[1:]:
+            if p != 5:
+                assert (fib_by_matrix(half_index(p), p) == 0) == (p % 4 == 1), p
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(min_value=7, max_value=10**12))
+    def test_half_index_at_drawn_primes_to_1e12(self, n):
+        p = n
+        while not is_prime(p):
+            p -= 1
+        if p != 5:
+            assert (fib_by_matrix(half_index(p), p) == 0) == (p % 4 == 1), p
+
+    @staticmethod
+    def assert_inert_two_part(p):
+        e = two_part_exponent(p)
+        assert e == (v2(p + 1) if p % 4 == 3 else 0), p
+        assert v2(fibonacci._entry_pair(p)[0]) == e, p
+
+    def test_inert_two_part_to_1e5(self):
+        inert = [p for p in primes_upto(10**5)[1:] if legendre(5, p) == -1]
+        assert {p % 4 for p in inert} == {1, 3}
+        for p in inert:
+            self.assert_inert_two_part(p)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**12 // 20), st.sampled_from([3, 7, 13, 17]))
+    def test_inert_two_part_at_drawn_primes_to_1e12(self, k, residue):
+        # p = 3, 7, 13 or 17 (mod 20): p = +-2 (mod 5), either class mod 4
+        p = 20 * k + residue
+        while not is_prime(p):
+            p += 20
+        self.assert_inert_two_part(p)
+
+    def test_no_order_test_at_the_half_index(self, monkeypatch):
+        # every pow mod p and every fast-doubling pair _entry_pair asks for
+        calls = []
+        monkeypatch.setattr(fibonacci, "pow", raising=False,
+                            value=lambda b, e, m: calls.append((e, m)) or pow(b, e, m))
+        monkeypatch.setattr(fibonacci, "fib_pair",
+                            lambda n, m: calls.append((n, m)) or fib_pair(n, m))
+        # the odd primes past 5 below 2000; the largest prime below 10^12 of
+        # each class, split or inert and 1 or 3 (mod 4); a split p = 1 (mod 2^12)
+        for p in [*primes_upto(2000)[3:], 999999999989, 999999999959, 999999999937,
+                  999999999863, 102707201]:
+            calls.clear()
+            z, pair = fibonacci._entry_pair(p)
+            at_half = [n for n, m in calls if m == p and n == half_index(p)]
+            assert calls and (z, pair) == entry_pair_by_fib_pair(p), p
+            # only the certificate of a final z at the half index runs there
+            assert len(at_half) == (z == half_index(p)), (p, z, calls)
 
 
 class TestSqrt5:
