@@ -12,7 +12,8 @@ before the next mutant.  Bytecode is never written, so no stale `.pyc`
 can stand in for a mutated source.  A pytest run that outlasts
 `TIMEOUT` seconds is stopped and its mutant counted as not caught.
 Prints one line per mutant and exits 0 when every mutant is caught, 1
-otherwise.
+otherwise; names that select no mutant print one line and exit 1 before
+anything is copied or run.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ def _caught(test: str, failed: set[str]) -> bool:
 
 def main(argv: list[str]) -> int:
     selected = [m for m in MUTANTS if not argv or any(word in m.name for word in argv)]
+    if not selected:
+        print(f"no mutant matches {' '.join(argv)!r}")
+        return 1
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=IGNORE)

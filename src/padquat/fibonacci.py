@@ -19,11 +19,11 @@ small `pow`s mod n); at an inert prime, and at 5, each test is a
 fast-doubling pair.  F_z = 0 makes Q^z = r I for the Fibonacci matrix Q
 and r = F_{z+1}, and Cassini's identity then gives r^2 = (-1)^z, so
 pi(p) = z(p) ord_p(r) with r of order 4 at an odd z and r = +-1 at an even
-one: `FibProfile.of` reads r from the pair (F_z, F_{z+1}) that the order
-reduction hands over, from Binet's formula (one `pow` and a square) at a
-split prime and by fast doubling at an inert one, and writes its powers in
-closed form.  Every function takes its arguments as given; the CLI checks
-a p from outside with `modular.require_odd_prime`.
+one: `FibProfile.of` takes (F_z, F_{z+1}) from the order reduction, by
+Binet's formula at a split prime and fast doubling at an inert one,
+certifies it by F_z = 0 and r^2 = (-1)^z alone, and writes the powers of r
+in closed form.  Every function takes its arguments as given; the CLI
+checks a p from outside with `modular.require_odd_prime`.
 """
 
 from collections import namedtuple
@@ -154,12 +154,10 @@ def _entry_pair(p: int) -> tuple[int, tuple[int, int]]:
         for q in factors:
             while z % q == 0 and pow(g, z // q, p) == 1:
                 z //= q
-        # the pair by Binet, apart from the order test: F_z s = phi^z - psi^z
-        # is 0, and then F_{z+1} s = phi^z (phi - psi) = phi^z s.  As
-        # psi^z = (-1)^z / phi^z, phi^z = psi^z iff (phi^z)^2 = (-1)^z
+        # the pair by Binet: F_{z+1} s = phi^z (phi - psi) = phi^z s once
+        # F_z s = phi^z - psi^z = 0, iff (phi^z)^2 = (-1)^z as phi psi = -1,
+        # which FibProfile.of certifies; a wrong s would pass it, hence s^2 = 5
         a = pow(phi, z, p)
-        if a * a % p != (p - 1 if z % 2 else 1):
-            raise AssertionError(f"F_z != 0 mod {p} at z = {z}")
         return z, (0, a)
     # inert: the Frobenius map swaps the roots, so phi^(p+1) = phi psi = -1
     # and g^((p+1)/2) = (-1)^((p+3)/2).  At p = 3 (mod 4) the 2-part of z is
@@ -185,11 +183,12 @@ class FibProfile(namedtuple("FibProfile", "p entry_point powers")):
     @classmethod
     def of(cls, p: int) -> "FibProfile":
         """The profile of an odd prime p >= 3 (unchecked), certified:
-        raises AssertionError unless F_z = 0 and r^2 = (-1)^z.  By
-        Cassini's identity F_{z-1} F_{z+1} - F_z^2 = (-1)^z, where
-        F_{z-1} = F_{z+1} once F_z = 0, every true pair passes; the
-        certificate makes r^4 = 1 and pi(p) even.  It does not show that z
-        is the least zero index."""
+        raises AssertionError unless F_z = 0 and r^2 = (-1)^z, the one
+        check of the pair.  By Cassini's identity F_{z-1} F_{z+1} - F_z^2
+        = (-1)^z, where F_{z-1} = F_{z+1} once F_z = 0, every true pair
+        passes; the certificate makes r^4 = 1 and pi(p) even.  It shows
+        neither that z is the least zero index nor that a split prime's
+        phi is a root of x^2 - x - 1, which `_entry_pair` checks by s^2 = 5."""
         z, (f_z, r) = _entry_pair(p)
         if f_z or r * r % p != (p - 1 if z % 2 else 1):
             raise AssertionError(f"F_z, F_(z+1) certify no Pisano period for p={p}, z={z}")

@@ -65,13 +65,15 @@ MUTANTS = (
          "tests/test_fibonacci.py::TestPrimeFactors::test_drawn_n_to_1e13"),
     ),
     Mutant(
-        "Binet square check inverted",
+        # z falls to 1 or 2, no zero of F; at a split prime nothing in
+        # _entry_pair sees it, and the certificate in FibProfile.of raises
+        "split order test always divides",
         FIBONACCI,
-        "a * a % p != (p - 1 if z % 2 else 1)",
-        "a * a % p != (1 if z % 2 else p - 1)",
+        "pow(g, z // q, p) == 1",
+        "pow(g, z // q, p) != 0",
         ("tests/test_fibonacci.py::TestEntryPoint::test_examples",
-         "tests/test_fibonacci.py::TestEntryPair::test_split_pair_is_zero_then_either_root_to_the_z",
-         "tests/test_fibonacci.py::TestEntryPair::test_matches_reference_at_drawn_primes_to_1e9"),
+         "tests/test_fibonacci.py::TestProfile::test_powers_are_the_stepped_powers_of_r_to_1e5",
+         "tests/test_fibonacci.py::TestProfile::test_a_split_index_below_z_fails_the_certificate"),
     ),
     Mutant(
         "z(p) doubled at split primes",

@@ -423,6 +423,22 @@ class TestProfile:
                 FibProfile.of(7)
             assert FibProfile.of(13).pisano_period == 28
 
+    def test_a_split_index_below_z_fails_the_certificate(self, monkeypatch):
+        # `_entry_pair` hands over (0, phi^z) at a split prime unchecked, so
+        # FibProfile.of alone must reject an index z' that is no zero of F:
+        # phi^(2 z') = (-1)^z' iff g^z' = 1 for g = -phi^2, of order z(p)
+        entry_pair = fibonacci._entry_pair
+        for p in primes_upto(10**4):
+            if p % 5 not in (1, 4):
+                continue
+            wrong = FibProfile.of(p).entry_point - 1
+            phi = next(x for x in range(p) if (x * x - x - 1) % p == 0)
+            monkeypatch.setattr(fibonacci, "_entry_pair",
+                                lambda n: (wrong, (0, pow(phi, wrong, n))))
+            with pytest.raises(AssertionError):
+                FibProfile.of(p)
+            monkeypatch.setattr(fibonacci, "_entry_pair", entry_pair)
+
     def test_powers_are_the_stepped_powers_of_r_to_1e5(self):
         # r = F_{z+1} from fast doubling, multiplied until r^j = 1
         for p in primes_upto(10**5)[1:]:

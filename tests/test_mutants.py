@@ -3,11 +3,12 @@
 `scripts/run_mutants.py` runs them, by hand; here each must still name one
 exact spot of the source and tests that exist, so the list cannot rot
 unseen.  `TestRunnerTimeout` checks the runner's handling of a hung
-pytest run without starting one.
+pytest run, and of names that select no mutant, without starting one.
 """
 
 import importlib.util
 import re
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -48,8 +49,8 @@ def _load_runner():
 
 class TestRunnerTimeout:
     """`scripts/run_mutants.py` reports a pytest run that outlasts its
-    timeout and goes on; `subprocess.run` is replaced, so no pytest process
-    starts."""
+    timeout and goes on, and stops at once on names that select no mutant;
+    `subprocess.run` is replaced, so no pytest process starts."""
 
     @staticmethod
     def patch_run(monkeypatch, passes):
@@ -79,3 +80,11 @@ class TestRunnerTimeout:
         assert runner.main([MUTANTS[0].name]) == 1
         assert len(calls) == 1
         assert capsys.readouterr().out == "timed out: the unchanged copy: no mutant is checked\n"
+
+    def test_a_filter_that_selects_nothing_runs_nothing(self, monkeypatch, capsys):
+        runner = _load_runner()
+        calls = self.patch_run(monkeypatch, passes=0)
+        monkeypatch.setattr(shutil, "copytree", lambda *args, **kwargs: pytest.fail("copied"))
+        assert runner.main(["no-such-mutant"]) == 1
+        assert calls == []
+        assert capsys.readouterr().out.splitlines() == ["no mutant matches 'no-such-mutant'"]

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import pytest
 import reference
@@ -863,6 +864,49 @@ class TestRowQuadratics:
         for row, (terms, _, (c0, c1, c2)) in CASE_ROWS.items():
             for wrong in ((c0, c1 // 2, c2), (c0 + 1, c1, c2), (c0, c1, c2 - 1)):
                 assert not self.is_sum_of_squared_terms(terms, wrong), (row, wrong)
+
+
+class TestNormsInF:
+    """Each `CASE_ROWS` norm N(R) over Z in the paper's f, R = f + 1 for QP
+    (f = F_{k+2} - 1 with F_{k+2} = R) and R = -f for QR (f = F_{k+1} = -R),
+    against the encoded reductions: why acceptance criterion 6 is red."""
+
+    @staticmethod
+    def norm_in_f(row):
+        # N(u f + v) as (c2, c1, c0) in f
+        c0, c1, c2 = CASE_ROWS[row][2]
+        u, v = (1, 1) if row[0] == "QP" else (-1, 0)
+        form = (c2 * u * u, (2 * c2 * v + c1) * u, c0 + c1 * v + c2 * v * v)
+        assert all(c0 + c1 * (u * f + v) + c2 * (u * f + v) ** 2
+                   == form[0] * f * f + form[1] * f + form[2] for f in range(-3, 4))
+        return form
+
+    @staticmethod
+    def discriminant(c2, c1, c0):
+        return c1 * c1 - 4 * c2 * c0
+
+    @pytest.mark.parametrize("row, kind, factor", [
+        (("QP", 0), "padovan-even", 2), (("QP", 1), "padovan-odd", 1),
+        (("QR", 1), "perrin-odd", 1)])
+    def test_reduction_is_its_norm_up_to_a_factor(self, row, kind, factor):
+        red = NORM_REDUCTIONS[kind]
+        assert CASE_ROWS[row][1] == red
+        assert self.norm_in_f(row) == (factor * red.c2, factor * red.c1, factor * red.c0)
+
+    def test_perrin_even_norm_is_twice_the_adjusted_form(self):
+        red = PERRIN_EVEN_ADJUSTED
+        assert self.norm_in_f(("QR", 0)) == (2 * red.c2, 2 * red.c1, 2 * red.c0)
+
+    def test_perrin_even_encoded_form_is_no_affine_image_of_its_norm(self):
+        # f -> u f + v and a factor lambda multiply a discriminant by
+        # (lambda u)^2, so the two forms would need a rational square ratio
+        red = NORM_REDUCTIONS["perrin-even"]
+        norm = self.discriminant(*self.norm_in_f(("QR", 0)))
+        encoded = self.discriminant(red.c2, red.c1, red.c0)
+        assert (norm, encoded) == (-18080, -1448)
+        ratio = Fraction(norm, encoded)
+        assert ratio == Fraction(2260, 181)
+        assert not all(math.isqrt(n) ** 2 == n for n in (ratio.numerator, ratio.denominator))
 
 
 class TestZeroQuaternion:
