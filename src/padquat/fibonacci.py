@@ -23,7 +23,7 @@ one: `FibProfile.of` takes (F_z, F_{z+1}) from the order reduction, by
 Binet's formula at a split prime and fast doubling at an inert one,
 certifies it by F_z = 0 and r^2 = (-1)^z alone, and writes the powers of r
 in closed form.  Every function takes its arguments as given; the CLI
-checks a p from outside with `modular.require_odd_prime`.
+checks first that a p from outside is an odd prime.
 """
 
 from collections import namedtuple

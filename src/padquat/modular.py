@@ -1,9 +1,8 @@
 """Exact modular arithmetic over odd prime moduli.
 
-Primality and twin-prime tests and twin-prime enumeration.  Residues and
-moduli are plain ints; everything is deterministic and exact, no floats.
-`require_odd_prime` and `require_twin_prime` check a p from outside; the
-CLI calls them, and every other function takes its arguments as given.
+Primality test and twin-prime enumeration.  Residues and moduli are plain
+ints; everything is deterministic and exact, no floats.  No function here
+checks its arguments: the CLI checks a p from outside with `is_prime`.
 """
 
 import math
@@ -78,18 +77,3 @@ def twin_primes_upto(bound: int) -> list[tuple[int, int]]:
         pairs.append((n, n + 2))
         n = sieve.find(b"\x01\x00\x01", n + 1)
     return pairs
-
-
-def require_odd_prime(p: int) -> None:
-    """Raise ValueError unless p is an odd prime in [3, 2^63)."""
-    if p < 3 or p % 2 == 0 or p.bit_length() > 63:
-        raise ValueError(f"modulus must be an odd prime in [3, 2^63), got {p}")
-    if not is_prime(p):
-        raise ValueError(f"modulus must be prime, got {p}")
-
-
-def require_twin_prime(p: int) -> None:
-    """Raise ValueError unless p - 2 and p are both prime, p >= 5."""
-    if p < 5 or not (is_prime(p) and is_prime(p - 2)):
-        raise ValueError(f"{p} does not head a twin prime pair (p-2, p)")
-

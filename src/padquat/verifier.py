@@ -15,12 +15,13 @@ j = 1 .. pi(p)/z(p), the powers of r that `FibProfile.of` certifies,
 decides every window.  There the norm of each (family, parity) row is an
 integer quadratic N(R) in R = r^j (`CASE_ROWS`), and R^4 = 1 (Cassini's
 identity with F_z = 0), so N(R) = 0 mod p needs p to divide the row's
-resultant N(1) N(-1) N(i) N(-i).  `decide_prime` returns each claim's
+resultant N(1) N(-1) N(i) N(-i).  No hypothesis-index quaternion is zero,
+so a zero norm is a zero divisor.  `decide_prime` returns each claim's
 report row (`ROW_HEADER`): in closed form for a theorem at a prime that
 does not divide its resultant, which sees no zero divisor, else from the
 lists of `_claim_lists`, which reads the row with `jump_oracle` where the
 resultant allows a zero norm.  `scan` and csv/table `verify` print the
-rows; `verdict_record` turns one into the `verify --format json` record,
+rows; `verdict_record` builds one claim's `verify --format json` record,
 every counterexample included.  Nothing here checks its input: the CLI
 hands over twin primes and the claim ids that apply at them.  The linear,
 matrix and full-window references live in the tests.
@@ -215,15 +216,16 @@ def jump_oracle(profile: FibProfile, family: str, parity: int) -> list[tuple[int
     There F_z = 0 makes Q^z = r I, so with R = r^j, the j-th of
     `profile.powers`, F_{k+2} = R and each term is affine in R
     (`CASE_ROWS`).  The norm is then the row's integer quadratic
-    c0 + c1 R + c2 R^2 mod p; only where it vanishes are the terms read, to
-    tell a zero divisor from the zero quaternion.  As r^{pi/z} = 1 the reads
-    repeat with period pi(p)/z(p) in j.
+    c0 + c1 R + c2 R^2 mod p.  A zero norm is a zero divisor: the 2x2
+    minors of each row's terms have gcd 1, so at no p and R do all four
+    terms vanish, and no term is read.  As r^{pi/z} = 1 the reads repeat
+    with period pi(p)/z(p) in j.
     """
-    p, (terms, _, (c0, c1, c2)) = profile.p, CASE_ROWS[family, parity]
+    p, (c0, c1, c2) = profile.p, CASE_ROWS[family, parity][2]
     reads = []
     for power in profile.powers:
         norm = (c0 + (c1 + c2 * power) * power) % p
-        reads.append((power, norm, norm == 0 and any((a + d * power) % p for a, d in terms)))
+        reads.append((power, norm, norm == 0))
     return reads
 
 
@@ -294,25 +296,24 @@ def decide_prime(profile: FibProfile, case_ids: Iterable[str]) -> list[tuple]:
     return rows
 
 
-def verdict_record(profile: FibProfile, row: tuple, multiplier: int) -> dict:
-    """The `verify --format json` record of one `decide_prime` row at
+def verdict_record(profile: FibProfile, claim_id: str, multiplier: int) -> dict:
+    """The `verify --format json` record of claim `claim_id` at
     p = profile.p, over `multiplier` windows of 2 pi(p).  The window
     lcm(sequence period, 2 pi(p)) is 2 pi(p): the profile certifies
     Q^pi = I, so 2 pi(p) is a period of every coefficient stream.  The
-    lists come from `_claim_lists`.  A row that does not fail observes
-    exactly what it predicts, so only a failing one reads its row, once,
-    with `jump_oracle`: for what it observes, and for F_{k+2} and the norm
-    at each disagreeing index m = 2k + parity, the read j = (k + 3)/z(p).
+    claim's row is read once with `jump_oracle`, and the lists and the
+    classification come from `_claim_lists`; F_{k+2} and the norm at each
+    disagreeing index m = 2k + parity are the read j = (k + 3)/z(p).
     Each first-window disagreement recurs in window t = 0 .. multiplier-1
     at index m + 2 pi t and k + pi t, with the same norm and reduced value;
-    the counterexamples list every one, ascending."""
-    claim_id, classification = row[1], row[6]
+    the counterexamples list every one, ascending.
+
+    Precondition, not checked: p heads a twin prime pair and the claim is
+    in `applicable_case_ids(p)`."""
     claim, p, pi = CLAIMS[claim_id], profile.p, profile.pisano_period
     z, parity = profile.entry_point, claim.parity
-    reads = jump_oracle(profile, claim.family, parity) if classification == FAILS else None
-    predicted, observed, disagreements, _ = _claim_lists(profile, claim_id, reads)
-    if reads is None:
-        observed, disagreements = predicted, []
+    reads = jump_oracle(profile, claim.family, parity)
+    predicted, observed, disagreements, classification = _claim_lists(profile, claim_id, reads)
     reduction = CASE_ROWS[claim.family, parity][1]
     first_window = []
     for m in disagreements:

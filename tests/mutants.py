@@ -153,6 +153,34 @@ MUTANTS = (
         ("tests/test_fibonacci.py::TestTwoPart::test_no_order_test_at_the_half_index",),
     ),
     Mutant(
+        "twin check of p + 2 instead of p - 2",
+        CLI,
+        "is_prime(p - 2)",
+        "is_prime(p + 2)",
+        ("tests/test_cli.py::TestSeq::test_modular_requires_twin_prime",
+         "tests/test_cli.py::TestRequireTwinPrime::test_rejects_what_heads_no_twin_pair",
+         "tests/test_cli.py::TestRequireTwinPrime::test_accepts_exactly_the_twin_heads_to_5000"),
+    ),
+    Mutant(
+        "JSON record reads the other parity's row",
+        VERIFIER,
+        "reads = jump_oracle(profile, claim.family, parity)",
+        "reads = jump_oracle(profile, claim.family, 1 - parity)",
+        ("tests/test_verifier.py::TestVerdictRecord::test_perrin_even_holds_at_7",
+         "tests/test_verifier.py::TestOnePeriodVerdict::"
+         "test_matches_full_window_reference_for_every_twin_prime_to_1e4"),
+    ),
+    Mutant(
+        "zero norm never read as a zero divisor",
+        VERIFIER,
+        "reads.append((power, norm, norm == 0))",
+        "reads.append((power, norm, False))",
+        ("tests/test_verifier.py::TestVerdictRecord::test_perrin_even_holds_at_7",
+         "tests/test_verifier.py::TestOnePeriodVerdict::"
+         "test_matches_full_window_reference_for_every_twin_prime_to_1e4",
+         "tests/test_cli.py::TestGoldenBytes::test_stdout_digest"),
+    ),
+    Mutant(
         "plain argv read without its required options",
         CLI,
         "    if not required <= given.keys():\n        return None\n",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from padquat.fibonacci import fib_pair
-from padquat.modular import require_odd_prime
+from padquat.modular import is_prime
 from padquat.sequences import (
     BiPoly,
     SeqParams,
@@ -155,12 +155,17 @@ def padovan_fib_form(m: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class PrimeModulus:
-    """An odd prime modulus p >= 3 (validated on construction)."""
+    """An odd prime modulus p in [3, 2^63), where `is_prime` is exact
+    (validated on construction)."""
 
     p: int
 
     def __post_init__(self) -> None:
-        require_odd_prime(self.p)
+        p = self.p
+        if p < 3 or p % 2 == 0 or p.bit_length() > 63:
+            raise ValueError(f"modulus must be an odd prime in [3, 2^63), got {p}")
+        if not is_prime(p):
+            raise ValueError(f"modulus must be prime, got {p}")
 
 
 class AlgebraMismatch(ValueError):

@@ -36,13 +36,19 @@ not the ones `padquat.verifier` derives from the norm reductions.
   z(p) and pi(p)/z(p) alone, with no norm read, outside the primes 5, 7
   and 13 where a hypothesis-index zero divisor exists;
 - `twin_primes_by_comprehension`: twin pairs by testing both sieve flags
-  at every n, the reference for `modular.twin_primes_upto`.
+  at every n, the reference for `modular.twin_primes_upto`;
+- `fib_form_rows` and `hypothesis_row`: each family's parity rows
+  (A, B, C) solved from three terms of its integer stream
+  (`integer_family_stream`) at any (a, b), and a row's terms and norm
+  quadratic at k = j z(p) - 3, the references for `verifier.FIB_FORMS`
+  and `verifier.CASE_ROWS`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -569,3 +575,71 @@ def closed_form_rows(bound: int) -> list[list[str]]:
                 p, cid, "odd" if claim.parity else "even", z - 3, len(predicted), 0,
                 classification, first)])
     return rows
+
+
+def integer_stream(a: int, b: int, init: Sequence[int], count: int) -> list[int]:
+    """The bi-periodic recurrence over Z from `init`, no modulus: t_n =
+    a t_{n-2} + t_{n-3} at even n and b t_{n-2} + t_{n-3} at odd n."""
+    t = list(init)
+    while len(t) < count:
+        n = len(t)
+        t.append((a if n % 2 == 0 else b) * t[n - 2] + t[n - 3])
+    return t
+
+
+def integer_family_stream(a: int, b: int, family: str, count: int) -> list[int]:
+    """t_0 .. t_{count-1} of `family` over Z at coefficients (a, b): P from
+    (1, 0, a) for QP; for QR, R from (3, 0, 2) at (a, b) at even positions
+    and at (b, a) at odd ones."""
+    if family == "QP":
+        return integer_stream(a, b, (1, 0, a), count)
+    even, odd = integer_stream(a, b, (3, 0, 2), count), integer_stream(b, a, (3, 0, 2), count)
+    return [t if n % 2 == 0 else s for n, (t, s) in enumerate(zip(even, odd))]
+
+
+def _det3(m: Sequence[Sequence[int]]) -> int:
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def fib_form_rows(a: int, b: int, family: str) -> tuple[tuple[int, int, int], ...]:
+    """The rows (A, B, C) for r = 0 and r = 1 with t_{2k+r} = (-1)^k (A +
+    B F_k + C F_{k+1}) for `family`'s integer stream at (a, b), solved by
+    Cramer's rule from k = 0, 1, 2.  Three terms fix the row for every k
+    where the parity subsequences satisfy e_k = -2 e_{k-1} + e_{k-3}, as
+    at (a, b) = (-2, 0) and (0, -2); the caller checks that they do."""
+    t = integer_family_stream(a, b, family, 6)
+    fib = (0, 1, 1, 2)
+    basis = [((-1) ** k, (-1) ** k * fib[k], (-1) ** k * fib[k + 1]) for k in range(3)]
+    det = _det3(basis)
+    rows = []
+    for r in (0, 1):
+        terms = t[r::2]  # t_r, t_{r+2}, t_{r+4}
+        row = []
+        for col in range(3):
+            m = [[terms[k] if c == col else basis[k][c] for c in range(3)] for k in range(3)]
+            x = Fraction(_det3(m), det)
+            assert x.denominator == 1, (family, r, x)
+            row.append(int(x))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def hypothesis_row(rows: Sequence[Sequence[int]], parity: int) -> tuple:
+    """(terms, (c0, c1, c2)) of quaternion m = 2k + parity at k = j z(p) - 3
+    from its family's `rows`: each term t_{m+i} = +-(A + D R) as (A, D) with
+    R = r^j, and the norm sum t^2 = c0 + c1 R + c2 R^2 by interpolation at
+    R = 0, 1, -1.  There Q^{jz} = R I, so F_{k+n} = R F_{n-3}, with
+    F_{-3} .. F_0 stepped back from F_1 = 1, F_0 = 0."""
+    back = [1, 0]  # F_1, F_0, F_{-1}, ...: F_{n-2} = F_n - F_{n-1}
+    while len(back) < 5:
+        back.append(back[-2] - back[-1])
+    f = back[:0:-1]  # F_{-3} .. F_0
+    terms = []
+    for i in range(parity, parity + 4):
+        q, r = divmod(i, 2)  # t_{2(k+q)+r}, up to the sign (-1)^(k+q)
+        a, b, c = rows[r]
+        terms.append((a, b * f[q] + c * f[q + 1]))
+    n0, n1, n_1 = (sum((a + d * x) ** 2 for a, d in terms) for x in (0, 1, -1))
+    return tuple(terms), (n0, (n1 - n_1) // 2, (n1 + n_1) // 2 - n0)

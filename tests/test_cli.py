@@ -104,6 +104,25 @@ class TestSeq:
         assert [r[1] for r in rows[1:]] == ["1", "0", "3", "1", "4"]
 
 
+class TestRequireTwinPrime:
+    def test_rejects_what_heads_no_twin_pair(self):
+        # 3 is below the least head 5, 4 and 9 are composite, 11 - 2 = 9 and
+        # 23 - 2 = 21 are not prime
+        for bad in (3, 4, 9, 11, 23):
+            with pytest.raises(cli.CliError, match=f"^{bad} does not head a twin prime pair"):
+                cli._require_twin_prime(bad)
+
+    def test_accepts_exactly_the_twin_heads_to_5000(self):
+        heads = {p for _, p in modular.twin_primes_upto(5000) if p >= 5}
+        for p in range(-5, 5001):
+            try:
+                cli._require_twin_prime(p)
+            except cli.CliError:
+                assert p not in heads, p
+            else:
+                assert p in heads, p
+
+
 class TestFib:
     def test_profile_181(self, capsys):
         status, out, _ = run_cli(capsys, "fib", "--p", "181")
@@ -156,7 +175,7 @@ class TestVerify:
             calls.append(n)
             return is_prime(n)
 
-        monkeypatch.setattr(modular, "is_prime", counted)
+        monkeypatch.setattr(cli, "is_prime", counted)
         status, _, _ = run_cli(capsys, "verify", "--p", "10009")
         assert status == 2
         assert sorted(calls) == [10007, 10009]
@@ -195,18 +214,26 @@ class TestVerify:
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_decides_once_in_every_format(self, capsys, monkeypatch, fmt):
+        # table and csv take every row from one decide_prime call; json
+        # builds one record per claim and decides no row
         calls = []
-        decide_prime = cli.decide_prime
+        decide_prime, verdict_record = cli.decide_prime, cli.verdict_record
 
-        def counted(profile, case_ids):
+        def counted_rows(profile, case_ids):
             calls.append((profile.p, list(case_ids)))
             return decide_prime(profile, case_ids)
 
-        monkeypatch.setattr(cli, "decide_prime", counted)
+        def counted_record(profile, claim_id, multiplier):
+            calls.append((profile.p, claim_id))
+            return verdict_record(profile, claim_id, multiplier)
+
+        monkeypatch.setattr(cli, "decide_prime", counted_rows)
+        monkeypatch.setattr(cli, "verdict_record", counted_record)
         status, _, _ = run_cli(capsys, "verify", "--p", "13", "--format", fmt,
                                "--scan-multiplier", "4")
         assert status == 2
-        assert calls == [(13, verifier.applicable_case_ids(13))]
+        ids = verifier.applicable_case_ids(13)
+        assert calls == ([(13, cid) for cid in ids] if fmt == "json" else [(13, ids)])
 
     def test_large_prime_qp_norms_match_fib_form(self, capsys):
         # above 10^6 the jump oracle's QP norms at every hypothesis index of
@@ -249,9 +276,9 @@ class TestInputBound:
         def refuse(n):
             raise AssertionError("validation work ran")
 
-        # every primality check goes through modular.is_prime: fib's
-        # require_odd_prime and the require_twin_prime of seq and verify
-        monkeypatch.setattr(modular, "is_prime", refuse)
+        # every check of a --p goes through the is_prime that cli calls:
+        # fib's odd-prime check and the twin-prime check of seq and verify
+        monkeypatch.setattr(cli, "is_prime", refuse)
         status, out, err = run_cli(capsys, *argv, str(self.P))
         assert status == 1 and out == ""
         assert err == f"error: --p must be at most {MAX_PRIME}, got {self.P}\n"
@@ -282,7 +309,7 @@ class TestInputBound:
         def refuse(*args):
             raise AssertionError("work ran")
 
-        for name in ("verdict_record", "decide_prime", "require_twin_prime", "twin_primes_upto"):
+        for name in ("verdict_record", "decide_prime", "is_prime", "twin_primes_upto"):
             monkeypatch.setattr(cli, name, refuse)
         n = MAX_SCAN_MULTIPLIER + 1
         status, out, err = run_cli(capsys, *argv, "--scan-multiplier", str(n))
@@ -465,6 +492,7 @@ class TestScan:
             raise AssertionError("twin primality checked again")
 
         monkeypatch.setattr(modular, "is_prime", refuse)
+        monkeypatch.setattr(cli, "is_prime", refuse)
         status, out, _ = run_cli(capsys, *argv)
         assert (status, out) == unpatched[:2]
         assert status == 2

@@ -16,7 +16,7 @@ from reference import (
 from padquat import fibonacci
 from padquat.cli import MAX_PRIME
 from padquat.fibonacci import FibProfile, fib_pair
-from padquat.modular import is_prime, require_odd_prime
+from padquat.modular import is_prime
 
 ODD_PRIMES = [p for p in primes_upto(1000) if p > 2]
 
@@ -133,11 +133,11 @@ class TestEntryPoint:
         assert FibProfile.of(181).entry_point == 90
 
     def test_rejects_non_prime(self):
-        # FibProfile.of takes p as given; the CLI checks it first
-        for fn in (PrimeModulus, require_odd_prime):
-            for bad in (1, 9, 15):
-                with pytest.raises(ValueError):
-                    fn(bad)
+        # FibProfile.of takes p as given; the CLI checks it first, and the
+        # paper's algebra checks its own modulus
+        for bad in (1, 9, 15):
+            with pytest.raises(ValueError):
+                PrimeModulus(bad)
 
     @pytest.mark.parametrize("p, message", [
         (-7, "modulus must be an odd prime in [3, 2^63), got -7"),
@@ -149,10 +149,9 @@ class TestEntryPoint:
         (2**63 + 1, "modulus must be an odd prime in [3, 2^63), got 9223372036854775809"),
     ])
     def test_shares_the_prime_modulus_message(self, p, message):
-        for fn in (PrimeModulus, require_odd_prime):
-            with pytest.raises(ValueError) as exc:
-                fn(p)
-            assert str(exc.value) == message, fn
+        with pytest.raises(ValueError) as exc:
+            PrimeModulus(p)
+        assert str(exc.value) == message
 
     def test_matches_scan(self):
         for p in primes_upto(20_000)[1:]:

@@ -96,11 +96,17 @@ def test_every_module_is_loaded_by_the_cli():
 
 
 def test_arguments_are_checked_by_the_cli_alone():
-    checks = {"require_odd_prime", "require_twin_prime"}
-    importers = {module for module, tree in TREES.items()
-                 for source, name in _bindings(tree).values()
-                 if source == "modular" and name in checks}
-    assert importers == {"cli"}
+    # a check of outside input raises CliError, in cli; elsewhere a raise is
+    # a certificate's AssertionError, never a check of an argument
+    raised = defaultdict(set)
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised[module].add(ast.unparse(exc))
+    assert raised.pop("cli") == {"CliError", "SystemExit"}
+    assert raised.pop("__main__") == {"SystemExit"}
+    assert set().union(*raised.values()) == {"AssertionError"}
     assert "modular" not in {source for source, _ in _bindings(TREES["sequences"]).values()}
 
 

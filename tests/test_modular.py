@@ -13,7 +13,7 @@ from reference import (
     twin_primes_by_comprehension,
 )
 
-from padquat.modular import _sieve, is_prime, require_twin_prime, twin_primes_upto
+from padquat.modular import _sieve, is_prime, twin_primes_upto
 
 ODD_PRIMES_1000 = [p for p in primes_upto(1000) if p > 2]
 
@@ -119,25 +119,6 @@ class TestTwinPrimes:
         # the per-n sieve test that the bytes AND of the shifted views replaced
         for bound in [*range(-2, 5001), 10**6]:
             assert twin_primes_upto(bound) == twin_primes_by_comprehension(bound), bound
-
-
-class TestRequireTwinPrime:
-    def test_rejects_what_heads_no_twin_pair(self):
-        # 3 is below the least head 5, 4 and 9 are composite, 11 - 2 = 9 and
-        # 23 - 2 = 21 are not prime
-        for bad in (3, 4, 9, 11, 23):
-            with pytest.raises(ValueError, match=f"^{bad} does not head a twin prime pair"):
-                require_twin_prime(bad)
-
-    def test_accepts_exactly_the_twin_heads_to_5000(self):
-        heads = {p for _, p in twin_primes_upto(5000) if p >= 5}
-        for p in range(-5, 5001):
-            try:
-                require_twin_prime(p)
-            except ValueError:
-                assert p not in heads, p
-            else:
-                assert p in heads, p
 
 
 class TestPrimeModulus:
