@@ -19,12 +19,12 @@ resultant N(1) N(-1) N(i) N(-i).  No hypothesis-index quaternion is zero,
 so a zero norm is a zero divisor.  `decide_prime` returns each claim's
 report row (`ROW_HEADER`): in closed form for a theorem at a prime that
 does not divide its resultant, which sees no zero divisor, else from the
-lists of `_claim_lists`, which reads the row with `jump_oracle` where the
-resultant allows a zero norm.  `scan` and csv/table `verify` print the
-rows; `verdict_record` builds one claim's `verify --format json` record,
-every counterexample included.  Nothing here checks its input: the CLI
-hands over twin primes and the claim ids that apply at them.  The linear,
-matrix and full-window references live in the tests.
+lists of `_claim_lists` over the row's norms from `jump_oracle`.  `scan`
+and csv/table `verify` print the rows; `verdict_record` builds one
+claim's `verify --format json` record, every counterexample included.
+Nothing here checks its input: the CLI hands over twin primes and the
+claim ids that apply at them.  The linear, matrix and full-window
+references live in the tests.
 """
 
 from collections import namedtuple
@@ -207,41 +207,33 @@ ROW_HEADER = ("prime", "case_id", "parity", "hypothesis_class", "predicted_count
               "observed_count", "classification", "first_counterexample")
 
 
-def jump_oracle(profile: FibProfile, family: str, parity: int) -> list[tuple[int, int, bool]]:
-    """(F_{k+2}, norm, is zero divisor) mod p = profile.p for the quaternions
-    m = 2k + parity of `family` at one period of the hypothesis indices
-    k = j z(p) - 3, j = 1 .. pi(p)/z(p), without building the coefficient
-    stream.
+def jump_oracle(profile: FibProfile, family: str, parity: int) -> list[int]:
+    """The norms mod p = profile.p of the quaternions m = 2k + parity of
+    `family` at one period of the hypothesis indices k = j z(p) - 3,
+    j = 1 .. pi(p)/z(p), without building the coefficient stream.
 
     There F_z = 0 makes Q^z = r I, so with R = r^j, the j-th of
     `profile.powers`, F_{k+2} = R and each term is affine in R
     (`CASE_ROWS`).  The norm is then the row's integer quadratic
     c0 + c1 R + c2 R^2 mod p.  A zero norm is a zero divisor: the 2x2
     minors of each row's terms have gcd 1, so at no p and R do all four
-    terms vanish, and no term is read.  As r^{pi/z} = 1 the reads repeat
+    terms vanish, and no term is read.  As r^{pi/z} = 1 the norms repeat
     with period pi(p)/z(p) in j.
     """
     p, (c0, c1, c2) = profile.p, CASE_ROWS[family, parity][2]
-    reads = []
-    for power in profile.powers:
-        norm = (c0 + (c1 + c2 * power) * power) % p
-        reads.append((power, norm, norm == 0))
-    return reads
+    return [(c0 + (c1 + c2 * power) * power) % p for power in profile.powers]
 
 
-def _claim_lists(profile: FibProfile, claim_id: str,
-                 reads: list[tuple[int, int, bool]] | None) -> tuple:
+def _claim_lists(profile: FibProfile, claim_id: str, norms: list[int]) -> tuple:
     """(predicted, observed, disagreements, classification) of one claim at
     p = profile.p over the first window's hypothesis indices
     k = j z(p) - 3 < pi(p).  m = 2k + parity is predicted when k is one of
-    the claim's classes mod pi(p), and observed where `reads`, the row's
-    `jump_oracle` reads, find a zero divisor; None stands for a row with no
-    zero norm, where nothing is observed.  The disagreements are the indices
-    where prediction and oracle differ.  Each list holds m ascending; they
-    may be one list object, which no caller mutates.  FAILS when some index
-    disagrees, else HOLDS when the comparison has content (nonempty sets, or
-    an invertibility claim) and HOLDS_VACUOUSLY when nothing satisfies the
-    claim."""
+    the claim's classes mod pi(p), and observed where `norms`, the row's
+    `jump_oracle` norms, are 0.  The disagreements are the indices where
+    prediction and oracle differ.  Each list holds m ascending.  FAILS when
+    some index disagrees, else HOLDS when the comparison has content
+    (nonempty sets, or an invertibility claim) and HOLDS_VACUOUSLY when
+    nothing satisfies the claim."""
     p, (_, parity, _, classes, n, by_p8, _) = profile.p, _CLAIM_READS[claim_id]
     z = profile.entry_point
     # {(jz - 3) mod pi : j = 1..4} is this range, as pi = z ord(r), ord(r) <= 4
@@ -250,12 +242,8 @@ def _claim_lists(profile: FibProfile, claim_id: str,
         predicted = [2 * k + parity for k in hypothesis] if p % n in by_p8[p % 8] else []
     else:
         predicted = [2 * k + parity for k in hypothesis if k in classes]
-    if reads is None:
-        observed, disagreements = [], predicted
-    else:
-        observed = [2 * k + parity for k, (_, _, zero) in zip(hypothesis, reads, strict=True)
-                    if zero]
-        disagreements = sorted(set(predicted).symmetric_difference(observed))
+    observed = [2 * k + parity for k, norm in zip(hypothesis, norms, strict=True) if norm == 0]
+    disagreements = sorted(set(predicted).symmetric_difference(observed))
     classification = (FAILS if disagreements else
                       HOLDS if predicted or classes == () else HOLDS_VACUOUSLY)
     return predicted, observed, disagreements, classification
@@ -274,10 +262,10 @@ def decide_prime(profile: FibProfile, case_ids: Iterable[str]) -> list[tuple]:
     observed.  A theorem there is decided in closed form: where (D/p) = +1
     it predicts all pi(p)/z(p) hypothesis indices of the first window and
     FAILS, first at m = 2 (z(p) - 3) + parity; otherwise it
-    HOLDS_VACUOUSLY.  Every other claim gets its lists from
-    `_claim_lists`, with the row's `jump_oracle` reads where p divides the
-    resultant.  Every window repeats the first, so the scan multiplier
-    changes none of it.
+    HOLDS_VACUOUSLY.  Every other claim, a corollary or a theorem at a
+    prime dividing its resultant, gets its lists from `_claim_lists` over
+    the row's `jump_oracle` norms.  Every window repeats the first, so the
+    scan multiplier changes none of it.
     """
     p, hypothesis_class = profile.p, profile.entry_point - 3
     count, first = len(profile.powers), 2 * hypothesis_class
@@ -289,8 +277,8 @@ def decide_prime(profile: FibProfile, case_ids: Iterable[str]) -> list[tuple]:
                         if p % n in by_p8[p % 8] else
                         (p, cid, parity_name, hypothesis_class, 0, 0, HOLDS_VACUOUSLY, ""))
             continue
-        reads = None if resultant % p else jump_oracle(profile, family, parity)
-        predicted, observed, disagreements, classification = _claim_lists(profile, cid, reads)
+        predicted, observed, disagreements, classification = _claim_lists(
+            profile, cid, jump_oracle(profile, family, parity))
         rows.append((p, cid, parity_name, hypothesis_class, len(predicted), len(observed),
                      classification, disagreements[0] if disagreements else ""))
     return rows
@@ -302,8 +290,9 @@ def verdict_record(profile: FibProfile, claim_id: str, multiplier: int) -> dict:
     lcm(sequence period, 2 pi(p)) is 2 pi(p): the profile certifies
     Q^pi = I, so 2 pi(p) is a period of every coefficient stream.  The
     claim's row is read once with `jump_oracle`, and the lists and the
-    classification come from `_claim_lists`; F_{k+2} and the norm at each
-    disagreeing index m = 2k + parity are the read j = (k + 3)/z(p).
+    classification come from `_claim_lists`; at each disagreeing index
+    m = 2k + parity, j = (k + 3)/z(p), the norm is the j-th norm and
+    F_{k+2} the j-th of `profile.powers`.
     Each first-window disagreement recurs in window t = 0 .. multiplier-1
     at index m + 2 pi t and k + pi t, with the same norm and reduced value;
     the counterexamples list every one, ascending.
@@ -312,14 +301,15 @@ def verdict_record(profile: FibProfile, claim_id: str, multiplier: int) -> dict:
     in `applicable_case_ids(p)`."""
     claim, p, pi = CLAIMS[claim_id], profile.p, profile.pisano_period
     z, parity = profile.entry_point, claim.parity
-    reads = jump_oracle(profile, claim.family, parity)
-    predicted, observed, disagreements, classification = _claim_lists(profile, claim_id, reads)
+    norms = jump_oracle(profile, claim.family, parity)
+    predicted, observed, disagreements, classification = _claim_lists(profile, claim_id, norms)
     reduction = CASE_ROWS[claim.family, parity][1]
     first_window = []
     for m in disagreements:
         k = (m - parity) // 2
-        f2, norm, _ = reads[(k + 3) // z - 1]
-        first_window.append((m, k, norm, _reduce(reduction, f2, p), m in predicted))
+        j = (k + 3) // z
+        first_window.append((m, k, norms[j - 1], _reduce(reduction, profile.powers[j - 1], p),
+                             m in predicted))
     return {
         "case": {
             "claim_id": claim_id,

@@ -164,8 +164,8 @@ MUTANTS = (
     Mutant(
         "JSON record reads the other parity's row",
         VERIFIER,
-        "reads = jump_oracle(profile, claim.family, parity)",
-        "reads = jump_oracle(profile, claim.family, 1 - parity)",
+        "norms = jump_oracle(profile, claim.family, parity)",
+        "norms = jump_oracle(profile, claim.family, 1 - parity)",
         ("tests/test_verifier.py::TestVerdictRecord::test_perrin_even_holds_at_7",
          "tests/test_verifier.py::TestOnePeriodVerdict::"
          "test_matches_full_window_reference_for_every_twin_prime_to_1e4"),
@@ -173,8 +173,8 @@ MUTANTS = (
     Mutant(
         "zero norm never read as a zero divisor",
         VERIFIER,
-        "reads.append((power, norm, norm == 0))",
-        "reads.append((power, norm, False))",
+        "zip(hypothesis, norms, strict=True) if norm == 0]",
+        "zip(hypothesis, norms, strict=True) if False]",
         ("tests/test_verifier.py::TestVerdictRecord::test_perrin_even_holds_at_7",
          "tests/test_verifier.py::TestOnePeriodVerdict::"
          "test_matches_full_window_reference_for_every_twin_prime_to_1e4",

@@ -39,9 +39,9 @@ not the ones `padquat.verifier` derives from the norm reductions.
   at every n, the reference for `modular.twin_primes_upto`;
 - `fib_form_rows` and `hypothesis_row`: each family's parity rows
   (A, B, C) solved from three terms of its integer stream
-  (`integer_family_stream`) at any (a, b), and a row's terms and norm
-  quadratic at k = j z(p) - 3, the references for `verifier.FIB_FORMS`
-  and `verifier.CASE_ROWS`.
+  (`integer_family_stream`) at any (a, b) and Perrin seed, and a row's
+  terms and norm quadratic at k = j z(p) - 3, the references for
+  `verifier.FIB_FORMS` and `verifier.CASE_ROWS`.
 """
 
 from __future__ import annotations
@@ -587,13 +587,14 @@ def integer_stream(a: int, b: int, init: Sequence[int], count: int) -> list[int]
     return t
 
 
-def integer_family_stream(a: int, b: int, family: str, count: int) -> list[int]:
+def integer_family_stream(a: int, b: int, family: str, count: int,
+                          seed: Sequence[int] = (3, 0, 2)) -> list[int]:
     """t_0 .. t_{count-1} of `family` over Z at coefficients (a, b): P from
-    (1, 0, a) for QP; for QR, R from (3, 0, 2) at (a, b) at even positions
-    and at (b, a) at odd ones."""
+    (1, 0, a) for QP; for QR, R from `seed` (the Perrin seed (3, 0, 2) by
+    default) at (a, b) at even positions and at (b, a) at odd ones."""
     if family == "QP":
         return integer_stream(a, b, (1, 0, a), count)
-    even, odd = integer_stream(a, b, (3, 0, 2), count), integer_stream(b, a, (3, 0, 2), count)
+    even, odd = integer_stream(a, b, seed, count), integer_stream(b, a, seed, count)
     return [t if n % 2 == 0 else s for n, (t, s) in enumerate(zip(even, odd))]
 
 
@@ -603,13 +604,15 @@ def _det3(m: Sequence[Sequence[int]]) -> int:
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
-def fib_form_rows(a: int, b: int, family: str) -> tuple[tuple[int, int, int], ...]:
+def fib_form_rows(a: int, b: int, family: str,
+                  seed: Sequence[int] = (3, 0, 2)) -> tuple[tuple[int, int, int], ...]:
     """The rows (A, B, C) for r = 0 and r = 1 with t_{2k+r} = (-1)^k (A +
-    B F_k + C F_{k+1}) for `family`'s integer stream at (a, b), solved by
-    Cramer's rule from k = 0, 1, 2.  Three terms fix the row for every k
-    where the parity subsequences satisfy e_k = -2 e_{k-1} + e_{k-3}, as
-    at (a, b) = (-2, 0) and (0, -2); the caller checks that they do."""
-    t = integer_family_stream(a, b, family, 6)
+    B F_k + C F_{k+1}) for `family`'s integer stream at (a, b), R seeded
+    with `seed`, solved by Cramer's rule from k = 0, 1, 2.  Three terms fix
+    the row for every k where the parity subsequences satisfy
+    e_k = -2 e_{k-1} + e_{k-3}, as at (a, b) = (-2, 0) and (0, -2); the
+    caller checks that they do."""
+    t = integer_family_stream(a, b, family, 6, seed)
     fib = (0, 1, 1, 2)
     basis = [((-1) ** k, (-1) ** k * fib[k], (-1) ** k * fib[k + 1]) for k in range(3)]
     det = _det3(basis)

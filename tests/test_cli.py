@@ -586,17 +586,23 @@ class TestScan:
         assert 5 in inert and len(inert) < len(twins)
         assert calls == {"fib_pair": [(p, z[p]) for p in inert], "of": twins}
 
-    def test_scan_reads_rows_only_where_p_divides_the_resultant(self, capsys, monkeypatch):
+    def test_scan_reads_theorem_rows_only_where_p_divides_the_resultant(
+        self, capsys, monkeypatch
+    ):
         # outside the prime factors of a row's norm resultant no hypothesis
-        # norm vanishes, so scan never reads that row; among twin primes the
-        # factors are 5, 7 and 13
+        # norm vanishes, so scan reads no theorem row there; among twin
+        # primes the factors are 5, 7 and 13.  Each corollary's row is read
+        # once, at its prime: QR odd at 7 and 13, QR even at 181.
         read = []
         jump_oracle = verifier.jump_oracle
+        corollary_rows = {(c.prime, c.family, c.parity)
+                          for c in verifier.CLAIMS.values() if c.prime}
 
         def gated(profile, family, parity):
-            if verifier._ROW_RESULTANTS[family, parity] % profile.p:
+            row = (profile.p, family, parity)
+            if verifier._ROW_RESULTANTS[family, parity] % profile.p and row not in corollary_rows:
                 raise AssertionError(f"row {family} {parity} read at p = {profile.p}")
-            read.append((profile.p, family, parity))
+            read.append(row)
             return jump_oracle(profile, family, parity)
 
         monkeypatch.setattr(verifier, "jump_oracle", gated)
@@ -605,7 +611,8 @@ class TestScan:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"
         )
-        assert read == [(5, "QP", 0), (5, "QR", 0), (7, "QR", 0), (13, "QP", 1)]
+        assert read == [(5, "QP", 0), (5, "QR", 0), (7, "QR", 1), (7, "QR", 0), (13, "QR", 1),
+                        (13, "QP", 1), (181, "QR", 0)]
 
     def test_scan_reads_do_not_grow_with_the_multiplier(self, capsys, monkeypatch):
         reads = {}
@@ -627,9 +634,10 @@ class TestScan:
                 "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"
             )
         # one period of r for each row read: QP even and QR even at 5, QR
-        # even at 7, QP odd at 13
-        period = {p: len(FibProfile.of(p).powers) for p in (5, 7, 13)}
-        assert reads[2] == reads[MAX_SCAN_MULTIPLIER] == 2 * period[5] + period[7] + period[13] > 0
+        # odd and even at 7, QR odd and QP odd at 13, QR even at 181
+        period = {p: len(FibProfile.of(p).powers) for p in (5, 7, 13, 181)}
+        assert reads[2] == reads[MAX_SCAN_MULTIPLIER] == (
+            2 * period[5] + 2 * period[7] + 2 * period[13] + period[181]) > 0
 
 
 class TestCsvText:

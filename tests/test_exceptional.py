@@ -50,17 +50,15 @@ def test_production_resultants_have_the_candidate_primes():
 
 def test_zero_norms_only_at_candidate_primes_to_1e5():
     # every prime 5 <= p <= 10^5, twin or not: the closed form needs only
-    # (a, b) = (-2, 0) mod p.  A row whose resultant p does not divide, one
-    # that decide_prime does not read, has no zero norm.
+    # (a, b) = (-2, 0) mod p.  A row whose resultant p does not divide, where
+    # decide_prime decides a theorem in closed form, has no zero norm.
     realised = {row: set() for row in CASE_ROWS}
     for p in primes_upto(10**5)[2:]:
         profile = FibProfile.of(p)
         for family, parity in CASE_ROWS:
-            reads = jump_oracle(profile, family, parity)
-            if any(norm == 0 for _, norm, _ in reads):
+            if 0 in jump_oracle(profile, family, parity):
                 assert p in CANDIDATES[family, parity], (family, parity, p)
                 assert verifier._ROW_RESULTANTS[family, parity] % p == 0, (family, parity, p)
-            if any(zero for _, _, zero in reads):
                 realised[family, parity].add(p)
     assert realised == {
         ("QP", 0): {5},

@@ -23,6 +23,7 @@ from reference import (
     full_window_verdict,
     hypothesis_row,
     integer_family_stream,
+    integer_stream,
     legendre,
     matrix_jump_oracle,
     norm_oracle,
@@ -140,8 +141,9 @@ def predicted_ks(claim_id, p):
     """The k of the quaternions m = 2k + parity that `claim_id` predicts in
     the first window at p, from the lists under `decide_prime` and
     `verdict_record`."""
-    predicted = verifier._claim_lists(FibProfile.of(p), claim_id, None)[0]
-    return tuple(m // 2 for m in predicted)
+    profile, claim = FibProfile.of(p), CLAIMS[claim_id]
+    norms = jump_oracle(profile, claim.family, claim.parity)
+    return tuple(m // 2 for m in verifier._claim_lists(profile, claim_id, norms)[0])
 
 
 class TestPredicates:
@@ -532,12 +534,12 @@ def hypothesis_indices(claim_id, profile, limit):
     return range(2 * (z - 3) + CLAIMS[claim_id].parity, limit, 2 * z)
 
 
-def tiled_reads(claim_id, profile, count):
-    """The first `count` hypothesis-index reads, taking `jump_oracle`'s one
+def tiled_norms(claim_id, profile, count):
+    """The first `count` hypothesis-index norms, taking `jump_oracle`'s one
     period of r to repeat: the references check that it does."""
     claim = CLAIMS[claim_id]
-    reads = jump_oracle(profile, claim.family, claim.parity)
-    return [reads[i % len(reads)] for i in range(count)]
+    norms = jump_oracle(profile, claim.family, claim.parity)
+    return [norms[i % len(norms)] for i in range(count)]
 
 
 def linear_verdict(claim_id, profile, scan_multiplier, linear):
@@ -600,18 +602,23 @@ class TestJumpOracle:
                 assert verdict_record(profile, cid, multiplier) == expected, (cid, p, multiplier)
 
     def test_norms_match_linear_reference_at_every_hypothesis_index(self):
-        # every read against the linear norm pass over six Pisano periods,
-        # and F_{k+2} against fast doubling
+        # every norm, and every zero divisor as a zero norm, against the
+        # linear norm pass over six Pisano periods; and F_{k+2}, which a
+        # record reduces, as the power of r the read takes, against fast
+        # doubling
         for p in TWINS_200:
             params, profile = SeqParams.twin_prime(p), FibProfile.of(p)
+            powers = profile.powers
             for cid in applicable_case_ids(p):
                 limit = 6 * profile.pisano_period
                 norms, zero_divisors = norm_oracle(params, CLAIMS[cid].family, limit)
                 indices = hypothesis_indices(cid, profile, limit)
-                assert tiled_reads(cid, profile, len(indices)) == [
-                    (fib_pair(m // 2 + 2, p)[0], norms[m], m in zero_divisors)
-                    for m in indices
-                ], (cid, p)
+                read = tiled_norms(cid, profile, len(indices))
+                assert read == [norms[m] for m in indices], (cid, p)
+                assert [m for m, norm in zip(indices, read) if norm == 0] == [
+                    m for m in indices if m in zero_divisors], (cid, p)
+                assert [powers[i % len(powers)] for i in range(len(indices))] == [
+                    fib_pair(m // 2 + 2, p)[0] for m in indices], (cid, p)
 
     def test_matches_matrix_reference_for_every_twin_prime_to_1e5(self):
         # every hypothesis index over two windows, for cases of both
@@ -621,10 +628,10 @@ class TestJumpOracle:
             params, profile = SeqParams.twin_prime(p), FibProfile.of(p)
             for cid in applicable_case_ids(p):
                 indices = hypothesis_indices(cid, profile, 4 * profile.pisano_period)
-                reads = tiled_reads(cid, profile, len(indices))
+                read = tiled_norms(cid, profile, len(indices))
                 assert (
-                    {m: norm for m, (_, norm, _) in zip(indices, reads)},
-                    {m for m, (_, _, zd) in zip(indices, reads) if zd},
+                    dict(zip(indices, read)),
+                    {m for m, norm in zip(indices, read) if norm == 0},
                 ) == matrix_jump_oracle(params, CLAIMS[cid].family, profile, indices), (cid, p)
 
     def test_matches_matrix_reference_at_every_prime_to_2000(self):
@@ -637,11 +644,11 @@ class TestJumpOracle:
             for cid in THEOREM_IDS:
                 family = CLAIMS[cid].family
                 indices = hypothesis_indices(cid, profile, 2 * profile.pisano_period)
-                reads = jump_oracle(profile, family, CLAIMS[cid].parity)
+                read = jump_oracle(profile, family, CLAIMS[cid].parity)
                 norms, zero_divisors = matrix_jump_oracle(params, family, profile, indices)
-                assert [norm for _, norm, _ in reads] == [norms[m] for m in indices], (cid, p)
+                assert read == [norms[m] for m in indices], (cid, p)
                 assert {
-                    m for m, (_, _, zd) in zip(indices, reads, strict=True) if zd
+                    m for m, norm in zip(indices, read, strict=True) if norm == 0
                 } == zero_divisors, (cid, p)
                 if zero_divisors:
                     zero_divisor_primes[cid].add(p)
@@ -751,17 +758,21 @@ class TestDecidePrime:
         return reads
 
     @staticmethod
-    def gated_rows(p, case_ids):
-        # the rows of the claims whose norm resultant p divides
-        rows = {(CLAIMS[cid].family, CLAIMS[cid].parity) for cid in case_ids}
-        return sorted((p, *row) for row in rows if verifier._ROW_RESULTANTS[row] % p == 0)
+    def read_rows(p, case_ids):
+        # the rows decide_prime reads: a theorem's where p divides its norm
+        # resultant, a corollary's at its prime
+        rows = [(CLAIMS[cid].family, CLAIMS[cid].parity, CLAIMS[cid].classes is None)
+                for cid in case_ids]
+        return sorted((p, family, parity) for family, parity, theorem in rows
+                      if not theorem or verifier._ROW_RESULTANTS[family, parity] % p == 0)
 
-    def test_reads_only_rows_whose_resultant_p_divides(self, monkeypatch):
-        # decide_prime reads at most one row per claim (the corollaries read
-        # the rows of the theorems that 7, 13 and 181 exclude; 239 heads no
-        # twin pair), and only where p divides its resultant: 7 divides that
-        # of QR even, 13 that of QP odd, 181 and 239 none.  verify's JSON
-        # decides no row and reads each record's row once.
+    def test_reads_theorem_rows_only_where_p_divides_the_resultant(self, monkeypatch):
+        # decide_prime reads at most one row per claim, once (the corollaries
+        # read the rows of the theorems that 7, 13 and 181 exclude; 239 heads
+        # no twin pair): a theorem's row only where p divides its resultant
+        # (7 divides that of QR even, 13 that of QP odd, 181 and 239 none),
+        # and each corollary's row at its prime.  verify's JSON decides no
+        # row and reads each record's row once.
         reads = self.count_reads(monkeypatch)
         decided, json_reads = {}, {}
         for p in (7, 13, 181, 239):
@@ -769,7 +780,7 @@ class TestDecidePrime:
             reads.clear()
             decide_prime(FibProfile.of(p), ids)
             decided[p] = sorted(reads)
-            assert decided[p] == self.gated_rows(p, ids), p
+            assert decided[p] == self.read_rows(p, ids), p
             if p == 239:
                 continue
             for fmt in ("json", "csv", "table"):
@@ -780,7 +791,8 @@ class TestDecidePrime:
                     json_reads[p] = sorted(reads)
                 else:
                     assert sorted(reads) == decided[p], (p, fmt)
-        assert decided == {7: [(7, "QR", 0)], 13: [(13, "QP", 1)], 181: [], 239: []}
+        assert decided == {7: [(7, "QR", 0), (7, "QR", 1)], 13: [(13, "QP", 1), (13, "QR", 1)],
+                           181: [(181, "QR", 0)], 239: []}
         assert json_reads == {
             p: sorted((p, CLAIMS[cid].family, CLAIMS[cid].parity)
                       for cid in applicable_case_ids(p))
@@ -791,15 +803,16 @@ class TestDecidePrime:
             181: [(181, "QP", 0), (181, "QP", 1), (181, "QR", 0), (181, "QR", 1)],
         }
 
-    def test_reads_only_gated_rows_at_every_twin_prime_to_2000(self, monkeypatch):
+    def test_reads_only_these_rows_at_every_twin_prime_to_2000(self, monkeypatch):
         reads = self.count_reads(monkeypatch)
         expected = []
         for p in TWINS_2000:
             ids = applicable_case_ids(p)
             decide_prime(FibProfile.of(p), ids)
-            expected += self.gated_rows(p, ids)
+            expected += self.read_rows(p, ids)
         assert sorted(reads) == expected == [
-            (5, "QP", 0), (5, "QR", 0), (7, "QR", 0), (13, "QP", 1)]
+            (5, "QP", 0), (5, "QR", 0), (7, "QR", 0), (7, "QR", 1), (13, "QP", 1), (13, "QR", 1),
+            (181, "QR", 0)]
 
     @staticmethod
     def rows_reading_every_row(profile, case_ids):
@@ -1010,3 +1023,66 @@ class TestFibFormsFromStreams:
             for family, parity in CASE_ROWS
         } == {("QP", 0): (4, -4, 6), ("QP", 1): (4, -2, 3),
               ("QR", 0): (52, 20, 378), ("QR", 1): (52, 34, 259)}
+
+
+class TestPerrinSeeds:
+    """ROADMAP item 11's finite search over Z: no Perrin seed (3, 0, x),
+    |x| <= 6, puts a QR hypothesis-index norm in the discriminant class of
+    the paper's perrin-even form, D = -1448 = -2 * 181 * 2^2.  It covers
+    both orders (a, b) = (-2, 0) and (0, -2), both parities, and R(b, a) or
+    R(a, b) at the odd positions of the stream."""
+
+    K = 60
+    SEEDS = [(3, 0, x) for x in range(-6, 7)]
+    ORDERS = [(-2, 0), (0, -2)]
+
+    @staticmethod
+    def conventions(a, b, seed):
+        # the QR rows with R(b, a) at odd positions, as `integer_family_stream`
+        # has them, and with R(a, b) there: that odd row is the odd row of
+        # the swapped order, whose stream has R(a, b) at its odd positions
+        rows = fib_form_rows(a, b, "QR", seed)
+        return {"R(b, a) odd": rows, "R(a, b) odd": (rows[0], fib_form_rows(b, a, "QR", seed)[1])}
+
+    @staticmethod
+    def in_papers_class(d):
+        # d / (-2 * 181) is a nonzero rational square exactly when
+        # -2 * 181 * d is a positive integer square
+        n = -2 * 181 * d
+        return n > 0 and math.isqrt(n) ** 2 == n
+
+    def test_rows_reproduce_each_convention_stream(self):
+        count = 2 * self.K + 2
+        for seed in self.SEEDS:
+            for a, b in self.ORDERS:
+                streams = {"R(b, a) odd": integer_family_stream(a, b, "QR", count, seed),
+                           "R(a, b) odd": integer_stream(a, b, seed, count)}
+                for name, rows in self.conventions(a, b, seed).items():
+                    for r, (x, y, z) in enumerate(rows):
+                        for k in range(self.K + 1):
+                            assert streams[name][2 * k + r] == (
+                                (-1) ** k * (x + y * FIB[k] + z * FIB[k + 1])), (
+                                seed, a, b, name, r, k)
+
+    def test_class_test_tells_the_papers_form_from_the_norm(self):
+        paper = NORM_REDUCTIONS["perrin-even"]
+        assert self.in_papers_class(paper.c1 ** 2 - 4 * paper.c2 * paper.c0)
+        c0, c1, c2 = CASE_ROWS["QR", 0][2]
+        assert not self.in_papers_class(c1 * c1 - 4 * c0 * c2)
+
+    def test_no_seed_gives_a_norm_in_the_papers_class(self):
+        searched, degenerate = 0, set()
+        for seed in self.SEEDS:
+            for a, b in self.ORDERS:
+                for name, rows in self.conventions(a, b, seed).items():
+                    for parity in (0, 1):
+                        c0, c1, c2 = hypothesis_row(rows, parity)[1]
+                        d = c1 * c1 - 4 * c0 * c2
+                        assert not self.in_papers_class(d), (seed, a, b, name, parity, d)
+                        searched += 1
+                        if d == 0:
+                            degenerate.add((seed[2], a, b, name, parity))
+        assert searched == 13 * 2 * 2 * 2
+        # four norms are c2 R^2, D = 0: a unit times a constant, in no class
+        assert degenerate == {(-3, -2, 0, "R(a, b) odd", 0), (-3, -2, 0, "R(a, b) odd", 1),
+                              (3, 0, -2, "R(a, b) odd", 0), (3, 0, -2, "R(a, b) odd", 1)}
