@@ -16,7 +16,10 @@ builtin `pow`, and phi comes from a square root of 5 by builtin `pow` and
 int products (at p = 1 (mod 8), Tonelli-Shanks takes the least
 non-residue, a prime n found by quadratic reciprocity, (n/p) = (p/n), with
 small `pow`s mod n); at an inert prime, and at 5, each test is a
-fast-doubling pair.  F_z = 0 makes Q^z = r I for the Fibonacci matrix Q
+fast-doubling pair.  `fib_pair` starts its ladder from `_FIB_HEAD`, the
+exact F_0 .. F_1024 built once at import: the top 10 bits of n index it,
+so n takes n.bit_length() - 10 doublings, and every n < 2^10 is two table
+reads and two `% m`.  F_z = 0 makes Q^z = r I for the Fibonacci matrix Q
 and r = F_{z+1}, and Cassini's identity then gives r^2 = (-1)^z, so
 pi(p) = z(p) ord_p(r) with r of order 4 at an odd z and r = +-1 at an even
 one: `FibProfile.of` takes (F_z, F_{z+1}) from the order reduction, by
@@ -32,11 +35,30 @@ from itertools import compress
 from .modular import _sieve, is_prime
 
 
+def _fib_head(size: int) -> tuple[int, ...]:
+    """The exact integers F_0 .. F_{size-1}."""
+    head, a, b = [], 0, 1
+    for _ in range(size):
+        head.append(a)
+        a, b = b, a + b
+    return tuple(head)
+
+
+# F_0 .. F_1024, where fast doubling starts: about 80 KiB, F_1024 has 710 bits
+_FIB_HEAD = _fib_head(1025)
+
+
 def fib_pair(n: int, m: int) -> tuple[int, int]:
-    """(F_n, F_{n+1}) mod m by fast doubling, O(log n) steps, for n >= 0
-    and m >= 2 (unchecked)."""
-    a, b = 0, 1  # F_0, F_1
-    for bit in bin(n)[2:]:
+    """(F_n, F_{n+1}) mod m, for n >= 0 and m >= 2 (unchecked), by fast
+    doubling from the exact table: the top 10 bits of n index `_FIB_HEAD`,
+    two reads and two `% m`, and only the other n.bit_length() - 10 bits
+    take a doubling step, none for n < 2^10."""
+    shift = n.bit_length() - 10
+    if shift <= 0:
+        return _FIB_HEAD[n] % m, _FIB_HEAD[n + 1] % m
+    top = n >> shift
+    a, b = _FIB_HEAD[top] % m, _FIB_HEAD[top + 1] % m
+    for bit in bin(n)[-shift:]:
         # F_{2k} = F_k (2 F_{k+1} - F_k),  F_{2k+1} = F_k^2 + F_{k+1}^2
         c = a * (2 * b - a) % m
         d = (a * a + b * b) % m

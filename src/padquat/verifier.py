@@ -230,20 +230,28 @@ def _claim_lists(profile: FibProfile, claim_id: str, norms: list[int]) -> tuple:
     k = j z(p) - 3 < pi(p).  m = 2k + parity is predicted when k is one of
     the claim's classes mod pi(p), and observed where `norms`, the row's
     `jump_oracle` norms, are 0.  The disagreements are the indices where
-    prediction and oracle differ.  Each list holds m ascending.  FAILS when
-    some index disagrees, else HOLDS when the comparison has content
-    (nonempty sets, or an invertibility claim) and HOLDS_VACUOUSLY when
-    nothing satisfies the claim."""
-    p, (_, parity, _, classes, n, by_p8, _) = profile.p, _CLAIM_READS[claim_id]
-    z = profile.entry_point
+    prediction and oracle differ.  The three lists are built in one pass
+    over the period, and each holds m ascending without a sort, as
+    m = 2k + parity rises with k.  FAILS when some index disagrees, else
+    HOLDS when the comparison has content (nonempty lists, or an
+    invertibility claim) and HOLDS_VACUOUSLY when nothing satisfies the
+    claim."""
+    (p, z, powers), (_, parity, _, classes, n, by_p8, _) = profile, _CLAIM_READS[claim_id]
     # {(jz - 3) mod pi : j = 1..4} is this range, as pi = z ord(r), ord(r) <= 4
-    hypothesis = range(z - 3, z * len(profile.powers), z)
+    hypothesis = range(z - 3, z * len(powers), z)
     if classes is None:  # a theorem: every hypothesis class, if (D/p) = +1
-        predicted = [2 * k + parity for k in hypothesis] if p % n in by_p8[p % 8] else []
+        claimed = hypothesis if p % n in by_p8[p % 8] else ()
     else:
-        predicted = [2 * k + parity for k in hypothesis if k in classes]
-    observed = [2 * k + parity for k, norm in zip(hypothesis, norms, strict=True) if norm == 0]
-    disagreements = sorted(set(predicted).symmetric_difference(observed))
+        claimed = classes
+    predicted, observed, disagreements = [], [], []
+    for k, norm in zip(hypothesis, norms, strict=True):
+        m, predicts, zero = 2 * k + parity, k in claimed, norm == 0
+        if predicts:
+            predicted.append(m)
+        if zero:
+            observed.append(m)
+        if predicts != zero:
+            disagreements.append(m)
     classification = (FAILS if disagreements else
                       HOLDS if predicted or classes == () else HOLDS_VACUOUSLY)
     return predicted, observed, disagreements, classification
@@ -267,14 +275,15 @@ def decide_prime(profile: FibProfile, case_ids: Iterable[str]) -> list[tuple]:
     the row's `jump_oracle` norms.  Every window repeats the first, so the
     scan multiplier changes none of it.
     """
-    p, hypothesis_class = profile.p, profile.entry_point - 3
-    count, first = len(profile.powers), 2 * hypothesis_class
+    p, z, powers = profile
+    hypothesis_class, count, p8 = z - 3, len(powers), p % 8
+    first = 2 * hypothesis_class
     rows = []
     for cid in case_ids:
         family, parity, parity_name, classes, n, by_p8, resultant = _CLAIM_READS[cid]
         if classes is None and resultant % p:
             rows.append((p, cid, parity_name, hypothesis_class, count, 0, FAILS, first + parity)
-                        if p % n in by_p8[p % 8] else
+                        if p % n in by_p8[p8] else
                         (p, cid, parity_name, hypothesis_class, 0, 0, HOLDS_VACUOUSLY, ""))
             continue
         predicted, observed, disagreements, classification = _claim_lists(

@@ -153,6 +153,18 @@ MUTANTS = (
         ("tests/test_fibonacci.py::TestTwoPart::test_no_order_test_at_the_half_index",),
     ),
     Mutant(
+        # the table index keeps 9 bits where the ladder starts past 10, so
+        # every n >= 2^10 reads F at about half its index
+        "table index read one bit short of the ladder",
+        FIBONACCI,
+        "top = n >> shift",
+        "top = n >> (shift + 1)",
+        ("tests/test_fibonacci.py::TestFibMod::test_fast_doubling_vs_iterative_dense",
+         "tests/test_fibonacci.py::TestFibHead::test_at_the_edge_of_the_table",
+         "tests/test_fibonacci.py::TestFibHead::test_drawn_n_below_2_to_the_64",
+         "tests/test_cli.py::TestGoldenBytes::test_stdout_digest"),
+    ),
+    Mutant(
         "twin check of p + 2 instead of p - 2",
         CLI,
         "is_prime(p - 2)",
@@ -173,8 +185,8 @@ MUTANTS = (
     Mutant(
         "zero norm never read as a zero divisor",
         VERIFIER,
-        "zip(hypothesis, norms, strict=True) if norm == 0]",
-        "zip(hypothesis, norms, strict=True) if False]",
+        "k in claimed, norm == 0",
+        "k in claimed, False",
         ("tests/test_verifier.py::TestVerdictRecord::test_perrin_even_holds_at_7",
          "tests/test_verifier.py::TestOnePeriodVerdict::"
          "test_matches_full_window_reference_for_every_twin_prime_to_1e4",

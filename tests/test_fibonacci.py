@@ -88,6 +88,29 @@ class TestFibMod:
             assert (a + b) % 10**9 == fib_pair(n + 2, 10**9)[0]
 
 
+class TestFibHead:
+    """`fib_pair` reads n < 2^10 from the exact table `_FIB_HEAD` and
+    starts the ladder of every larger n from its top 10 bits: checked
+    against `reference.fib_by_matrix` at and past the table's edge, at
+    moduli up to 63 bits."""
+
+    def test_table_is_the_exact_sequence(self):
+        head = fibonacci._FIB_HEAD
+        assert len(head) == 1025 and head[:2] == (0, 1)
+        assert all(head[i] == head[i - 1] + head[i - 2] for i in range(2, 1025))
+
+    @pytest.mark.parametrize("m", [2, 3, 1000, 2**61 - 1])
+    def test_at_the_edge_of_the_table(self, m):
+        for n in [*range(1000, 1101), 2**11 - 1, 2**11, 2**11 + 1]:
+            assert fib_pair(n, m) == (fib_by_matrix(n, m), fib_by_matrix(n + 1, m)), (n, m)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**64 - 1),
+           st.integers(min_value=2, max_value=2**63 - 1))
+    def test_drawn_n_below_2_to_the_64(self, n, m):
+        assert fib_pair(n, m) == (fib_by_matrix(n, m), fib_by_matrix(n + 1, m))
+
+
 class TestPrimeFactors:
     """`_prime_factors` against `reference.prime_factors`, which divides by
     every odd number: within the prime table's reach, at its end, at prime
