@@ -26,6 +26,7 @@ from .verifier import (
     CASE_IDS,
     FAILS,
     ROW_HEADER,
+    SCAN_WINDOWS,
     applicable_case_ids,
     decide_prime,
     verdict_record,
@@ -39,17 +40,12 @@ MAX_PRIME = 10**12
 # Largest --upto that seq and scan accept; every term, and every row of a
 # scan, is held in memory.  Measured on a 2-vCPU Intel Xeon with Python 3.11:
 # seq --symbolic --upto 400 took 9.6 s and 359 MB (500: 19 s and 700 MB),
-# seq --p 5 --upto 10**6 3.1 s and 184 MB; measured later on the same machine
-# in a child process, scan --upto 10**7 --format csv 1.2-1.4 s and 82 MB
-# over three runs (the host's speed drifts by up to 2x).
+# seq --p 5 --upto 10**6 3.1 s and 184 MB; later, in a child process, scan
+# --upto 10**7 took 1.8 s and 82 MB peak RSS as csv, 3.0 s and 236 MB as a
+# table and 5.3-5.6 s and 553 MB as json (the host's speed drifts by up to 2x).
 MAX_SYMBOLIC_TERMS = 400
 MAX_TERMS = 10**6
 MAX_SCAN_BOUND = 10**7
-# Largest --scan-multiplier that verify and scan accept: verify lists every
-# counterexample of every window, up to 16 per window.  On the same machine,
-# verify --p 95233 (16 per window) --format json took 0.27 s, 39 MB and wrote
-# 2.9 MB at 1000 (10**4: 1.8 s, 261 MB, 30 MB); scan does not depend on it.
-MAX_SCAN_MULTIPLIER = 1000
 
 
 class CliError(Exception):
@@ -57,7 +53,7 @@ class CliError(Exception):
 
 
 # every command's JSON config records these two, whether it takes them or not
-_CONFIG_DEFAULTS = {"symbolic": False, "scan_multiplier": 2}
+_CONFIG_DEFAULTS = {"symbolic": False, "scan_multiplier": SCAN_WINDOWS}
 
 # Each command's options, in help order: option -> (type, choices, default,
 # required, help); a bool option is a flag.  build_parser adds them to
@@ -75,10 +71,10 @@ _OPTIONS = {
     "verify": {
         "--p": (int, None, None, True, None),
         "--case": (str, CASE_IDS, None, False, "a single claim id (default: all applicable)"),
-        "--scan-multiplier": (int, None, 2, False, None), **_OUTPUT_OPTIONS},
+        **_OUTPUT_OPTIONS},
     "scan": {
         "--upto": (int, None, None, True, "inclusive bound on the twin prime p"),
-        "--scan-multiplier": (int, None, 2, False, None), **_OUTPUT_OPTIONS},
+        **_OUTPUT_OPTIONS},
 }
 
 
@@ -233,7 +229,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
         case_ids = [args.case]
     profile = FibProfile.of(p)
     if args.format == "json":
-        records = [verdict_record(profile, cid, args.scan_multiplier) for cid in case_ids]
+        records = [verdict_record(profile, cid) for cid in case_ids]
         status = 2 if any(r["classification"] == FAILS for r in records) else 0
         return _json_document(args, {"verdicts": records}), status
     rows = decide_prime(profile, case_ids)
@@ -324,11 +320,6 @@ def main(argv: list[str] | None = None) -> int:
             raise CliError(f"--p must be at most {MAX_PRIME}, got {p}")
         if args.out is not None:
             _check_writable(args.out)
-        n = args.scan_multiplier  # 2 for the commands without the flag
-        if n < 2:
-            raise CliError("--scan-multiplier must be at least 2")
-        if n > MAX_SCAN_MULTIPLIER:
-            raise CliError(f"--scan-multiplier must be at most {MAX_SCAN_MULTIPLIER}, got {n}")
         text, status = _COMMANDS[args.command][1](args)
         if args.out is None:
             sys.stdout.write(text)

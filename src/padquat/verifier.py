@@ -37,6 +37,10 @@ HOLDS = "HOLDS"
 HOLDS_VACUOUSLY = "HOLDS_VACUOUSLY"
 FAILS = "FAILS"
 
+# The windows of 2 pi(p) a `verify --format json` record lists, which every
+# command's JSON config echoes as scan_multiplier; each repeats the first
+SCAN_WINDOWS = 2
+
 
 class Claim(namedtuple("Claim", "family parity prime classes", defaults=(None, None))):
     """One zero-divisor claim about the quaternions of `family` ("QP" or
@@ -273,7 +277,7 @@ def decide_prime(profile: FibProfile, case_ids: Iterable[str]) -> list[tuple]:
     HOLDS_VACUOUSLY.  Every other claim, a corollary or a theorem at a
     prime dividing its resultant, gets its lists from `_claim_lists` over
     the row's `jump_oracle` norms.  Every window repeats the first, so the
-    scan multiplier changes none of it.
+    rows read none past it.
     """
     p, z, powers = profile
     hypothesis_class, count, p8 = z - 3, len(powers), p % 8
@@ -293,18 +297,18 @@ def decide_prime(profile: FibProfile, case_ids: Iterable[str]) -> list[tuple]:
     return rows
 
 
-def verdict_record(profile: FibProfile, claim_id: str, multiplier: int) -> dict:
+def verdict_record(profile: FibProfile, claim_id: str) -> dict:
     """The `verify --format json` record of claim `claim_id` at
-    p = profile.p, over `multiplier` windows of 2 pi(p).  The window
+    p = profile.p, over `SCAN_WINDOWS` windows of 2 pi(p).  The window
     lcm(sequence period, 2 pi(p)) is 2 pi(p): the profile certifies
     Q^pi = I, so 2 pi(p) is a period of every coefficient stream.  The
     claim's row is read once with `jump_oracle`, and the lists and the
     classification come from `_claim_lists`; at each disagreeing index
     m = 2k + parity, j = (k + 3)/z(p), the norm is the j-th norm and
     F_{k+2} the j-th of `profile.powers`.
-    Each first-window disagreement recurs in window t = 0 .. multiplier-1
-    at index m + 2 pi t and k + pi t, with the same norm and reduced value;
-    the counterexamples list every one, ascending.
+    Each first-window disagreement recurs in window t at index m + 2 pi t
+    and k + pi t, with the same norm and reduced value; the
+    counterexamples list every one, ascending.
 
     Precondition, not checked: p heads a twin prime pair and the claim is
     in `applicable_case_ids(p)`."""
@@ -330,8 +334,8 @@ def verdict_record(profile: FibProfile, claim_id: str, multiplier: int) -> dict:
             # z(p) >= 5 for p >= 5, so the hypothesis class z - 3 is positive
             "hypothesis_class": z - 3,
         },
-        "scan": {"multiplier": multiplier, "window_modulus": 2 * pi,
-                 "scan_limit": multiplier * 2 * pi},
+        "scan": {"multiplier": SCAN_WINDOWS, "window_modulus": 2 * pi,
+                 "scan_limit": SCAN_WINDOWS * 2 * pi},
         "predicted_classes": predicted,
         "observed_classes": observed,
         "predicted_count": len(predicted),
@@ -340,6 +344,6 @@ def verdict_record(profile: FibProfile, claim_id: str, multiplier: int) -> dict:
         "counterexamples": [
             {"index": m + 2 * pi * t, "k": k + pi * t, "norm": norm, "reduced": reduced,
              "predicted": predicts, "observed": not predicts}
-            for t in range(multiplier) for m, k, norm, reduced, predicts in first_window
+            for t in range(SCAN_WINDOWS) for m, k, norm, reduced, predicts in first_window
         ],
     }

@@ -193,6 +193,19 @@ MUTANTS = (
          "tests/test_cli.py::TestGoldenBytes::test_stdout_digest"),
     ),
     Mutant(
+        # the JSON config echoes the constant too, so every verify json
+        # digest moves with the record
+        "three windows per JSON record",
+        VERIFIER,
+        "SCAN_WINDOWS = 2",
+        "SCAN_WINDOWS = 3",
+        ("tests/test_verifier.py::TestOnePeriodVerdict::"
+         "test_matches_full_window_reference_for_every_twin_prime_to_1e4",
+         "tests/test_verifier.py::TestOnePeriodVerdict::"
+         "test_matches_full_window_reference_at_drawn_twin_primes_to_1e12",
+         "tests/test_cli.py::TestGoldenBytes::test_stdout_digest"),
+    ),
+    Mutant(
         "plain argv read without its required options",
         CLI,
         "    if not required <= given.keys():\n        return None\n",

@@ -27,11 +27,11 @@ not the ones `padquat.verifier` derives from the norm reductions.
 - `matrix_jump_oracle`: each recurrence stream stepped through the
   two-step 3x3 map with general (a, b), so it relies on none of the
   twin-prime closed forms that the production oracle reads;
-- `full_window_verdict`: the `verify --format json` record from every
-  hypothesis index of the scan, each read by its own step, asking
-  `predicts` at every index: the reference for `verifier.decide_prime` and
-  `verifier.verdict_record`, and through `verdict_row` for the rows that
-  `scan` prints;
+- `scan_record`: the `verify --format json` record from a reference's
+  reads of every hypothesis index of the scan, asking `predicts` at every
+  index, and `full_window_verdict`, its reads each by its own step: the
+  reference for `verifier.decide_prime` and `verifier.verdict_record`, and
+  through `verdict_row` for the rows that `scan` prints;
 - `closed_form_rows`: the `scan` rows from the paper's side conditions,
   z(p) and pi(p)/z(p) alone, with no norm read, outside the primes 5, 7
   and 13 where a hypothesis-index zero divisor exists;
@@ -464,30 +464,22 @@ def matrix_jump_oracle(
     return norms, zero_divisors
 
 
-def full_window_verdict(claim_id: str, profile: FibProfile, scan_multiplier: int) -> dict:
+# The windows of 2 pi(p) that a `verify --format json` record covers, stated
+# here apart from `verifier.SCAN_WINDOWS`
+WINDOWS = 2
+
+
+def scan_record(claim_id: str, profile: FibProfile, window: int, read) -> dict:
     """The `verify --format json` record of claim `claim_id` at p = profile.p
-    over scan_multiplier windows of 2 pi(p), from every hypothesis index
-    k = j z(p) - 3 of the scan, stepping F_k .. F_{k+3} by r = F_{z+1} from
-    one index to the next, with every disagreeing index; it uses no
-    periodicity of the reads."""
-    claim, p = CLAIMS[claim_id], profile.p
-    z, pi = profile.entry_point, profile.pisano_period
-    window = 2 * pi
-    scan_limit = scan_multiplier * window
+    over `WINDOWS` windows of `window`, from one reference's reads:
+    `read(hypothesis)` maps every hypothesis index m of the scan to its norm,
+    whether it is a zero divisor, and F_{k+2} mod p, k = floor(m/2).  It
+    asks `predicts` at every index and lists every disagreeing index."""
+    claim, p, z = CLAIMS[claim_id], profile.p, profile.entry_point
+    scan_limit = WINDOWS * window
     hypothesis = range(2 * (z - 3) + claim.parity, scan_limit, 2 * z)
-    r = fib_pair(z, p)[1]
-    forms = FIB_FORMS[claim.family]
-    fibs = [2, p - 1, 1, 0]  # F_{-3} .. F_0
-    reads = {}
-    for m in hypothesis:
-        fibs = [r * f % p for f in fibs]
-        t = []
-        for j in range(claim.parity, claim.parity + 4):
-            a, b, c = forms[j % 2]
-            t.append((a + b * fibs[j // 2] + c * fibs[j // 2 + 1]) % p)
-        norm = sum(x * x for x in t) % p
-        reads[m] = (fibs[2], norm, norm == 0 and any(t))
-    observed = [m for m in hypothesis if reads[m][2]]
+    reads = read(hypothesis)
+    observed = [m for m in hypothesis if reads[m][1]]
     predicted = [m for m in hypothesis if predicts(claim_id, profile, m)]
 
     if not hypothesis:
@@ -504,7 +496,7 @@ def full_window_verdict(claim_id: str, profile: FibProfile, scan_multiplier: int
     if classification == FAILS:
         red = CASE_ROWS[claim.family, claim.parity][1]
         for m in sorted(set(predicted) ^ set(observed)):
-            f2, norm, _ = reads[m]
+            norm, _, f2 = reads[m]
             counterexamples.append({
                 "index": m, "k": m // 2, "norm": norm, "reduced": _reduce(red, f2, p),
                 "predicted": m in predicted, "observed": m in observed,
@@ -516,10 +508,9 @@ def full_window_verdict(claim_id: str, profile: FibProfile, scan_multiplier: int
         "case": {
             "claim_id": claim_id, "p": p, "family": claim.family,
             "parity": "even" if claim.parity == 0 else "odd",
-            "entry_point": z, "pisano_period": pi, "hypothesis_class": z - 3,
+            "entry_point": z, "pisano_period": profile.pisano_period, "hypothesis_class": z - 3,
         },
-        "scan": {"multiplier": scan_multiplier, "window_modulus": window,
-                 "scan_limit": scan_limit},
+        "scan": {"multiplier": WINDOWS, "window_modulus": window, "scan_limit": scan_limit},
         "predicted_classes": predicted_classes,
         "observed_classes": observed_classes,
         "predicted_count": len(predicted_classes),
@@ -527,6 +518,31 @@ def full_window_verdict(claim_id: str, profile: FibProfile, scan_multiplier: int
         "classification": classification,
         "counterexamples": counterexamples,
     }
+
+
+def full_window_verdict(claim_id: str, profile: FibProfile) -> dict:
+    """The `scan_record` of claim `claim_id` at p = profile.p over windows
+    of 2 pi(p), reading every hypothesis index k = j z(p) - 3 of the scan by
+    stepping F_k .. F_{k+3} by r = F_{z+1} from one index to the next; it
+    uses no periodicity of the reads."""
+    claim, p, z = CLAIMS[claim_id], profile.p, profile.entry_point
+    r = fib_pair(z, p)[1]
+    forms = FIB_FORMS[claim.family]
+
+    def step(hypothesis):
+        fibs = [2, p - 1, 1, 0]  # F_{-3} .. F_0
+        reads = {}
+        for m in hypothesis:
+            fibs = [r * f % p for f in fibs]
+            t = []
+            for j in range(claim.parity, claim.parity + 4):
+                a, b, c = forms[j % 2]
+                t.append((a + b * fibs[j // 2] + c * fibs[j // 2 + 1]) % p)
+            norm = sum(x * x for x in t) % p
+            reads[m] = (norm, norm == 0 and any(t), fibs[2])
+        return reads
+
+    return scan_record(claim_id, profile, 2 * profile.pisano_period, step)
 
 
 def verdict_row(record: dict) -> list[str]:
@@ -559,7 +575,7 @@ def closed_form_rows(bound: int) -> list[list[str]]:
         profile = FibProfile.of(p)
         for cid in sorted_case_ids(p):
             if p in EXCEPTIONAL_PRIMES:
-                rows.append(verdict_row(full_window_verdict(cid, profile, 2)))
+                rows.append(verdict_row(full_window_verdict(cid, profile)))
                 continue
             claim, z = CLAIMS[cid], profile.entry_point
             hypothesis = range(z - 3, profile.pisano_period, z)

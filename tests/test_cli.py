@@ -20,7 +20,6 @@ from padquat import __version__, cli, fibonacci, modular, sequences, verifier
 from padquat.cli import (
     MAX_PRIME,
     MAX_SCAN_BOUND,
-    MAX_SCAN_MULTIPLIER,
     MAX_SYMBOLIC_TERMS,
     MAX_TERMS,
     main,
@@ -201,17 +200,6 @@ class TestVerify:
         fails = [v for v in doc["verdicts"] if v["classification"] == "FAILS"]
         assert all(v["counterexamples"] for v in fails)
 
-    def test_scan_multiplier_below_two_rejected(self, capsys):
-        status, _, err = run_cli(capsys, "verify", "--p", "13", "--scan-multiplier", "1")
-        assert status == 1 and "scan-multiplier" in err
-
-    def test_scan_multiplier_flag(self, capsys):
-        status, out, _ = run_cli(capsys, "verify", "--p", "13", "--case", "cor-13",
-                                 "--scan-multiplier", "3", "--format", "json")
-        assert status == 0
-        doc = json.loads(out)
-        assert doc["verdicts"][0]["scan"]["multiplier"] == 3
-
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_decides_once_in_every_format(self, capsys, monkeypatch, fmt):
         # table and csv take every row from one decide_prime call; json
@@ -223,14 +211,13 @@ class TestVerify:
             calls.append((profile.p, list(case_ids)))
             return decide_prime(profile, case_ids)
 
-        def counted_record(profile, claim_id, multiplier):
+        def counted_record(profile, claim_id):
             calls.append((profile.p, claim_id))
-            return verdict_record(profile, claim_id, multiplier)
+            return verdict_record(profile, claim_id)
 
         monkeypatch.setattr(cli, "decide_prime", counted_rows)
         monkeypatch.setattr(cli, "verdict_record", counted_record)
-        status, _, _ = run_cli(capsys, "verify", "--p", "13", "--format", fmt,
-                               "--scan-multiplier", "4")
+        status, _, _ = run_cli(capsys, "verify", "--p", "13", "--format", fmt)
         assert status == 2
         ids = verifier.applicable_case_ids(13)
         assert calls == ([(13, cid) for cid in ids] if fmt == "json" else [(13, ids)])
@@ -305,20 +292,21 @@ class TestInputBound:
         ("verify", "--p", "13"),
         ("scan", "--upto", "200"),
     ])
-    def test_rejects_scan_multiplier_above_cap_before_any_work(self, capsys, monkeypatch, argv):
+    def test_rejects_scan_multiplier_before_any_work(self, capsys, monkeypatch, argv):
+        # the window count is fixed, so no command takes a multiplier
         def refuse(*args):
             raise AssertionError("work ran")
 
         for name in ("verdict_record", "decide_prime", "is_prime", "twin_primes_upto"):
             monkeypatch.setattr(cli, name, refuse)
-        n = MAX_SCAN_MULTIPLIER + 1
-        status, out, err = run_cli(capsys, *argv, "--scan-multiplier", str(n))
-        assert status == 1 and out == ""
-        assert err == f"error: --scan-multiplier must be at most {MAX_SCAN_MULTIPLIER}, got {n}\n"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--scan-multiplier", "3"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 1 and out == ""
+        assert err.endswith("error: unrecognized arguments: --scan-multiplier 3\n")
 
     def test_caps_admit_the_benchmark_and_test_sizes(self):
         assert MAX_SYMBOLIC_TERMS >= 252 and MAX_SCAN_BOUND >= 10**6
-        assert MAX_SCAN_MULTIPLIER >= 5
 
 
 class TestScan:
@@ -536,15 +524,11 @@ class TestScan:
         assert status == 2
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("multiplier", [2, 5])
-    def test_rows_match_full_window_reference_for_every_twin_prime_to_1e4(
-        self, capsys, multiplier
-    ):
-        status, out, _ = run_cli(capsys, "scan", "--upto", "10000", "--format", "csv",
-                                 "--scan-multiplier", str(multiplier))
+    def test_rows_match_full_window_reference_for_every_twin_prime_to_1e4(self, capsys):
+        status, out, _ = run_cli(capsys, "scan", "--upto", "10000", "--format", "csv")
         rows = list(csv.reader(io.StringIO(out)))[1:]
         expected = [
-            verdict_row(full_window_verdict(cid, FibProfile.of(p), multiplier))
+            verdict_row(full_window_verdict(cid, FibProfile.of(p)))
             for _, p in modular.twin_primes_upto(10**4)
             for cid in verifier.applicable_case_ids(p)
         ]
@@ -614,29 +598,25 @@ class TestScan:
         assert read == [(5, "QP", 0), (5, "QR", 0), (7, "QR", 1), (7, "QR", 0), (13, "QR", 1),
                         (13, "QP", 1), (181, "QR", 0)]
 
-    def test_scan_reads_do_not_grow_with_the_multiplier(self, capsys, monkeypatch):
-        reads = {}
+    def test_scan_reads_one_period_per_row(self, capsys, monkeypatch):
+        reads = []
         jump_oracle = verifier.jump_oracle
-        for multiplier in (2, MAX_SCAN_MULTIPLIER):
-            reads[multiplier] = 0
 
-            def counted(*row, multiplier=multiplier):
-                out = jump_oracle(*row)
-                reads[multiplier] += len(out)
-                return out
+        def counted(*row):
+            out = jump_oracle(*row)
+            reads.append(len(out))
+            return out
 
-            monkeypatch.setattr(verifier, "jump_oracle", counted)
-            status, out, _ = run_cli(capsys, "scan", "--upto", "2000", "--format", "csv",
-                                     "--scan-multiplier", str(multiplier))
-            assert status == 2
-            # the rows do not depend on the multiplier either
-            assert hashlib.sha256(out.encode()).hexdigest() == (
-                "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"
-            )
+        monkeypatch.setattr(verifier, "jump_oracle", counted)
+        status, out, _ = run_cli(capsys, "scan", "--upto", "2000", "--format", "csv")
+        assert status == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ac11d49c2f4105967af2f2053eca164ce0015527ac85f47df8f9af057fe5759c"
+        )
         # one period of r for each row read: QP even and QR even at 5, QR
         # odd and even at 7, QR odd and QP odd at 13, QR even at 181
         period = {p: len(FibProfile.of(p).powers) for p in (5, 7, 13, 181)}
-        assert reads[2] == reads[MAX_SCAN_MULTIPLIER] == (
+        assert sum(reads) == (
             2 * period[5] + 2 * period[7] + 2 * period[13] + period[181]) > 0
 
 
@@ -710,8 +690,8 @@ class TestGoldenBytes:
          "f8a379042bb20bc682fcfec37dd2e02c9ec31027f572cf6fa666f5728bb15337", 0),
         (("scan", "--upto", "20000", "--format", "csv"),
          "09d0df440f8ad7817e199051e43d510ff4b0d2e62dbe8b623e71ed384cde3f40", 2),
-        (("scan", "--upto", "3000", "--scan-multiplier", "4", "--format", "json"),
-         "86cd7db04bbc68462f34d082e23ce62bec895255084c3675087956d777aff56e", 2),
+        (("scan", "--upto", "3000", "--format", "json"),
+         "68d630561260e35026c79e12c712d824a68c0b73b4aac714062f831cd28b002e", 2),
         # many counterexample `reduced` values, far above the small primes
         (("verify", "--p", "10093", "--format", "json"),
          "2cf052bbaf03dcaacaa87a68840a8928d7aa213a637c890f885ff8e60a49ab00", 2),

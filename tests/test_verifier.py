@@ -126,10 +126,10 @@ class TestCaseConstruction:
         assert not satisfies_hypothesis("thm-padovan-even", profile, 10)  # k=5
 
 
-def record(claim_id, p, multiplier=2):
+def record(claim_id, p):
     """The `verify --format json` record of `claim_id`, which applies at p."""
     assert claim_id in applicable_case_ids(p)
-    return verdict_record(FibProfile.of(p), claim_id, multiplier)
+    return verdict_record(FibProfile.of(p), claim_id)
 
 
 def predicts(claim_id, p, m):
@@ -473,16 +473,10 @@ class TestVerdictRecord:
         assert record("thm-padovan-odd", 7) == record("thm-padovan-odd", 7)
 
     def test_window_covers_both_periodicities(self):
-        scan = record("thm-padovan-even", 5, multiplier=3)["scan"]
-        assert scan["scan_limit"] == 3 * scan["window_modulus"]
+        scan = record("thm-padovan-even", 5)["scan"]
+        assert scan["scan_limit"] == 2 * scan["window_modulus"]
         assert scan["window_modulus"] % (2 * FibProfile.of(5).pisano_period) == 0
         assert scan["window_modulus"] % family_period(SeqParams.twin_prime(5), "QP") == 0
-
-    def test_classes_stable_under_multiplier(self):
-        v2 = record("thm-padovan-even", 5, 2)
-        v4 = record("thm-padovan-even", 5, 4)
-        for key in ("predicted_classes", "observed_classes", "classification"):
-            assert v2[key] == v4[key], key
 
     def test_counterexample_reduced_values_trace_the_chain(self):
         for c in record("thm-padovan-even", 13)["counterexamples"]:
@@ -505,8 +499,8 @@ class TestVerdictRecord:
         assert isinstance(d["counterexamples"], list)
 
     def test_reduces_each_disagreement_once(self, monkeypatch):
-        # the windows repeat the first window's disagreements, so a record
-        # reduces each of them once, whatever the multiplier
+        # the second window repeats the first window's disagreements, so a
+        # record reduces each of them once
         reduced = []
         reduce = verifier._reduce
 
@@ -521,11 +515,9 @@ class TestVerdictRecord:
         # F_{k+2} = r^j at each disagreeing index m = 2k, k = j z(p) - 3
         z = profile.entry_point
         f2s = [profile.powers[(m // 2 + 3) // z - 1] for m in disagreements]
-        for multiplier in (2, 7):
-            reduced.clear()
-            rec = verdict_record(profile, "thm-padovan-even", multiplier)
-            assert reduced == f2s != []
-            assert len(rec["counterexamples"]) == multiplier * len(reduced)
+        rec = verdict_record(profile, "thm-padovan-even")
+        assert reduced == f2s != []
+        assert len(rec["counterexamples"]) == 2 * len(reduced)
 
 
 def hypothesis_indices(claim_id, profile, limit):
@@ -542,50 +534,14 @@ def tiled_norms(claim_id, profile, count):
     return [norms[i % len(norms)] for i in range(count)]
 
 
-def linear_verdict(claim_id, profile, scan_multiplier, linear):
+def linear_verdict(claim_id, profile, linear):
     """The `verify --format json` record the linear reference gives: `linear`
     holds the window lcm(family_period, 2 pi(p)) and the `norm_oracle` norms
-    and zero divisors over at least scan_multiplier such windows."""
+    and zero divisors over at least two such windows."""
     window, norms, zero_divisors = linear
-    claim, p = CLAIMS[claim_id], profile.p
-    scan_limit = scan_multiplier * window
-    hypothesis = hypothesis_indices(claim_id, profile, scan_limit)
-    observed = [m for m in hypothesis if m in zero_divisors]
-    predicted = [m for m in hypothesis if reference.predicts(claim_id, profile, m)]
-    if not hypothesis:
-        classification = HOLDS_VACUOUSLY
-    elif predicted == observed:
-        has_content = predicted or claim.classes == ()
-        classification = HOLDS if has_content else HOLDS_VACUOUSLY
-    else:
-        classification = FAILS
-    counterexamples = []
-    if classification == FAILS:
-        kind = ("padovan" if claim.family == "QP" else "perrin") + (
-            "-odd" if claim.parity else "-even"
-        )
-        counterexamples = [
-            {"index": m, "k": m // 2, "norm": norms[m],
-             "reduced": reduced_norm_value(kind, m // 2, p),
-             "predicted": m in predicted, "observed": m in observed}
-            for m in sorted(set(predicted) ^ set(observed))
-        ]
-    predicted_classes = sorted({m % window for m in predicted})
-    observed_classes = sorted({m % window for m in observed})
-    z = profile.entry_point
-    return {
-        "case": {"claim_id": claim_id, "p": p, "family": claim.family,
-                 "parity": "odd" if claim.parity else "even", "entry_point": z,
-                 "pisano_period": profile.pisano_period, "hypothesis_class": z - 3},
-        "scan": {"multiplier": scan_multiplier, "window_modulus": window,
-                 "scan_limit": scan_limit},
-        "predicted_classes": predicted_classes,
-        "observed_classes": observed_classes,
-        "predicted_count": len(predicted_classes),
-        "observed_count": len(observed_classes),
-        "classification": classification,
-        "counterexamples": counterexamples,
-    }
+    p = profile.p
+    return reference.scan_record(claim_id, profile, window, lambda hypothesis: {
+        m: (norms[m], m in zero_divisors, fib_pair(m // 2 + 2, p)[0]) for m in hypothesis})
 
 
 class TestJumpOracle:
@@ -596,10 +552,9 @@ class TestJumpOracle:
         for family in ("QP", "QR"):
             window = math.lcm(family_period(params, family), 2 * profile.pisano_period)
             linear[family] = (window, *norm_oracle(params, family, 4 * window))
-        for multiplier in (2, 3, 4):
-            for cid in applicable_case_ids(p):
-                expected = linear_verdict(cid, profile, multiplier, linear[CLAIMS[cid].family])
-                assert verdict_record(profile, cid, multiplier) == expected, (cid, p, multiplier)
+        for cid in applicable_case_ids(p):
+            expected = linear_verdict(cid, profile, linear[CLAIMS[cid].family])
+            assert verdict_record(profile, cid) == expected, (cid, p)
 
     def test_norms_match_linear_reference_at_every_hypothesis_index(self):
         # every norm, and every zero divisor as a zero norm, against the
@@ -674,10 +629,9 @@ class TestJumpOracle:
             matrix_jump_oracle(params7, "QR", FibProfile(7, 8, (1,)), range(10, 64, 16))
 
 
-def verify_json(p, multiplier):
+def verify_json(p):
     """The records and exit status of `verify --p p --format json`."""
-    text, status = cli.cmd_verify(cli._parse_args(
-        ["verify", "--p", str(p), "--format", "json", "--scan-multiplier", str(multiplier)]))
+    text, status = cli.cmd_verify(cli._parse_args(["verify", "--p", str(p), "--format", "json"]))
     return json.loads(text)["verdicts"], status
 
 
@@ -685,15 +639,13 @@ class TestOnePeriodVerdict:
     """Records from one period of r against `full_window_verdict`, which
     reads every hypothesis index of the scan."""
 
-    @pytest.mark.parametrize("multiplier", [2, 3, 4, 5])
-    def test_matches_full_window_reference_for_every_twin_prime_to_1e4(self, multiplier):
+    def test_matches_full_window_reference_for_every_twin_prime_to_1e4(self):
         # whole records, every counterexample included, as verify prints them
         for _, p in twin_primes_upto(10**4):
             profile = FibProfile.of(p)
-            expected = [full_window_verdict(cid, profile, multiplier)
-                        for cid in applicable_case_ids(p)]
-            records, status = verify_json(p, multiplier)
-            assert records == expected, (p, multiplier)
+            expected = [full_window_verdict(cid, profile) for cid in applicable_case_ids(p)]
+            records, status = verify_json(p)
+            assert records == expected, p
             assert status == (2 if any(r["classification"] == FAILS for r in expected) else 0)
 
     @settings(max_examples=100, derandomize=True, deadline=None)
@@ -706,19 +658,17 @@ class TestOnePeriodVerdict:
         while not (is_prime(p) and is_prime(p - 2)):
             p -= 1
         profile = FibProfile.of(p)
-        for multiplier in (2, 3):
-            expected = [full_window_verdict(cid, profile, multiplier)
-                        for cid in applicable_case_ids(p)]
-            records, status = verify_json(p, multiplier)
-            assert records == expected, (p, multiplier)
-            assert status == (2 if any(r["classification"] == FAILS for r in expected) else 0)
+        expected = [full_window_verdict(cid, profile) for cid in applicable_case_ids(p)]
+        records, status = verify_json(p)
+        assert records == expected, p
+        assert status == (2 if any(r["classification"] == FAILS for r in expected) else 0)
 
     def test_verdicts_ask_no_per_index_predicate(self, monkeypatch):
         # the full-window reference asks `predicts` at every index; the
         # production pass reads the claim table and calls no per-index test
         primes = (5, 7, 13, 181)
         expected = {
-            p: [full_window_verdict(cid, FibProfile.of(p), 2) for cid in applicable_case_ids(p)]
+            p: [full_window_verdict(cid, FibProfile.of(p)) for cid in applicable_case_ids(p)]
             for p in primes
         }
 
@@ -727,7 +677,7 @@ class TestOnePeriodVerdict:
 
         monkeypatch.setattr(reference, "predicts", refuse)
         monkeypatch.setattr(reference, "satisfies_hypothesis", refuse)
-        records = {p: verify_json(p, 2)[0] for p in primes}
+        records = {p: verify_json(p)[0] for p in primes}
         assert records == expected
         assert {r["classification"] for rs in records.values() for r in rs} == {
             HOLDS, HOLDS_VACUOUSLY, FAILS
@@ -785,8 +735,7 @@ class TestDecidePrime:
                 continue
             for fmt in ("json", "csv", "table"):
                 reads.clear()
-                cli.cmd_verify(cli._parse_args(
-                    ["verify", "--p", str(p), "--format", fmt, "--scan-multiplier", "3"]))
+                cli.cmd_verify(cli._parse_args(["verify", "--p", str(p), "--format", fmt]))
                 if fmt == "json":
                     json_reads[p] = sorted(reads)
                 else:
