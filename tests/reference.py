@@ -469,14 +469,16 @@ def matrix_jump_oracle(
 WINDOWS = 2
 
 
-def scan_record(claim_id: str, profile: FibProfile, window: int, read) -> dict:
+def scan_record(
+    claim_id: str, profile: FibProfile, window: int, read, windows: int = WINDOWS
+) -> dict:
     """The `verify --format json` record of claim `claim_id` at p = profile.p
-    over `WINDOWS` windows of `window`, from one reference's reads:
+    over `windows` windows of `window`, from one reference's reads:
     `read(hypothesis)` maps every hypothesis index m of the scan to its norm,
     whether it is a zero divisor, and F_{k+2} mod p, k = floor(m/2).  It
     asks `predicts` at every index and lists every disagreeing index."""
     claim, p, z = CLAIMS[claim_id], profile.p, profile.entry_point
-    scan_limit = WINDOWS * window
+    scan_limit = windows * window
     hypothesis = range(2 * (z - 3) + claim.parity, scan_limit, 2 * z)
     reads = read(hypothesis)
     observed = [m for m in hypothesis if reads[m][1]]
@@ -510,7 +512,7 @@ def scan_record(claim_id: str, profile: FibProfile, window: int, read) -> dict:
             "parity": "even" if claim.parity == 0 else "odd",
             "entry_point": z, "pisano_period": profile.pisano_period, "hypothesis_class": z - 3,
         },
-        "scan": {"multiplier": WINDOWS, "window_modulus": window, "scan_limit": scan_limit},
+        "scan": {"multiplier": windows, "window_modulus": window, "scan_limit": scan_limit},
         "predicted_classes": predicted_classes,
         "observed_classes": observed_classes,
         "predicted_count": len(predicted_classes),
@@ -520,11 +522,11 @@ def scan_record(claim_id: str, profile: FibProfile, window: int, read) -> dict:
     }
 
 
-def full_window_verdict(claim_id: str, profile: FibProfile) -> dict:
-    """The `scan_record` of claim `claim_id` at p = profile.p over windows
-    of 2 pi(p), reading every hypothesis index k = j z(p) - 3 of the scan by
-    stepping F_k .. F_{k+3} by r = F_{z+1} from one index to the next; it
-    uses no periodicity of the reads."""
+def full_window_verdict(claim_id: str, profile: FibProfile, windows: int = WINDOWS) -> dict:
+    """The `scan_record` of claim `claim_id` at p = profile.p over `windows`
+    windows of 2 pi(p), reading every hypothesis index k = j z(p) - 3 of the
+    scan by stepping F_k .. F_{k+3} by r = F_{z+1} from one index to the
+    next; it uses no periodicity of the reads."""
     claim, p, z = CLAIMS[claim_id], profile.p, profile.entry_point
     r = fib_pair(z, p)[1]
     forms = FIB_FORMS[claim.family]
@@ -542,7 +544,7 @@ def full_window_verdict(claim_id: str, profile: FibProfile) -> dict:
             reads[m] = (norm, norm == 0 and any(t), fibs[2])
         return reads
 
-    return scan_record(claim_id, profile, 2 * profile.pisano_period, step)
+    return scan_record(claim_id, profile, 2 * profile.pisano_period, step, windows)
 
 
 def verdict_row(record: dict) -> list[str]:

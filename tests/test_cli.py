@@ -305,6 +305,26 @@ class TestInputBound:
         assert exc.value.code == 1 and out == ""
         assert err.endswith("error: unrecognized arguments: --scan-multiplier 3\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("seq", "--p", "5", "--upto", "3"),
+        ("fib", "--p", "7"),
+        ("verify", "--p", "13"),
+        ("scan", "--upto", "200"),
+    ])
+    def test_json_config_echoes_the_fixed_window_count(self, capsys, argv):
+        # every command's JSON config records the window count, which no
+        # option sets, and verify's records scan that many windows
+        status, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert status in (0, 2)
+        doc = json.loads(out)
+        assert doc["config"]["scan_multiplier"] == verifier.SCAN_WINDOWS == 2
+        if argv[0] == "verify":
+            scans = [record["scan"] for record in doc["verdicts"]]
+            assert scans and all(
+                (scan["multiplier"], scan["scan_limit"])
+                == (verifier.SCAN_WINDOWS, verifier.SCAN_WINDOWS * scan["window_modulus"])
+                for scan in scans)
+
     def test_caps_admit_the_benchmark_and_test_sizes(self):
         assert MAX_SYMBOLIC_TERMS >= 252 and MAX_SCAN_BOUND >= 10**6
 

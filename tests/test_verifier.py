@@ -478,6 +478,26 @@ class TestVerdictRecord:
         assert scan["window_modulus"] % (2 * FibProfile.of(5).pisano_period) == 0
         assert scan["window_modulus"] % family_period(SeqParams.twin_prime(5), "QP") == 0
 
+    @pytest.mark.parametrize("windows", [3, 4, 5])
+    def test_later_windows_repeat_the_first(self, windows):
+        # why a record covers a fixed count of windows: the reference that
+        # steps through `windows` of them, assuming no period, finds the
+        # record's classes and classification, and each later window's
+        # disagreements are the first window's, moved on by 2 pi(p)
+        for _, p in twin_primes_upto(10**4):
+            profile = FibProfile.of(p)
+            window = 2 * profile.pisano_period
+            for cid in applicable_case_ids(p):
+                rec = verdict_record(profile, cid)
+                longer = full_window_verdict(cid, profile, windows)
+                for key in ("predicted_classes", "observed_classes", "classification"):
+                    assert longer[key] == rec[key], (cid, p, key)
+                first = [c for c in rec["counterexamples"] if c["index"] < window]
+                assert longer["counterexamples"] == [
+                    {**c, "index": c["index"] + window * t, "k": c["k"] + window // 2 * t}
+                    for t in range(windows) for c in first
+                ], (cid, p)
+
     def test_counterexample_reduced_values_trace_the_chain(self):
         for c in record("thm-padovan-even", 13)["counterexamples"]:
             expected = reduced_norm_value("padovan-even", c["k"], 13)
